@@ -145,7 +145,8 @@ def main(argv=None) -> int:
                 all_ok &= ok
             return 0 if all_ok else 1
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        context = "".join(f"{note}: " for note in getattr(exc, "__notes__", ()))
+        print(f"error: {context}{exc}", file=sys.stderr)
         return 2
     return 2
 

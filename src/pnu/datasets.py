@@ -191,9 +191,10 @@ def load_csv(path, label_column) -> LabeledPool:
     """Load a labeled pool from a headered, comma-separated UTF-8 file.
 
     ``label_column`` selects the label field by header name or by integer
-    index.  Features are standardized per column to zero mean and unit
-    variance over the full pool (constant columns are left centered), so
-    downstream kernel-width grids are dataset-independent.
+    index.  Every feature cell must be a finite number.  Features are
+    standardized per column to zero mean and unit variance over the full
+    pool (constant columns are left centered), so downstream kernel-width
+    grids are dataset-independent.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -213,6 +214,8 @@ def load_csv(path, label_column) -> LabeledPool:
             if not -len(header) <= label_idx < len(header):
                 raise ValueError(f"{path}: label column index {label_idx} out of range")
             label_idx %= len(header)
+        if len(header) < 2:
+            raise ValueError(f"{path}: no feature column besides the label")
 
         rows, raw_labels = [], []
         for lineno, row in enumerate(reader, start=2):
@@ -225,9 +228,13 @@ def load_csv(path, label_column) -> LabeledPool:
             raw_labels.append(row[label_idx].strip())
             feats = row[:label_idx] + row[label_idx + 1 :]
             try:
-                rows.append([float(v) for v in feats])
+                values = [float(v) for v in feats]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric feature value ({exc})") from None
+            if not all(map(math.isfinite, values)):
+                bad = next(v for v, f in zip(feats, values) if not math.isfinite(f))
+                raise ValueError(f"{path}:{lineno}: non-finite feature value {bad.strip()!r}")
+            rows.append(values)
 
     if not rows:
         raise ValueError(f"{path}: no data rows")

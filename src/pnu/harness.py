@@ -143,7 +143,9 @@ def run_sweep(grid: ExperimentGrid, train_config: Optional[TrainConfig] = None,
 
     The synthetic source trains the linear model at fixed regularization
     (no CV); a CSV source defaults to the kernel model with per-trial,
-    per-mode cross-validation when ``cv_config`` is given.
+    per-mode cross-validation when ``cv_config`` is given.  An exception
+    raised inside a trial propagates with its type unchanged and a note
+    naming the sweep point and trial.
     """
     train_config = train_config or TrainConfig()
     pool = None
@@ -187,9 +189,8 @@ def run_sweep(grid: ExperimentGrid, train_config: Optional[TrainConfig] = None,
                     model = train(mode, triple, mode_template, cfg)
                     errors[mode][trial] = risk_true_mc(model, holdout, losses.ZERO_ONE)
             except Exception as exc:
-                raise RuntimeError(
-                    f"sweep point {grid.sweep}={value}, trial {trial}: {exc}"
-                ) from exc
+                exc.add_note(f"sweep point {grid.sweep}={value}, trial {trial}")
+                raise
 
         comp = bounds.ComparatorInput(pi=pi, n_pos=grid.n_pos, n_neg=grid.n_neg, n_unl=n_unl)
         a_pu, a_nu = bounds.alpha_pu_pn(comp), bounds.alpha_nu_pn(comp)

@@ -4,6 +4,11 @@ A ``DecisionModel`` is a weight vector plus bias applied either to the raw
 input or to a Gaussian empirical kernel map, i.e. the vector of kernel
 values against a fixed anchor set of training points.  Models are immutable
 value objects; prediction is pure.
+
+The kernel path works on row blocks: squared distances are accumulated one
+coordinate at a time into a (rows x anchors) buffer, and a kernel model
+scores its inputs block by block, so memory stays bounded by one block
+however many rows are scored.
 """
 
 from __future__ import annotations
@@ -14,9 +19,14 @@ from typing import Optional
 
 import numpy as np
 
-# Rows-per-block cap so the (block x anchors x dim) difference tensor stays
-# within a few tens of MB even for wide benchmark data.
-_BLOCK_ELEMENTS = 4_000_000
+# Cap on rows x anchors per block, shared by the kernel map and kernel
+# scoring: 2**16 float64 entries (512 KiB) keep a block's distance buffer
+# cache-resident, and memory stays flat in the number of rows scored.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _rows_per_block(n_anchors: int) -> int:
+    return max(1, _BLOCK_ELEMENTS // max(1, n_anchors))
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -33,9 +43,10 @@ def kernel_map(anchors, width: float, x) -> np.ndarray:
 
     Coordinate j is ``exp(-||x - anchor_j||^2 / (2 * width^2))``.  Accepts a
     single feature vector (returns a 1-D vector) or a matrix of rows
-    (returns one mapped row per input row).  Squared distances are formed
-    from explicit differences so that an input equal to an anchor maps to
-    exactly 1.0 at that coordinate.
+    (returns one mapped row per input row).  Squared distances are
+    accumulated one coordinate at a time from explicit differences, left to
+    right, so an input equal to an anchor maps to exactly 1.0 at that
+    coordinate in any dimension.
     """
     if not width > 0:
         raise ValueError(f"kernel width must be positive, got {width}")
@@ -48,12 +59,15 @@ def kernel_map(anchors, width: float, x) -> np.ndarray:
         )
     denom = 2.0 * width * width
     n_a, d = anchors.shape
-    block = max(1, _BLOCK_ELEMENTS // max(1, n_a * d))
+    block = _rows_per_block(n_a)
     out = np.empty((xm.shape[0], n_a))
     for start in range(0, xm.shape[0], block):
         chunk = xm[start : start + block]
-        diff = chunk[:, None, :] - anchors[None, :, :]
-        out[start : start + len(chunk)] = np.exp(-(diff * diff).sum(axis=2) / denom)
+        sq = np.square(chunk[:, 0, None] - anchors[None, :, 0])
+        for j in range(1, d):
+            sq += np.square(chunk[:, j, None] - anchors[None, :, j])
+        sq /= -denom
+        np.exp(sq, out=out[start : start + len(chunk)])
     return out[0] if single else out
 
 
@@ -107,14 +121,25 @@ class DecisionModel:
         return self.feature_map.input_dim if self.feature_map else self.weights.size
 
     def decision_values(self, x) -> np.ndarray:
-        """Scores for a matrix of input rows (vectorized predict)."""
+        """Scores for a matrix of input rows (vectorized predict).
+
+        A kernel model maps and scores one block of rows at a time, so the
+        full (rows x anchors) feature matrix is never formed.
+        """
         xm = _as_matrix(x)
         if xm.shape[1] != self.input_dim:
             raise ValueError(
                 f"input dimension {xm.shape[1]} does not match model dimension {self.input_dim}"
             )
-        feats = self.feature_map(xm) if self.feature_map else xm
-        return feats @ self.weights + self.bias
+        if self.feature_map is None:
+            return xm @ self.weights + self.bias
+        block = _rows_per_block(self.feature_map.output_dim)
+        scores = np.empty(xm.shape[0])
+        for start in range(0, xm.shape[0], block):
+            rows = xm[start : start + block]
+            scores[start : start + len(rows)] = self.feature_map(rows) @ self.weights
+        scores += self.bias
+        return scores
 
     def to_dict(self) -> dict:
         doc = {"weights": self.weights.tolist(), "bias": self.bias, "map": None}

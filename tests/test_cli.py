@@ -80,6 +80,36 @@ class TestSweepCommands:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @staticmethod
+    def _assert_one_line_error(err, *fragments):
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in err
+        for fragment in fragments:
+            assert fragment in lines[0]
+
+    def test_pool_exhaustion_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "pool.csv"
+        path.write_text("f1,y\n" + "".join(f"{i}.0,{1 if i < 3 else -1}\n" for i in range(10)),
+                        encoding="utf-8")
+        code = main([
+            "sweep-pi", "--pi", "0.5", "--n-unl", "4", "--n-pos", "8", "--n-neg", "2",
+            "--trials", "1", "--data", str(path), "--label-col", "y",
+        ])
+        assert code == 2
+        self._assert_one_line_error(capsys.readouterr().err,
+                                    "sweep point pi=0.5, trial 0: ", "positive class exhausted")
+
+    def test_non_finite_csv_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "pool.csv"
+        path.write_text("f1,y\n1.0,1\nnan,-1\n2.0,1\n3.0,-1\n", encoding="utf-8")
+        code = main([
+            "sweep-nu", "--n-unl", "1", "--pi", "0.5", "--n-pos", "1", "--n-neg", "1",
+            "--trials", "1", "--data", str(path), "--label-col", "y",
+        ])
+        assert code == 2
+        self._assert_one_line_error(capsys.readouterr().err, "pool.csv:3: non-finite")
+
 
 class TestVerifyCommand:
     def test_fast_verify_passes(self, capsys):

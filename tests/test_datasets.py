@@ -130,6 +130,18 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="non-numeric"):
             load_csv(path, "y")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, cell):
+        path = _write_csv(tmp_path / "nf.csv", ("x1", "x2", "y"),
+                          [(0.1, 1.0, 1), (0.2, cell, -1), (0.3, 2.0, 1), (0.4, 3.0, -1)])
+        with pytest.raises(ValueError, match=rf"nf\.csv:3: non-finite feature value '{cell}'"):
+            load_csv(path, "y")
+
+    def test_label_only_file_rejected(self, tmp_path):
+        path = _write_csv(tmp_path / "lo.csv", ("y",), [(1,), (-1,), (1,), (-1,)])
+        with pytest.raises(ValueError, match="no feature column"):
+            load_csv(path, "y")
+
     def test_standardization(self, tmp_path):
         rng = np.random.default_rng(1)
         rows = [(rng.normal(5, 3), rng.normal(-2, 0.5), rng.choice([0, 1])) for _ in range(400)]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pnu import harness
+from pnu.datasets import InsufficientDataError
 from pnu.harness import (
     ExperimentGrid,
     ResultTable,
@@ -114,7 +115,7 @@ class TestRunSweep:
             assert 0.0 <= row.mean_error <= 1.0
 
     def test_errors_carry_context(self, tmp_path):
-        """A per-trial failure is rethrown with (sweep value, trial) context."""
+        """A per-trial failure keeps its type and gains (sweep value, trial) context."""
         path = tmp_path / "small.csv"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("f1,y\n")
@@ -122,8 +123,9 @@ class TestRunSweep:
                 fh.write(f"{float(i)},{1 if i < 3 else -1}\n")
         grid = ExperimentGrid(sweep="nu", values=(5,), n_pos=8, n_neg=2, pi=0.5,
                               trials=1, data_source=str(path), label_column="y", seed=0)
-        with pytest.raises(RuntimeError, match=r"sweep point nu=5, trial 0"):
+        with pytest.raises(InsufficientDataError, match="exhausted") as info:
             run_sweep(grid, FAST_TRAIN)
+        assert info.value.__notes__ == ["sweep point nu=5, trial 0"]
 
 
 class TestEmit:

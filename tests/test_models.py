@@ -1,11 +1,18 @@
 """Decision models: linear scores, the Gaussian kernel map, serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pnu.models import DecisionModel, EmpiricalKernelMap, kernel_map, predict
+from pnu.models import _BLOCK_ELEMENTS, DecisionModel, EmpiricalKernelMap, kernel_map, predict
+
+
+def _explicit_kernel_map(anchors, width, x):
+    """Reference: the full (rows x anchors x dim) difference tensor, reduced over dim."""
+    diff = x[:, None, :] - anchors[None, :, :]
+    return np.exp(-(diff * diff).sum(axis=2) / (2 * width * width))
 
 
 class TestPredict:
@@ -38,10 +45,11 @@ class TestPredict:
 class TestKernelMap:
     def test_anchor_maps_to_exactly_one(self):
         rng = np.random.default_rng(1)
-        anchors = rng.normal(size=(6, 4))
-        mapped = kernel_map(anchors, 0.8, anchors[3])
-        assert mapped[3] == 1.0
-        assert mapped.shape == (6,)
+        for dim in (4, 13):
+            anchors = rng.normal(size=(6, dim))
+            mapped = kernel_map(anchors, 0.8, anchors[3])
+            assert mapped[3] == 1.0
+            assert mapped.shape == (6,)
 
     def test_half_value_distance(self):
         """k = 1/2 at distance width * sqrt(2 ln 2), by inverting the kernel."""
@@ -65,14 +73,32 @@ class TestKernelMap:
             kernel_map(np.zeros((2, 2)), 0.0, np.zeros(2))
 
     def test_blockwise_matches_direct(self):
-        """Chunked evaluation equals the one-shot computation."""
+        """Over several blocks, the map equals explicit differences bit for bit.
+
+        Below 8 terms numpy's axis sum adds left to right, as the map does.
+        """
         rng = np.random.default_rng(4)
-        anchors = rng.normal(size=(11, 3))
-        x = rng.normal(size=(253, 3))
-        got = kernel_map(anchors, 1.3, x)
-        diff = x[:, None, :] - anchors[None, :, :]
-        want = np.exp(-(diff ** 2).sum(axis=2) / (2 * 1.3 ** 2))
-        np.testing.assert_allclose(got, want, rtol=1e-14)
+        for dim in range(1, 8):
+            anchors = rng.normal(size=(300, dim))
+            x = rng.normal(size=(3 * (_BLOCK_ELEMENTS // 300) + 7, dim))
+            width = 0.6 * math.sqrt(dim)
+            got = kernel_map(anchors, width, x)
+            assert np.array_equal(got, _explicit_kernel_map(anchors, width, x)), dim
+
+    @pytest.mark.parametrize("dim", [8, 13, 50])
+    def test_wide_inputs_match_explicit_differences(self, dim):
+        """From 8 terms numpy sums pairwise, so the last bits may differ.
+
+        The width keeps every exponent O(1), where an ulp-level change in the
+        squared distance moves the kernel value by well under 1e-15 relative.
+        """
+        rng = np.random.default_rng(dim)
+        anchors = rng.normal(size=(300, dim))
+        x = rng.normal(size=(500, dim))
+        width = 2.0 * math.sqrt(dim)
+        np.testing.assert_allclose(
+            kernel_map(anchors, width, x), _explicit_kernel_map(anchors, width, x), rtol=1e-15
+        )
 
 
 class TestKernelModel:
@@ -90,6 +116,42 @@ class TestKernelModel:
         x = rng.normal(size=2)
         want = float(w @ kernel_map(anchors, 1.1, x)) + 0.25
         assert predict(model, x) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_blockwise_scores_match_full_map(self, offset):
+        rng = np.random.default_rng(7)
+        anchors = rng.normal(size=(40, 3))
+        w = rng.normal(size=40)
+        model = DecisionModel(w, -0.3, EmpiricalKernelMap(anchors, 0.9))
+        x = rng.normal(size=(_BLOCK_ELEMENTS // 40 + offset, 3))
+        np.testing.assert_allclose(
+            model.decision_values(x), kernel_map(anchors, 0.9, x) @ w - 0.3, rtol=1e-13
+        )
+
+    def test_single_row_scores_like_a_matrix_row(self):
+        rng = np.random.default_rng(8)
+        anchors = rng.normal(size=(40, 3))
+        w = rng.normal(size=40)
+        model = DecisionModel(w, 0.1, EmpiricalKernelMap(anchors, 0.9))
+        x = rng.normal(size=3)
+        got = model.decision_values(x)
+        assert got.shape == (1,)
+        np.testing.assert_allclose(got, kernel_map(anchors, 0.9, x) @ w + 0.1, rtol=1e-13)
+
+    def test_scoring_memory_is_bounded_by_a_block(self):
+        """2e5 rows x 200 anchors would need 320 MB as one feature matrix."""
+        rng = np.random.default_rng(9)
+        model = DecisionModel(rng.normal(size=200), 0.0,
+                              EmpiricalKernelMap(rng.normal(size=(200, 2)), 1.0))
+        x = rng.normal(size=(200_000, 2))
+        tracemalloc.start()
+        try:
+            scores = model.decision_values(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scores.shape == (200_000,)
+        assert peak < 64 * 2**20
 
 
 class TestSerialization:
