@@ -13,7 +13,6 @@ from .bounds import (
     alpha_pu_pn,
     alpha_pu_pn_from_ratios,
     alpha_pu_pn_matched_prior,
-    alpha_ratio_forms,
     alpha_star,
     bound_terms,
     bound_values,
@@ -42,15 +41,14 @@ from .losses import (
     verify_calibration,
     zero_one,
 )
-from .models import DecisionModel, EmpiricalKernelMap, kernel_map, predict
-from .risk import RiskReport, risk_nu, risk_pn, risk_pu, risk_true_mc
+from .models import DecisionModel, EmpiricalKernelMap, kernel_map
+from .risk import risk_nu, risk_pn, risk_pu, risk_true_mc
 from .training import (
     CccpMonotonicityError,
     CvConfig,
     DivergenceError,
     ModelTemplate,
     TrainConfig,
-    cccp_outer_step,
     cross_validate,
     train,
 )

@@ -193,17 +193,6 @@ def alpha_nu_pn_from_ratios(pi: float, rho_pn: float, rho_nu: float) -> float:
     return (1.0 - pi + math.sqrt(rho_nu)) / (pi / math.sqrt(rho_pn))
 
 
-def alpha_ratio_forms(pi: float, rho_pn: float, rho_pu: float, rho_nu: float):
-    """Both proportional-form comparators, with ratio consistency enforced."""
-    implied = rho_pu / rho_nu
-    if abs(rho_pn - implied) > _RATIO_CONSISTENCY_TOL * max(1.0, abs(rho_pn)):
-        raise ValueError(f"inconsistent ratios: rho_pn={rho_pn} but rho_pu/rho_nu={implied}")
-    return (
-        alpha_pu_pn_from_ratios(pi, rho_pn, rho_pu),
-        alpha_nu_pn_from_ratios(pi, rho_pn, rho_nu),
-    )
-
-
 def alpha_pu_pn_matched_prior(pi: float, rho_pu: float) -> float:
     """PU/PN comparator under the supervised sampling ratio.
 

@@ -72,15 +72,7 @@ def _run_sweep(args, sweep: str, values) -> int:
     train_config = TrainConfig.from_json(args.train_config) if args.train_config else None
     cv_config = CvConfig.from_json(args.cv_config) if args.cv_config else None
     table = harness.run_sweep(grid, train_config, cv_config)
-    if args.out:
-        harness.emit(table, args.format, args.out)
-    else:
-        print(",".join(harness.CSV_HEADER))
-        for row in table.rows:
-            print(
-                f"{row.sweep_value:.6g},{row.mode},{row.mean_error:.6g},{row.std_error:.6g},"
-                f"{row.alpha_pu_pn:.6g},{row.alpha_nu_pn:.6g}"
-            )
+    harness.emit(table, args.format, args.out)
     return 0
 
 

@@ -17,8 +17,10 @@ points.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -211,29 +213,30 @@ def run_sweep(grid: ExperimentGrid, train_config: Optional[TrainConfig] = None,
 
 
 def emit(table: ResultTable, fmt: str, path) -> None:
-    """Write the table as CSV (6 significant digits) or JSON (full precision)."""
+    """Write the table as CSV (6 significant digits) or JSON (full precision).
+
+    The text goes to ``path``, or to stdout when ``path`` is None.  CSV lines
+    end in a bare newline.
+    """
     if fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for r in table.rows:
-                writer.writerow(
-                    [f"{r.sweep_value:.6g}", r.mode] +
-                    [f"{v:.6g}" for v in (r.mean_error, r.std_error, r.alpha_pu_pn, r.alpha_nu_pn)]
-                )
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for r in table.rows:
+            writer.writerow(
+                [f"{r.sweep_value:.6g}", r.mode] +
+                [f"{v:.6g}" for v in (r.mean_error, r.std_error, r.alpha_pu_pn, r.alpha_nu_pn)]
+            )
+        text = buf.getvalue()
     elif fmt == "json":
-        doc = {"rows": [r.__dict__ for r in table.rows]}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
+        text = json.dumps({"rows": [r.__dict__ for r in table.rows]}, indent=1)
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-
-
-def load_table(path) -> ResultTable:
-    """Read back a JSON table written by ``emit`` (per-trial errors excluded)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return ResultTable(rows=[SweepRow(**row) for row in doc["rows"]])
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
 
 def estimate_pu_pn_crossing(table: ResultTable) -> Optional[float]:

@@ -68,10 +68,14 @@ def dc_split(t, y):
 
     i.e. the ramp as a half-scaled hinge minus a second hinge shifted to
     margin -1.  The parts sum to ``scaled_ramp(t, y)`` (up to float
-    rounding) and this is the tightest piecewise-linear split.
+    rounding) and this is the tightest piecewise-linear split.  The CCCP
+    trainer takes its convex subproblem's hinge from ``convex_part`` and
+    linearizes ``concave_part``, whose slope in t is y/2 below margin -1.
     """
     _check_label(y)
-    m = np.asarray(t, dtype=float) * y
+    m = np.asarray(t, dtype=float)
+    if y == -1:
+        m = -m
     convex = np.maximum(0.0, (1.0 - m) * 0.5)
     concave = -np.maximum(0.0, (-1.0 - m) * 0.5)
     if np.ndim(t) == 0:

@@ -121,7 +121,7 @@ class DecisionModel:
         return self.feature_map.input_dim if self.feature_map else self.weights.size
 
     def decision_values(self, x) -> np.ndarray:
-        """Scores for a matrix of input rows (vectorized predict).
+        """Scores for a feature vector or a matrix of input rows.
 
         A kernel model maps and scores one block of rows at a time, so the
         full (rows x anchors) feature matrix is never formed.
@@ -170,10 +170,3 @@ class DecisionModel:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
-
-def predict(model: DecisionModel, x) -> float:
-    """Score of a single feature vector under the model."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("predict takes a single feature vector; use decision_values for batches")
-    return float(model.decision_values(x[None, :])[0])

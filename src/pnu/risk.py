@@ -18,7 +18,6 @@ unbiasedness checks are free of accumulation noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -28,8 +27,6 @@ from .losses import LossDescriptor
 from .models import DecisionModel
 
 Mode = Literal["PN", "PU", "NU"]
-
-_RANGE_TOL = 1e-9
 
 
 def _fmean(values: np.ndarray) -> float:
@@ -111,43 +108,3 @@ def risk_true_mc(model: DecisionModel, source, loss: LossDescriptor) -> float:
     )
     return math.fsum(values.tolist()) / values.size
 
-
-@dataclass(frozen=True)
-class RiskReport:
-    """A risk value tagged with how it was estimated, with range validation."""
-
-    value: float
-    mode: str  # PN | PU | NU | TRUE
-    loss_name: str
-    pi: float
-
-    def __post_init__(self) -> None:
-        pi = _check_pi(self.pi)
-        lo, hi = self._range(self.mode, pi)
-        if not lo - _RANGE_TOL <= self.value <= hi + _RANGE_TOL:
-            raise ValueError(
-                f"{self.mode} risk {self.value} outside admissible range [{lo}, {hi}]"
-            )
-
-    @staticmethod
-    def _range(mode: str, pi: float) -> tuple[float, float]:
-        if mode in ("PN", "TRUE"):
-            return 0.0, 1.0
-        if mode == "PU":
-            return -pi, 1.0 + pi
-        if mode == "NU":
-            return -(1.0 - pi), 2.0 - pi
-        raise ValueError(f"unknown risk mode {mode!r}")
-
-
-def estimate(mode: Mode, model: DecisionModel, triple, loss: LossDescriptor) -> RiskReport:
-    """Evaluate the given mode's estimator on a sample triple."""
-    if mode == "PN":
-        value = risk_pn(model, triple.x_pos, triple.x_neg, triple.pi, loss)
-    elif mode == "PU":
-        value = risk_pu(model, triple.x_pos, triple.x_unl, triple.pi, loss)
-    elif mode == "NU":
-        value = risk_nu(model, triple.x_unl, triple.x_neg, triple.pi, loss)
-    else:
-        raise ValueError(f"unknown risk mode {mode!r}")
-    return RiskReport(value=value, mode=mode, loss_name=loss.name, pi=triple.pi)

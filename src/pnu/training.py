@@ -1,15 +1,19 @@
 """CCCP training of the three regularized risk estimators.
 
-The scaled ramp objective is non-convex; training majorize-minimizes its
-difference-of-convex split.  Each outer iteration linearizes the concave
-hinge at the current margins and solves the resulting convex
-piecewise-linear-plus-quadratic subproblem by full-batch subgradient
-descent with a 1/sqrt(k) step schedule, the base step calibrated by
-backtracking on the first step.  Because the inner solver never returns a
-point worse than its start, the true regularized objective is
-non-increasing across outer iterations; that property is asserted on every
-run with a 1e-12 per-step slack and a violation is a hard error, not a
-warning.
+The objective of a mode is its unbiased empirical risk under
+``losses.scaled_ramp`` (the value ``risk_pn``/``risk_pu``/``risk_nu``
+returns with ``SCALED_RAMP``) plus (lambda/2)*||w||^2.  It is non-convex;
+training majorize-minimizes the difference-of-convex split of the ramp
+given by ``losses.dc_split`` (the ramp-loss CCCP of Collobert et al.,
+"Trading Convexity for Scalability", ICML 2006).  Each outer iteration
+of ``train`` linearizes the concave part at the current margins and
+solves the resulting convex hinge-plus-linear-plus-quadratic subproblem
+by full-batch subgradient descent with a 1/sqrt(k) step schedule, the
+base step calibrated by backtracking on the first step.  Because the
+inner solver never returns a point worse than its start, the true
+regularized objective is non-increasing across outer iterations; ``train``
+asserts that on every step with a 1e-12 slack, and a violation is a hard
+error, not a warning.
 
 Multiple restarts (zero init plus random Gaussian inits of scale 0.1)
 hedge against bad local minima; the restart with the lowest final
@@ -28,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .datasets import SampleTriple
-from .losses import ZERO_ONE
+from .losses import ZERO_ONE, dc_split, scaled_ramp
 from .models import DecisionModel, EmpiricalKernelMap
 from .risk import Mode, risk_nu, risk_pn, risk_pu
 
@@ -142,7 +146,7 @@ LINEAR_TEMPLATE = ModelTemplate(kind="linear")
 
 @dataclass(frozen=True)
 class RiskObjective:
-    """Weighted ramp-sum objective: sum_i c_i * ramp(t_i, y_i) + const + reg.
+    """Weighted ramp-sum objective: sum_i c_i * ramp(y_i * t_i) + const + reg.
 
     ``features`` are already pushed through any kernel map, so a candidate
     is just (weights, bias) and margins are an affine map of the weights.
@@ -158,8 +162,7 @@ class RiskObjective:
         return self.features @ w + b
 
     def value(self, w: np.ndarray, b: float) -> float:
-        m = self.margins(w, b) * self.labels
-        ramp = np.clip((1.0 - m) * 0.5, 0.0, 1.0)
+        ramp = scaled_ramp(self.margins(w, b) * self.labels, +1)
         return float(self.coeffs @ ramp) + self.constant + 0.5 * self.lam * float(w @ w)
 
 
@@ -212,22 +215,22 @@ def build_objective(mode: Mode, triple: SampleTriple,
     )
 
 
-def _convex_value(theta, Z, y, c, s, lam) -> float:
+def _convex_value(theta, Z, y, c, s, lam) -> tuple[float, np.ndarray]:
+    """Subproblem value at theta = (w, b), and the signed margins y*t there."""
     w, b = theta[:-1], theta[-1]
     t = Z @ w + b
-    hinge = 0.5 * np.maximum(0.0, 1.0 - t * y)
-    val = float(c @ (hinge + s * t)) + 0.5 * lam * float(w @ w)
+    m = t * y
+    val = float(c @ (dc_split(m, +1)[0] + s * t)) + 0.5 * lam * float(w @ w)
     if not math.isfinite(val):
         raise ValueError("non-finite objective value; a gradient step broke")
-    return val
+    return val, m
 
 
-def _convex_subgrad(theta, Z, y, c, s, lam) -> np.ndarray:
-    w, b = theta[:-1], theta[-1]
-    t = Z @ w + b
-    dt = c * (s - 0.5 * y * (t * y < 1.0))
+def _convex_subgrad(theta, m, Z, slopes, lam) -> np.ndarray:
+    """A subgradient at theta, given the signed margins m = y*t that theta scores."""
+    dt = np.where(m < 1.0, slopes[0], slopes[1])
     g = np.empty_like(theta)
-    g[:-1] = Z.T @ dt + lam * w
+    g[:-1] = Z.T @ dt + lam * theta[:-1]
     g[-1] = float(dt.sum())
     return g
 
@@ -238,10 +241,10 @@ def _calibrate_step(theta0, f0, g0, Z, y, c, s, lam) -> float:
     if gnorm < 1e-15:
         return 0.0
     step = max(1.0, float(np.linalg.norm(theta0))) / gnorm
-    f_try = _convex_value(theta0 - step * g0, Z, y, c, s, lam)
+    f_try = _convex_value(theta0 - step * g0, Z, y, c, s, lam)[0]
     if f_try < f0:
         for _ in range(20):
-            f_next = _convex_value(theta0 - 2.0 * step * g0, Z, y, c, s, lam)
+            f_next = _convex_value(theta0 - 2.0 * step * g0, Z, y, c, s, lam)[0]
             if f_next < f_try:
                 step *= 2.0
                 f_try = f_next
@@ -250,15 +253,18 @@ def _calibrate_step(theta0, f0, g0, Z, y, c, s, lam) -> float:
         return step
     for _ in range(60):
         step *= 0.5
-        if _convex_value(theta0 - step * g0, Z, y, c, s, lam) < f0:
+        if _convex_value(theta0 - step * g0, Z, y, c, s, lam)[0] < f0:
             return step
     return 0.0
 
 
 def _solve_convex(theta0, Z, y, c, s, lam, config: TrainConfig):
     """Subgradient descent on the linearized subproblem; never worse than start."""
-    f0 = _convex_value(theta0, Z, y, c, s, lam)
-    g0 = _convex_subgrad(theta0, Z, y, c, s, lam)
+    # Per-row derivative in t of c*(hinge + s*t): the hinge adds -y/2 where
+    # it is active (y*t < 1) and nothing where it is flat.
+    slopes = (c * (s - 0.5 * y), c * s)
+    f0, m = _convex_value(theta0, Z, y, c, s, lam)
+    g0 = _convex_subgrad(theta0, m, Z, slopes, lam)
     step = _calibrate_step(theta0, f0, g0, Z, y, c, s, lam)
     if step == 0.0:
         return theta0, f0
@@ -270,9 +276,9 @@ def _solve_convex(theta0, Z, y, c, s, lam, config: TrainConfig):
     increase_streak = 0
     recent: list[float] = [f0]
     for k in range(1, config.inner_max_iter + 1):
-        g = _convex_subgrad(theta, Z, y, c, s, lam)
+        g = _convex_subgrad(theta, m, Z, slopes, lam)
         theta = theta - (step / math.sqrt(k)) * g
-        f = _convex_value(theta, Z, y, c, s, lam)
+        f, m = _convex_value(theta, Z, y, c, s, lam)
         recent = (recent + [f])[-(_DIVERGENCE_STREAK + 2):]
         if f > prev_f:
             increase_streak += 1
@@ -290,37 +296,6 @@ def _solve_convex(theta0, Z, y, c, s, lam, config: TrainConfig):
                 break
             window_best = best_f
     return best_theta, best_f
-
-
-def _outer_step_raw(w, b, obj: RiskObjective, config: TrainConfig):
-    """One majorize-minimize step: linearize the concave hinges, solve, return."""
-    theta0 = np.append(w, b)
-    margins = obj.margins(w, b)
-    s = np.where(margins * obj.labels < -1.0, 0.5 * obj.labels, 0.0)
-    theta, _ = _solve_convex(theta0, obj.features, obj.labels, obj.coeffs, s, obj.lam, config)
-    return theta[:-1], float(theta[-1])
-
-
-def cccp_outer_step(model: DecisionModel, objective: RiskObjective,
-                    config: TrainConfig) -> DecisionModel:
-    """Run one outer CCCP step from the model's current weights.
-
-    The returned model's true objective is at most the incoming one plus a
-    1e-12 float slack; a violation raises CccpMonotonicityError.
-    """
-    if objective.features.shape[1] != model.weights.size:
-        raise ValueError(
-            f"objective feature dimension {objective.features.shape[1]} does not match "
-            f"model weight dimension {model.weights.size}"
-        )
-    before = objective.value(model.weights, model.bias)
-    w, b = _outer_step_raw(model.weights, model.bias, objective, config)
-    after = objective.value(w, b)
-    if after > before + MONOTONICITY_SLACK:
-        raise CccpMonotonicityError(
-            f"outer step increased the objective: {before!r} -> {after!r}"
-        )
-    return DecisionModel(weights=w, bias=b, feature_map=model.feature_map)
 
 
 _RUN_STATS = {"runs": 0, "outer_steps": 0, "monotonicity_violations": 0}
@@ -351,9 +326,9 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
     """Minimize the mode's regularized risk estimator by restarted CCCP.
 
     Returns the best restart's stationary point.  The regularized objective
-    is non-increasing across outer iterations in every restart (hard
-    assertion).  Pass a list as ``trace`` to capture the per-restart
-    objective sequences.
+    is non-increasing across outer iterations in every restart: a step that
+    raises it by more than MONOTONICITY_SLACK raises CccpMonotonicityError.
+    Pass a list as ``trace`` to capture the per-restart objective sequences.
     """
     _require_mode_sets(mode, triple)
     fmap = _build_feature_map(template, mode, triple)
@@ -374,7 +349,12 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
             raise ValueError("non-finite objective at initialization")
         objectives = [current]
         for _ in range(config.cccp_max_outer):
-            w_new, b_new = _outer_step_raw(w, b, obj, config)
+            # Majorize: replace the concave part of each ramp by its tangent
+            # at the current margins (slope y/2 below margin -1, else 0).
+            s = np.where(obj.margins(w, b) * obj.labels < -1.0, 0.5 * obj.labels, 0.0)
+            theta, _ = _solve_convex(np.append(w, b), obj.features, obj.labels, obj.coeffs,
+                                     s, obj.lam, config)
+            w_new, b_new = theta[:-1], float(theta[-1])
             value = obj.value(w_new, b_new)
             _RUN_STATS["outer_steps"] += 1
             if value > current + MONOTONICITY_SLACK:

@@ -17,7 +17,6 @@ from pnu.bounds import (
     alpha_pu_pn,
     alpha_pu_pn_from_ratios,
     alpha_pu_pn_matched_prior,
-    alpha_ratio_forms,
     alpha_star,
     bound_terms,
     bound_values,
@@ -116,25 +115,21 @@ class TestRatioForms:
         rng = np.random.default_rng(2)
         for _ in range(2000):
             inp = _random_input(rng, n_max=3000)
-            a_pu, a_nu = alpha_ratio_forms(
-                inp.pi,
-                inp.n_pos / inp.n_neg,
-                inp.n_pos / inp.n_unl,
-                inp.n_neg / inp.n_unl,
-            )
+            rho_pn = inp.n_pos / inp.n_neg
+            a_pu = alpha_pu_pn_from_ratios(inp.pi, rho_pn, inp.n_pos / inp.n_unl)
+            a_nu = alpha_nu_pn_from_ratios(inp.pi, rho_pn, inp.n_neg / inp.n_unl)
             assert a_pu == pytest.approx(alpha_pu_pn(inp), rel=1e-12)
             assert a_nu == pytest.approx(alpha_nu_pn(inp), rel=1e-12)
 
     def test_reference_ratios(self):
         # counts (45, 5, 100) give ratios (9, 0.45, 0.05)
-        a_pu, a_nu = alpha_ratio_forms(0.5, 9.0, 0.45, 0.05)
+        a_pu = alpha_pu_pn_from_ratios(0.5, 9.0, 0.45)
+        a_nu = alpha_nu_pn_from_ratios(0.5, 9.0, 0.05)
         inp = ComparatorInput(pi=0.5, n_pos=45, n_neg=5, n_unl=100)
         assert a_pu == pytest.approx(alpha_pu_pn(inp), rel=1e-12)
         assert a_nu == pytest.approx(alpha_nu_pn(inp), rel=1e-12)
 
     def test_inconsistent_ratios_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            alpha_ratio_forms(0.5, 9.0, 0.45, 0.1)
         with pytest.raises(ValueError, match="inconsistent"):
             ComparatorInput(pi=0.5, n_pos=45, n_neg=5, n_unl=100,
                             rho_pn=9.0, rho_pu=0.45, rho_nu=0.1)

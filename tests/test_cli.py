@@ -60,6 +60,22 @@ class TestSweepCommands:
         assert out_lines[0].startswith("sweep_value,mode")
         assert len(out_lines) == 1 + 2 * 3
 
+    def test_sweep_json_stdout(self, capsys):
+        """Without --out, --format json prints JSON, not CSV."""
+        code = main(["sweep-nu", "--n-unl", "10", "--trials", "1", "--test-size", "100",
+                     "--format", "json"])
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == 3
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_matches_out_file(self, tmp_path, capsys, fmt):
+        argv = ["sweep-nu", "--n-unl", "10", "--n-pos", "6", "--n-neg", "6", "--trials", "1",
+                "--test-size", "100", "--format", fmt]
+        out = tmp_path / f"sweep.{fmt}"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
     def test_train_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "train.json"
         cfg.write_text(json.dumps({"lambda": 0.01, "inner_max_iter": 30,

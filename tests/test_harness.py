@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pnu import harness
-from pnu.datasets import InsufficientDataError
+from pnu.datasets import InsufficientDataError, gen_gaussian_artificial
 from pnu.harness import (
     ExperimentGrid,
     ResultTable,
@@ -15,10 +15,9 @@ from pnu.harness import (
     advise,
     emit,
     estimate_pu_pn_crossing,
-    load_table,
     run_sweep,
 )
-from pnu.training import CvConfig, TrainConfig
+from pnu.training import CvConfig, ModelTemplate, TrainConfig, train
 
 FAST_TRAIN = TrainConfig(inner_max_iter=40, cccp_max_outer=4, seed=0)
 
@@ -128,6 +127,59 @@ class TestRunSweep:
         assert info.value.__notes__ == ["sweep point nu=5, trial 0"]
 
 
+class TestGoldenSweep:
+    """Fixed-seed sweeps against tables recorded before the trainer refactors.
+
+    Every field must match exactly: a change that claims to leave the
+    numbers alone has to reproduce these tables bit for bit.
+    """
+
+    def test_linear_nu_sweep(self):
+        grid = ExperimentGrid(sweep="nu", values=(5, 30), n_pos=12, n_neg=4, pi=0.5,
+                              trials=2, test_size=20_000, seed=11)
+        assert run_sweep(grid, TrainConfig(seed=0)).rows == [
+            SweepRow(5.0, "PN", 0.185025, 0.0021749999999999964, 2.3662046511894577, 4.8304374845348095),
+            SweepRow(5.0, "PU", 0.24832500000000002, 0.06747500000000001, 2.3662046511894577, 4.8304374845348095),
+            SweepRow(5.0, "NU", 0.4146, 0.2089, 2.3662046511894577, 4.8304374845348095),
+            SweepRow(30.0, "PN", 0.1786, 0.019449999999999995, 1.3076470125298472, 2.9969618716362287),
+            SweepRow(30.0, "PU", 0.188925, 0.027975, 1.3076470125298472, 2.9969618716362287),
+            SweepRow(30.0, "NU", 0.450075, 0.18507499999999996, 1.3076470125298472, 2.9969618716362287),
+        ]
+
+    def test_kernel_pi_sweep(self):
+        grid = ExperimentGrid(sweep="pi", values=(0.3, 0.7), n_pos=10, n_neg=10, n_unl=20,
+                              trials=2, test_size=20_000, seed=12)
+        table = run_sweep(grid, TrainConfig(seed=0), template=ModelTemplate(kind="kernel"))
+        assert table.rows == [
+            SweepRow(0.3, "PN", 0.15325, 0.0037999999999999974, 1.4387239731236394, 4.6903559372884915),
+            SweepRow(0.3, "PU", 0.232875, 0.064875, 1.4387239731236394, 4.6903559372884915),
+            SweepRow(0.3, "NU", 0.218875, 0.021775000000000003, 1.4387239731236394, 4.6903559372884915),
+            SweepRow(0.7, "PN", 0.14825, 0.000799999999999995, 4.690355937288491, 1.4387239731236396),
+            SweepRow(0.7, "PU", 0.218575, 0.07442499999999999, 4.690355937288491, 1.4387239731236396),
+            SweepRow(0.7, "NU", 0.23095, 0.07104999999999999, 4.690355937288491, 1.4387239731236396),
+        ]
+
+    def test_trained_weights(self):
+        """The fitted weights themselves, which a holdout error rate can hide."""
+        triple = gen_gaussian_artificial(12, 4, 30, 0.5, 5)
+        want = {
+            "PN": ([5.140526928783244, 0.8066094783442973], 0.4301370506537442),
+            "PU": ([3.2416990833444412, 0.32598450369605664], 1.0620927140648575),
+            "NU": ([0.9182377441704276, -0.059198021410505945], 0.792650550870653),
+        }
+        for mode, (weights, bias) in want.items():
+            model = train(mode, triple, config=TrainConfig(seed=0))
+            assert (model.weights.tolist(), model.bias) == (weights, bias)
+        model = train("PU", gen_gaussian_artificial(4, 3, 4, 0.5, 6),
+                      ModelTemplate(kind="kernel"), TrainConfig(seed=0))
+        assert model.weights.tolist() == [
+            0.47367484284392924, 2.7124228220870923, -0.044801107838209064,
+            -0.08274241607936128, -0.29041083939519224, -2.3558373233365026,
+            -1.890209990320592, -2.03395409045275,
+        ]
+        assert model.bias == 2.902044253808993
+
+
 class TestEmit:
     def _table(self):
         rows = [
@@ -142,6 +194,7 @@ class TestEmit:
         lines = path.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "sweep_value,mode,mean_error,std_error,alpha_pu_pn,alpha_nu_pn"
         assert lines[1] == "5,PN,0.212346,0.0123457,1.23457,2.34568"
+        assert b"\r" not in path.read_bytes()
 
     def test_empty_table_writes_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -152,7 +205,8 @@ class TestEmit:
         path = tmp_path / "out.json"
         table = self._table()
         emit(table, "json", path)
-        assert load_table(path).rows == table.rows
+        with open(path, encoding="utf-8") as fh:
+            assert [SweepRow(**row) for row in json.load(fh)["rows"]] == table.rows
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):

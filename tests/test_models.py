@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pnu.models import _BLOCK_ELEMENTS, DecisionModel, EmpiricalKernelMap, kernel_map, predict
+from pnu.models import _BLOCK_ELEMENTS, DecisionModel, EmpiricalKernelMap, kernel_map
 
 
 def _explicit_kernel_map(anchors, width, x):
@@ -18,16 +18,16 @@ def _explicit_kernel_map(anchors, width, x):
 class TestPredict:
     def test_dot_product(self):
         model = DecisionModel(weights=[1.0, 0.0], bias=0.0)
-        assert predict(model, [2.0, 5.0]) == 2.0
+        assert model.decision_values([2.0, 5.0])[0] == 2.0
 
     def test_constant_model(self):
         model = DecisionModel(weights=[0.0, 0.0], bias=0.3)
-        assert predict(model, [17.0, -4.0]) == 0.3
+        assert model.decision_values([17.0, -4.0])[0] == 0.3
 
     def test_dimension_mismatch(self):
         model = DecisionModel(weights=[1.0, 2.0], bias=0.0)
         with pytest.raises(ValueError):
-            predict(model, [1.0, 2.0, 3.0])
+            model.decision_values([1.0, 2.0, 3.0])
 
     def test_linear_in_weights(self):
         rng = np.random.default_rng(0)
@@ -115,7 +115,7 @@ class TestKernelModel:
         model = DecisionModel(weights=w, bias=0.25, feature_map=fmap)
         x = rng.normal(size=2)
         want = float(w @ kernel_map(anchors, 1.1, x)) + 0.25
-        assert predict(model, x) == pytest.approx(want, rel=1e-15)
+        assert model.decision_values(x)[0] == pytest.approx(want, rel=1e-15)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_blockwise_scores_match_full_map(self, offset):

@@ -8,7 +8,7 @@ import pytest
 from pnu.datasets import gen_gaussian_artificial, gen_gaussian_labeled
 from pnu.losses import SCALED_RAMP, ZERO_ONE, LossDescriptor
 from pnu.models import DecisionModel
-from pnu.risk import RiskReport, estimate, risk_nu, risk_pn, risk_pu, risk_true_mc
+from pnu.risk import risk_nu, risk_pn, risk_pu, risk_true_mc
 
 # Bayes error of the synthetic task at pi = 1/2: the class means sit at
 # distance 2 with unit covariance, so the optimal rule errs with
@@ -179,23 +179,14 @@ class TestUnbiasedness:
         assert abs(ratio - 1.0 / math.sqrt(2.0)) <= 0.2 / math.sqrt(2.0)
 
 
-class TestRiskReport:
-    def test_ranges_enforced(self):
-        RiskReport(value=-0.3, mode="PU", loss_name="scaled_ramp", pi=0.4)
-        with pytest.raises(ValueError):
-            RiskReport(value=-0.5, mode="PU", loss_name="scaled_ramp", pi=0.4)
-        with pytest.raises(ValueError):
-            RiskReport(value=1.2, mode="PN", loss_name="scaled_ramp", pi=0.4)
-        RiskReport(value=1.55, mode="NU", loss_name="scaled_ramp", pi=0.4)
-        with pytest.raises(ValueError):
-            RiskReport(value=1.7, mode="NU", loss_name="scaled_ramp", pi=0.4)
-
+class TestEstimatorRanges:
     def test_estimates_land_in_declared_ranges(self):
+        """With a loss in [0, 1]: PN in [0, 1], PU in [-pi, 1+pi], NU in [pi-1, 2-pi]."""
         rng = np.random.default_rng(9)
         for _ in range(100):
             pi = rng.uniform(0.05, 0.95)
-            triple = gen_gaussian_artificial(4, 4, 4, pi, rng)
+            t = gen_gaussian_artificial(4, 4, 4, pi, rng)
             model = DecisionModel(weights=rng.normal(size=2, scale=3), bias=float(rng.normal()))
-            for mode in ("PN", "PU", "NU"):
-                report = estimate(mode, model, triple, SCALED_RAMP)
-                assert report.mode == mode
+            assert 0.0 <= risk_pn(model, t.x_pos, t.x_neg, pi, SCALED_RAMP) <= 1.0
+            assert -pi <= risk_pu(model, t.x_pos, t.x_unl, pi, SCALED_RAMP) <= 1.0 + pi
+            assert pi - 1.0 <= risk_nu(model, t.x_unl, t.x_neg, pi, SCALED_RAMP) <= 2.0 - pi

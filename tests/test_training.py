@@ -1,12 +1,12 @@
-"""CCCP trainer: descent, stationarity, restarts, CV, and contract errors."""
+"""CCCP trainer: its objective, descent, stationarity, restarts, CV, and contract errors."""
 
 import numpy as np
 import pytest
 
 from pnu.datasets import SampleTriple, gen_gaussian_artificial, gen_gaussian_labeled
-from pnu.losses import ZERO_ONE
+from pnu.losses import SCALED_RAMP, ZERO_ONE
 from pnu.models import DecisionModel
-from pnu.risk import risk_true_mc
+from pnu.risk import risk_nu, risk_pn, risk_pu, risk_true_mc
 from pnu import training
 from pnu.training import (
     CvConfig,
@@ -14,7 +14,6 @@ from pnu.training import (
     ModelTemplate,
     TrainConfig,
     build_objective,
-    cccp_outer_step,
     cross_validate,
     default_cv_config,
     median_heuristic_width,
@@ -48,6 +47,24 @@ def _grid_oracle(x_pos, x_neg, lam=1e-3):
     return float(values.min())
 
 
+class TestObjective:
+    @pytest.mark.parametrize("kind", ["linear", "kernel"])
+    @pytest.mark.parametrize("mode", ["PN", "PU", "NU"])
+    def test_objective_is_the_unbiased_ramp_risk(self, mode, kind):
+        """Objective minus (lam/2)||w||^2 is the mode's estimator under the scaled ramp."""
+        triple = gen_gaussian_artificial(20, 15, 30, 0.4, 21)
+        config = TrainConfig(lam=1e-2, seed=22, inner_max_iter=60, cccp_max_outer=5)
+        model = train(mode, triple, ModelTemplate(kind=kind), config)
+        obj = build_objective(mode, triple, model.feature_map, config.lam)
+        w, b = model.weights, model.bias
+        penalty = 0.5 * config.lam * float(w @ w)
+        estimator = {"PN": risk_pn, "PU": risk_pu, "NU": risk_nu}[mode]
+        first, second = training.MODE_SETS[mode]
+        want = estimator(model, getattr(triple, first), getattr(triple, second), triple.pi,
+                         SCALED_RAMP)
+        assert obj.value(w, b) - penalty == pytest.approx(want, abs=1e-12)
+
+
 class TestOuterStep:
     def test_first_step_from_zero_strictly_decreases(self):
         """Checked against the brute-force grid oracle on the toy set."""
@@ -56,11 +73,14 @@ class TestOuterStep:
         oracle_min = _grid_oracle(TOY_POS, TOY_NEG)
         assert oracle_min == pytest.approx(6.85e-4, rel=1e-6)  # frozen from the oracle
 
-        model0 = DecisionModel(weights=np.zeros(2), bias=0.0)
-        before = obj.value(model0.weights, model0.bias)
+        trace = []
+        stepped = train("PN", triple, config=TrainConfig(cccp_max_outer=1, restarts=1),
+                        trace=trace)
+        assert len(trace[0]["objectives"]) == 2  # zero init, then one outer step
+        before = trace[0]["objectives"][0]
         assert before == pytest.approx(0.5, abs=1e-12)
-        stepped = cccp_outer_step(model0, obj, TrainConfig())
         after = obj.value(stepped.weights, stepped.bias)
+        assert after == trace[0]["objectives"][1]
         assert after < before
         assert after < 0.01  # separable: one convex solve nearly finishes the job
         assert after >= 0.0  # sanity: ramp sums and the quadratic are nonnegative here
@@ -72,15 +92,15 @@ class TestOuterStep:
         assert obj.value(model.weights, model.bias) <= _grid_oracle(TOY_POS, TOY_NEG) + 1e-9
 
     def test_stationary_point_is_a_fixed_point(self):
-        triple = _toy_triple()
-        obj = build_objective("PN", triple, None, 1e-3)
+        """Every restart stops on outer_tol, before the outer-step cap."""
         config = TrainConfig(seed=0)
-        model = train("PN", triple, config=config)
-        before = obj.value(model.weights, model.bias)
-        again = cccp_outer_step(model, obj, config)
-        after = obj.value(again.weights, again.bias)
-        assert before - after <= config.outer_tol
-        assert after <= before + training.MONOTONICITY_SLACK
+        trace = []
+        train("PN", _toy_triple(), config=config, trace=trace)
+        for record in trace:
+            steps = np.diff(record["objectives"])
+            assert len(steps) < config.cccp_max_outer
+            assert -steps[-1] < config.outer_tol
+            assert np.all(steps <= training.MONOTONICITY_SLACK)
 
     def test_pure_hinge_when_concave_inactive(self):
         """Margins inside the hinge region make the split a plain hinge problem."""
@@ -89,12 +109,6 @@ class TestOuterStep:
         w, b = np.zeros(2), 0.0  # all margins 0, none below -1
         s = np.where(obj.margins(w, b) * obj.labels < -1.0, 0.5 * obj.labels, 0.0)
         assert np.all(s == 0.0)
-
-    def test_dimension_mismatch_rejected(self):
-        obj = build_objective("PN", _toy_triple(), None, 1e-3)
-        model = DecisionModel(weights=np.zeros(3), bias=0.0)
-        with pytest.raises(ValueError, match="dimension"):
-            cccp_outer_step(model, obj, TrainConfig())
 
 
 class TestTrain:
