@@ -37,13 +37,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-_RATIO_CONSISTENCY_TOL = 1e-9
-
-
-def _check_pi(pi: float) -> float:
-    if not 0.0 < pi < 1.0:
-        raise ValueError(f"class prior pi must be strictly inside (0, 1), got {pi}")
-    return float(pi)
+from .risk import MODE_TABLE, _check_pi
 
 
 def _check_count(n, name: str) -> int:
@@ -58,9 +52,8 @@ class ComparatorInput:
 
     ``n_unl=None`` denotes an unbounded unlabeled sample (used only by the
     asymptotic comparator and by limiting bound values); it is kept
-    symbolic rather than as a floating-point infinity.  The ratio constants
-    are optional; when all three are supplied they must be consistent,
-    rho_pn = rho_pu / rho_nu.
+    symbolic rather than as a floating-point infinity.  ``rho_pn`` is the
+    limiting ratio n_pos/n_neg that ``alpha_star(case="b")`` needs.
     """
 
     pi: float
@@ -68,8 +61,6 @@ class ComparatorInput:
     n_neg: int
     n_unl: Optional[int] = None
     rho_pn: Optional[float] = None
-    rho_pu: Optional[float] = None
-    rho_nu: Optional[float] = None
 
     def __post_init__(self) -> None:
         _check_pi(self.pi)
@@ -77,26 +68,8 @@ class ComparatorInput:
         _check_count(self.n_neg, "n_neg")
         if self.n_unl is not None:
             _check_count(self.n_unl, "n_unl")
-        for name in ("rho_pn", "rho_pu", "rho_nu"):
-            v = getattr(self, name)
-            if v is not None and not v > 0:
-                raise ValueError(f"{name} must be positive, got {v}")
-        if None not in (self.rho_pn, self.rho_pu, self.rho_nu):
-            implied = self.rho_pu / self.rho_nu
-            if abs(self.rho_pn - implied) > _RATIO_CONSISTENCY_TOL * max(1.0, abs(self.rho_pn)):
-                raise ValueError(
-                    f"inconsistent ratios: rho_pn={self.rho_pn} but rho_pu/rho_nu={implied}"
-                )
-
-    @classmethod
-    def from_counts(cls, pi: float, n_pos: int, n_neg: int, n_unl: Optional[int]):
-        """Build the input with ratio constants realized from the counts."""
-        if n_unl is None:
-            return cls(pi=pi, n_pos=n_pos, n_neg=n_neg, n_unl=None, rho_pn=n_pos / n_neg)
-        return cls(
-            pi=pi, n_pos=n_pos, n_neg=n_neg, n_unl=n_unl,
-            rho_pn=n_pos / n_neg, rho_pu=n_pos / n_unl, rho_nu=n_neg / n_unl,
-        )
+        if self.rho_pn is not None and not self.rho_pn > 0:
+            raise ValueError(f"rho_pn must be positive, got {self.rho_pn}")
 
 
 @dataclass(frozen=True)
@@ -132,17 +105,20 @@ def f_delta(params: BoundParams) -> float:
 
 
 def bound_terms(inp: ComparatorInput, *, allow_unbounded_unl: bool = False):
-    """The three sample terms multiplying f(delta), as (pn, pu, nu)."""
-    pi = inp.pi
-    p = pi / math.sqrt(inp.n_pos)
-    n = (1.0 - pi) / math.sqrt(inp.n_neg)
-    if inp.n_unl is None:
-        if not allow_unbounded_unl:
-            raise ValueError("n_unl is unbounded; pass allow_unbounded_unl=True for limit values")
-        u = 0.0
-    else:
-        u = 1.0 / math.sqrt(inp.n_unl)
-    return p + n, 2.0 * p + u, u + 2.0 * n
+    """The three sample terms multiplying f(delta), as (pn, pu, nu).
+
+    Each is the sum over the mode's two sample sets of the set's estimator
+    weight over sqrt(n); an unbounded unlabeled set contributes weight/inf = 0.
+    """
+    if inp.n_unl is None and not allow_unbounded_unl:
+        raise ValueError("n_unl is unbounded; pass allow_unbounded_unl=True for limit values")
+    roots = {"x_pos": math.sqrt(inp.n_pos), "x_neg": math.sqrt(inp.n_neg),
+             "x_unl": math.inf if inp.n_unl is None else math.sqrt(inp.n_unl)}
+    terms = []
+    for spec in MODE_TABLE.values():
+        (first, second), (w_first, w_second) = spec.sets, spec.weights(inp.pi)
+        terms.append(w_first / roots[first] + w_second / roots[second])
+    return tuple(terms)
 
 
 def bound_values(inp: ComparatorInput, params: BoundParams, *,

@@ -7,7 +7,7 @@ import json
 import sys
 
 from . import harness
-from .training import CvConfig, TrainConfig
+from .training import CccpMonotonicityError, CvConfig, DivergenceError, TrainConfig
 
 DESK_NU_VALUES = (5, 10, 20, 45, 90, 200)
 PAPER_NU_VALUES = (5, 10, 15, 20, 25, 30, 40, 50, 60, 80, 100, 125, 150, 175, 200)
@@ -76,6 +76,13 @@ def _run_sweep(args, sweep: str, values) -> int:
     return 0
 
 
+def _fail(exc: Exception, code: int) -> int:
+    """Print the exception and its notes as one ``error:`` line on stderr."""
+    context = "".join(f"{note}: " for note in getattr(exc, "__notes__", ()))
+    print(f"error: {context}{exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pnu",
@@ -137,9 +144,9 @@ def main(argv=None) -> int:
                 all_ok &= ok
             return 0 if all_ok else 1
     except (ValueError, OSError) as exc:
-        context = "".join(f"{note}: " for note in getattr(exc, "__notes__", ()))
-        print(f"error: {context}{exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
+    except (DivergenceError, CccpMonotonicityError) as exc:
+        return _fail(exc, 3)
     return 2
 
 

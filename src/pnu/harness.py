@@ -33,10 +33,10 @@ from .datasets import (
     load_csv,
     sample_triple_from_pool,
 )
-from .risk import risk_true_mc
+from .risk import MODE_TABLE, risk_true_mc
 from .training import CvConfig, ModelTemplate, TrainConfig, cross_validate, train
 
-MODES = ("PN", "PU", "NU")
+MODES = tuple(MODE_TABLE)
 
 DESK_TRIALS = 50
 DESK_TEST_SIZE = 100_000
@@ -287,7 +287,7 @@ def advise(pi: float, n_pos: int, n_neg: int, n_unl: Optional[int],
     limit.
     """
     params = params or bounds.BoundParams()
-    comp = bounds.ComparatorInput.from_counts(pi, n_pos, n_neg, n_unl)
+    comp = bounds.ComparatorInput(pi=pi, n_pos=n_pos, n_neg=n_neg, n_unl=n_unl)
     star = bounds.alpha_star(comp, case="a")
     v_pn, v_pu, v_nu = bounds.bound_values(comp, params, allow_unbounded_unl=True)
     doc = {

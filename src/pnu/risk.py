@@ -18,7 +18,8 @@ unbiasedness checks are free of accumulation noise.
 from __future__ import annotations
 
 import math
-from typing import Literal
+from dataclasses import dataclass
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -36,26 +37,55 @@ def _fmean(values: np.ndarray) -> float:
     return math.fsum(arr.tolist()) / arr.size
 
 
-def _require_symmetric(loss: LossDescriptor, mode: str) -> None:
-    if not loss.is_symmetric:
-        raise ValueError(
-            f"{mode} risk estimation requires a symmetric loss "
-            f"(l(t,+1) + l(t,-1) = 1); {loss.name!r} is not"
-        )
-
-
 def _check_pi(pi: float) -> float:
     if not 0.0 < pi < 1.0:
         raise ValueError(f"class prior pi must be strictly inside (0, 1), got {pi}")
     return float(pi)
 
 
+@dataclass(frozen=True)
+class ModeSpec:
+    """Estimator constant(pi) + w+ * mean_sets[0] l(g,+1) + w- * mean_sets[1] l(g,-1)."""
+
+    sets: tuple[str, str]
+    weights: Callable[[float], tuple[float, float]]
+    constant: Callable[[float], float]
+
+
+#: The three modes of the module docstring; the trainer, cross-validation,
+#: the bounds and the harness all read them from here.
+MODE_TABLE = {
+    "PN": ModeSpec(("x_pos", "x_neg"), lambda pi: (pi, 1.0 - pi), lambda pi: 0.0),
+    "PU": ModeSpec(("x_pos", "x_unl"), lambda pi: (2.0 * pi, 1.0), lambda pi: -pi),
+    "NU": ModeSpec(("x_unl", "x_neg"), lambda pi: (1.0, 2.0 * (1.0 - pi)),
+                   lambda pi: -(1.0 - pi)),
+}
+
+#: Sample sets consumed by each mode, in (+1-role, -1-role) order.
+MODE_SETS = {mode: spec.sets for mode, spec in MODE_TABLE.items()}
+
+
+def _risk(mode: str, model: DecisionModel, x_plus, x_minus, pi: float,
+          loss: LossDescriptor) -> float:
+    spec = MODE_TABLE[mode]
+    pi = _check_pi(pi)
+    if "x_unl" in spec.sets and not loss.is_symmetric:
+        raise ValueError(
+            f"{mode} risk estimation requires a symmetric loss "
+            f"(l(t,+1) + l(t,-1) = 1); {loss.name!r} is not"
+        )
+    w_plus, w_minus = spec.weights(pi)
+    plus = w_plus * _fmean(loss.value(model.decision_values(x_plus), +1))
+    minus = w_minus * _fmean(loss.value(model.decision_values(x_minus), -1))
+    # The constant meets the labeled term first and the unlabeled term is
+    # added last; for PN the order of the two terms is immaterial.
+    labeled, other = (minus, plus) if spec.sets[0] == "x_unl" else (plus, minus)
+    return (spec.constant(pi) + labeled) + other
+
+
 def risk_pn(model: DecisionModel, x_pos, x_neg, pi: float, loss: LossDescriptor) -> float:
     """Supervised estimator from positive and negative samples."""
-    pi = _check_pi(pi)
-    mp = _fmean(loss.value(model.decision_values(x_pos), +1))
-    mn = _fmean(loss.value(model.decision_values(x_neg), -1))
-    return pi * mp + (1.0 - pi) * mn
+    return _risk("PN", model, x_pos, x_neg, pi, loss)
 
 
 def risk_pu(model: DecisionModel, x_pos, x_unl, pi: float, loss: LossDescriptor) -> float:
@@ -64,21 +94,12 @@ def risk_pu(model: DecisionModel, x_pos, x_unl, pi: float, loss: LossDescriptor)
     Treats the unlabeled set as negatives and removes the resulting bias
     exactly via the symmetric condition; the value can be negative.
     """
-    pi = _check_pi(pi)
-    _require_symmetric(loss, "PU")
-    mp = _fmean(loss.value(model.decision_values(x_pos), +1))
-    mu = _fmean(loss.value(model.decision_values(x_unl), -1))
-    return (2.0 * pi) * mp - pi + mu
+    return _risk("PU", model, x_pos, x_unl, pi, loss)
 
 
 def risk_nu(model: DecisionModel, x_unl, x_neg, pi: float, loss: LossDescriptor) -> float:
     """Unbiased estimator from negative and unlabeled samples (PU mirrored)."""
-    pi = _check_pi(pi)
-    _require_symmetric(loss, "NU")
-    q = 1.0 - pi
-    mu = _fmean(loss.value(model.decision_values(x_unl), +1))
-    mn = _fmean(loss.value(model.decision_values(x_neg), -1))
-    return (2.0 * q) * mn - q + mu
+    return _risk("NU", model, x_unl, x_neg, pi, loss)
 
 
 def risk_true_mc(model: DecisionModel, source, loss: LossDescriptor) -> float:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,19 +34,12 @@ import numpy as np
 from .datasets import SampleTriple
 from .losses import ZERO_ONE, dc_split, scaled_ramp
 from .models import DecisionModel, EmpiricalKernelMap
-from .risk import Mode, risk_nu, risk_pn, risk_pu
+from .risk import MODE_SETS, MODE_TABLE, Mode
+from .risk import risk_nu, risk_pn, risk_pu  # noqa: F401 (called by name in _validation_risk)
 
 MONOTONICITY_SLACK = 1e-12
 _DIVERGENCE_STREAK = 10
 _STALL_WINDOW = 25
-
-#: Sample sets consumed by each mode, in (positive-role, negative-role) order.
-MODE_SETS = {
-    "PN": ("x_pos", "x_neg"),
-    "PU": ("x_pos", "x_unl"),
-    "NU": ("x_unl", "x_neg"),
-}
-
 
 class DivergenceError(RuntimeError):
     """Inner solver increased its objective for too many consecutive steps."""
@@ -58,6 +51,33 @@ class DivergenceError(RuntimeError):
 
 class CccpMonotonicityError(RuntimeError):
     """An outer step increased the true regularized objective."""
+
+
+def _is_number(value, kind: str) -> bool:
+    return not isinstance(value, bool) and isinstance(value, int if kind == "int" else (int, float))
+
+
+def _checked_doc(cls, doc) -> dict:
+    """A config document as keyword arguments of ``cls``; bad keys raise ValueError.
+
+    A document must be an object whose keys are field names, with integers
+    for int fields, numbers for float fields and lists of numbers for grids.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {type(doc).__name__}")
+    kinds = {f.name: f.type for f in fields(cls)}
+    for key, value in doc.items():
+        kind = kinds.get(key)
+        if kind is None:
+            raise ValueError(f"unknown {cls.__name__} key {key!r}; known keys: {sorted(kinds)}")
+        if kind == "tuple":
+            ok = isinstance(value, (list, tuple)) and all(_is_number(v, "float") for v in value)
+        else:
+            ok = _is_number(value, kind)
+        if not ok:
+            want = "a list of numbers" if kind == "tuple" else f"of type {kind}"
+            raise ValueError(f"{cls.__name__} key {key!r} must be {want}, got {value!r}")
+    return doc
 
 
 @dataclass(frozen=True)
@@ -84,10 +104,10 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        doc = dict(doc)
-        if "lambda" in doc:
+        if isinstance(doc, dict) and "lambda" in doc:
+            doc = dict(doc)
             doc["lam"] = doc.pop("lambda")
-        return cls(**doc)
+        return cls(**_checked_doc(cls, doc))
 
     @classmethod
     def from_json(cls, path) -> "TrainConfig":
@@ -115,7 +135,7 @@ class CvConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CvConfig":
-        return cls(**doc)
+        return cls(**_checked_doc(cls, doc))
 
     @classmethod
     def from_json(cls, path) -> "CvConfig":
@@ -166,28 +186,6 @@ class RiskObjective:
         return float(self.coeffs @ ramp) + self.constant + 0.5 * self.lam * float(w @ w)
 
 
-def _mode_coefficients(mode: Mode, triple: SampleTriple):
-    """Per-row (label, coefficient) streams plus the additive constant."""
-    pi = triple.pi
-    n_pos, n_neg, n_unl = triple.n_pos, triple.n_neg, triple.n_unl
-    if mode == "PN":
-        return (
-            (triple.x_pos, +1, pi / n_pos),
-            (triple.x_neg, -1, (1.0 - pi) / n_neg),
-        ), 0.0
-    if mode == "PU":
-        return (
-            (triple.x_pos, +1, 2.0 * pi / n_pos),
-            (triple.x_unl, -1, 1.0 / n_unl),
-        ), -pi
-    if mode == "NU":
-        return (
-            (triple.x_unl, +1, 1.0 / n_unl),
-            (triple.x_neg, -1, 2.0 * (1.0 - pi) / n_neg),
-        ), -(1.0 - pi)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def _require_mode_sets(mode: Mode, triple: SampleTriple) -> None:
     if mode not in MODE_SETS:
         raise ValueError(f"unknown mode {mode!r}")
@@ -200,17 +198,18 @@ def build_objective(mode: Mode, triple: SampleTriple,
                     feature_map: Optional[EmpiricalKernelMap], lam: float) -> RiskObjective:
     """Assemble the mode's regularized empirical risk over mapped features."""
     _require_mode_sets(mode, triple)
-    streams, constant = _mode_coefficients(mode, triple)
+    spec = MODE_TABLE[mode]
     rows, labels, coeffs = [], [], []
-    for x, label, coeff in streams:
+    for name, label, weight in zip(spec.sets, (+1, -1), spec.weights(triple.pi)):
+        x = getattr(triple, name)
         rows.append(feature_map(x) if feature_map else np.asarray(x, dtype=float))
         labels.append(np.full(x.shape[0], label, dtype=float))
-        coeffs.append(np.full(x.shape[0], coeff, dtype=float))
+        coeffs.append(np.full(x.shape[0], weight / x.shape[0], dtype=float))
     return RiskObjective(
         features=np.vstack(rows),
         labels=np.concatenate(labels),
         coeffs=np.concatenate(coeffs),
-        constant=constant,
+        constant=spec.constant(triple.pi),
         lam=lam,
     )
 
@@ -269,14 +268,15 @@ def _solve_convex(theta0, Z, y, c, s, lam, config: TrainConfig):
     if step == 0.0:
         return theta0, f0
 
-    theta = theta0.copy()
+    theta, g = theta0, g0
     best_theta, best_f = theta0, f0
     prev_f = f0
     window_best = f0
     increase_streak = 0
     recent: list[float] = [f0]
     for k in range(1, config.inner_max_iter + 1):
-        g = _convex_subgrad(theta, m, Z, slopes, lam)
+        if k > 1:
+            g = _convex_subgrad(theta, m, Z, slopes, lam)
         theta = theta - (step / math.sqrt(k)) * g
         f, m = _convex_value(theta, Z, y, c, s, lam)
         recent = (recent + [f])[-(_DIVERGENCE_STREAK + 2):]
@@ -389,38 +389,24 @@ def median_heuristic_width(x, max_rows: int = 512) -> float:
     return med if med > 0 else 1.0
 
 
-def default_cv_config(anchor_rows, folds: int = 5) -> CvConfig:
-    """Median-heuristic width grid times {1/4..4}, log-spaced lambda grid."""
-    med = median_heuristic_width(anchor_rows)
-    widths = tuple(med * s for s in (0.25, 0.5, 1.0, 2.0, 4.0))
-    lambdas = tuple(np.logspace(-5, -1, 5))
-    return CvConfig(folds=folds, width_grid=widths, lambda_grid=lambdas)
-
-
 def _select_best(table: list) -> tuple:
     """Argmin over (width, lambda, cv_risk) rows.
 
     Ties break toward the larger width, then the larger lambda; None widths
     (linear templates) sort as equal.
     """
-    def sort_key(row):
-        width, lam, _ = row
-        return (-(width if width is not None else 0.0), -lam)
-
-    best = None
-    for row in sorted(table, key=sort_key):
-        if best is None or row[2] < best[2]:
-            best = row
-    return best
+    return min(table, key=lambda row: (row[2], -(row[0] or 0.0), -row[1]))
 
 
 def _validation_risk(mode: Mode, model: DecisionModel, val_sets: dict, pi: float) -> float:
-    """The mode's own unbiased estimator under the zero-one loss."""
-    if mode == "PN":
-        return risk_pn(model, val_sets["x_pos"], val_sets["x_neg"], pi, ZERO_ONE)
-    if mode == "PU":
-        return risk_pu(model, val_sets["x_pos"], val_sets["x_unl"], pi, ZERO_ONE)
-    return risk_nu(model, val_sets["x_unl"], val_sets["x_neg"], pi, ZERO_ONE)
+    """The mode's own unbiased estimator under the zero-one loss.
+
+    It is looked up by name here at call time, so wrappers installed on
+    ``training.risk_pn``/``risk_pu``/``risk_nu`` see every validation call.
+    """
+    first, second = MODE_SETS[mode]
+    estimator = globals()[f"risk_{mode.lower()}"]
+    return estimator(model, val_sets[first], val_sets[second], pi, ZERO_ONE)
 
 
 def cross_validate(mode: Mode, triple: SampleTriple, template: ModelTemplate,
@@ -445,6 +431,17 @@ def cross_validate(mode: Mode, triple: SampleTriple, template: ModelTemplate,
                 f"{name} has only {n} rows; {cv_config.folds}-fold CV would empty a fold"
             )
         folds[name] = np.array_split(rng.permutation(n), cv_config.folds)
+    # One (training sub-triple, validation sets) pair per fold; the sets the
+    # mode does not use stay empty in the sub-triple.
+    splits = []
+    for f in range(cv_config.folds):
+        train_sets = dict.fromkeys(("x_pos", "x_neg", "x_unl"), np.empty((0, triple.d)))
+        val_sets = {}
+        for name in used:
+            full, parts = getattr(triple, name), folds[name]
+            train_sets[name] = full[np.concatenate(parts[:f] + parts[f + 1:])]
+            val_sets[name] = full[parts[f]]
+        splits.append((SampleTriple(**train_sets, pi=triple.pi), val_sets))
 
     if template.kind == "kernel":
         if not cv_config.width_grid:
@@ -454,32 +451,16 @@ def cross_validate(mode: Mode, triple: SampleTriple, template: ModelTemplate,
         widths = (None,)
     lambdas = tuple(sorted(set(cv_config.lambda_grid), reverse=True))
 
-    d = triple.d
-    empty = np.empty((0, d))
     table = []
     for width in widths:
         cell_template = template if width is None else replace(template, width=width)
         for lam in lambdas:
             cfg = replace(train_config, lam=lam)
-            scores = []
-            for f in range(cv_config.folds):
-                subsets, val_sets = {}, {}
-                for name in used:
-                    full = getattr(triple, name)
-                    val_idx = folds[name][f]
-                    tr_idx = np.concatenate(
-                        [folds[name][g] for g in range(cv_config.folds) if g != f]
-                    )
-                    subsets[name] = full[tr_idx]
-                    val_sets[name] = full[val_idx]
-                sub_triple = SampleTriple(
-                    x_pos=subsets.get("x_pos", empty),
-                    x_neg=subsets.get("x_neg", empty),
-                    x_unl=subsets.get("x_unl", empty),
-                    pi=triple.pi,
-                )
-                model = train(mode, sub_triple, cell_template, cfg)
-                scores.append(_validation_risk(mode, model, val_sets, triple.pi))
+            scores = [
+                _validation_risk(mode, train(mode, sub_triple, cell_template, cfg), val_sets,
+                                 triple.pi)
+                for sub_triple, val_sets in splits
+            ]
             table.append((width, lam, float(np.mean(scores))))
     best = _select_best(table)
     return best[0], best[1], table

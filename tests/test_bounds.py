@@ -129,17 +129,6 @@ class TestRatioForms:
         assert a_pu == pytest.approx(alpha_pu_pn(inp), rel=1e-12)
         assert a_nu == pytest.approx(alpha_nu_pn(inp), rel=1e-12)
 
-    def test_inconsistent_ratios_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            ComparatorInput(pi=0.5, n_pos=45, n_neg=5, n_unl=100,
-                            rho_pn=9.0, rho_pu=0.45, rho_nu=0.1)
-
-    def test_from_counts_constructor_is_consistent(self):
-        inp = ComparatorInput.from_counts(0.5, 45, 5, 100)
-        assert inp.rho_pn == pytest.approx(9.0)
-        assert inp.rho_pu == pytest.approx(0.45)
-        assert inp.rho_nu == pytest.approx(0.05)
-
 
 class TestMatchedPrior:
     def test_lower_bound_and_argmin(self):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pnu import training
 from pnu.cli import main
 
 
@@ -95,6 +96,36 @@ class TestSweepCommands:
         ])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, doc, fragment", [
+        ("--train-config", {"bogus": 1}, "'bogus'"),
+        ("--train-config", [0.1], "JSON object"),
+        ("--train-config", {"lam": "x"}, "'lam'"),
+        ("--cv-config", {"lambda_grid": 0.1}, "'lambda_grid'"),
+        ("--cv-config", {"folds": 2.5, "lambda_grid": [0.1]}, "'folds'"),
+    ])
+    def test_bad_config_file_exits_2(self, tmp_path, capsys, flag, doc, fragment):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        code = main([
+            "sweep-nu", "--n-unl", "5", "--pi", "0.5", "--n-pos", "6", "--n-neg", "6",
+            "--trials", "1", "--test-size", "400", flag, str(cfg),
+        ])
+        assert code == 2
+        self._assert_one_line_error(capsys.readouterr().err, fragment)
+
+    def test_solver_failure_exits_3(self, monkeypatch, capsys):
+        """A trial whose inner solver diverges aborts the sweep with its context."""
+        monkeypatch.setattr(training, "_calibrate_step", lambda *a: 1.0)
+        real_grad = training._convex_subgrad
+        monkeypatch.setattr(training, "_convex_subgrad", lambda *a: -real_grad(*a))
+        code = main([
+            "sweep-nu", "--n-unl", "5", "--pi", "0.5", "--n-pos", "6", "--n-neg", "6",
+            "--trials", "1", "--test-size", "400",
+        ])
+        assert code == 3
+        self._assert_one_line_error(capsys.readouterr().err, "sweep point nu=5, trial 0: ",
+                                    "inner objective rose")
 
     @staticmethod
     def _assert_one_line_error(err, *fragments):

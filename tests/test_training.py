@@ -15,7 +15,6 @@ from pnu.training import (
     TrainConfig,
     build_objective,
     cross_validate,
-    default_cv_config,
     median_heuristic_width,
     train,
 )
@@ -276,14 +275,28 @@ class TestCrossValidation:
         assert width is None
         assert len(table) == 2
 
-    def test_default_grid_shape(self):
-        rows = np.random.default_rng(27).normal(size=(30, 2))
-        cv = default_cv_config(rows)
-        assert cv.folds == 5
-        assert len(cv.width_grid) == 5
-        assert len(cv.lambda_grid) == 5
-        med = median_heuristic_width(rows)
-        assert cv.width_grid == (0.25 * med, 0.5 * med, med, 2 * med, 4 * med)
+    def test_golden_kernel_cv_tables(self):
+        """Fixed-seed CV tables recorded before the mode-table refactor, compared with ==.
+
+        They pin the folds, the per-fold training sub-triples and the
+        validation estimator of the two modes that use the unlabeled set.
+        """
+        triple = gen_gaussian_artificial(10, 10, 15, 0.4, 31)
+        cv = CvConfig(folds=3, width_grid=(0.7, 1.5), lambda_grid=(1e-3, 1e-1))
+        config = TrainConfig(seed=32, inner_max_iter=80, cccp_max_outer=5)
+        want = {
+            "PU": (1.5, 0.1, [
+                (1.5, 0.1, -0.022222222222222254), (1.5, 0.001, 0.11111111111111109),
+                (0.7, 0.1, 0.17777777777777778), (0.7, 0.001, 0.0222222222222222),
+            ]),
+            "NU": (1.5, 0.001, [
+                (1.5, 0.1, 0.49999999999999994), (1.5, 0.001, 0.3333333333333333),
+                (0.7, 0.1, 0.6333333333333333), (0.7, 0.001, 0.7000000000000001),
+            ]),
+        }
+        for mode, expected in want.items():
+            got = cross_validate(mode, triple, ModelTemplate(kind="kernel"), cv, config)
+            assert got == expected
 
 
 class TestConfigs:
@@ -298,6 +311,32 @@ class TestConfigs:
         cfg = TrainConfig.from_json(path)
         assert cfg.lam == 0.01
         assert cfg.inner_max_iter == 100
+
+    @pytest.mark.parametrize("doc, fragment", [
+        ({"bogus": 1}, "'bogus'"),
+        ([0.1], "JSON object"),
+        ({"lam": "x"}, "'lam'"),
+        ({"restarts": 2.0}, "'restarts'"),
+        ({"seed": True}, "'seed'"),
+    ])
+    def test_train_config_rejects_bad_documents(self, doc, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            TrainConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("doc, fragment", [
+        ({"lambda_grid": 0.1}, "'lambda_grid'"),
+        ({"folds": 2.5, "lambda_grid": [0.1]}, "'folds'"),
+        ({"lambda_grid": [0.1, "x"]}, "'lambda_grid'"),
+        ({"lambda_grid": [0.1], "grid": [1.0]}, "'grid'"),
+        ("folds", "JSON object"),
+    ])
+    def test_cv_config_rejects_bad_documents(self, doc, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            CvConfig.from_dict(doc)
+
+    def test_cv_config_from_dict_accepts_lists(self):
+        cv = CvConfig.from_dict({"folds": 3, "width_grid": [1, 2.5], "lambda_grid": [0.1]})
+        assert cv == CvConfig(folds=3, width_grid=(1.0, 2.5), lambda_grid=(0.1,))
 
     def test_validation(self):
         with pytest.raises(ValueError):
