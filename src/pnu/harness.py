@@ -143,9 +143,11 @@ def run_sweep(grid: ExperimentGrid, train_config: Optional[TrainConfig] = None,
               template: Optional[ModelTemplate] = None) -> ResultTable:
     """Train all three minimizers per trial on a shared triple and aggregate.
 
-    The synthetic source trains the linear model at fixed regularization
-    (no CV); a CSV source defaults to the kernel model with per-trial,
-    per-mode cross-validation when ``cv_config`` is given.  An exception
+    The synthetic source defaults to the linear model and a CSV source to
+    the kernel model.  Whenever ``cv_config`` is given, each trial
+    cross-validates each mode, whatever the source: a kernel template
+    searches (width, lambda), a linear one lambda only.  Without it, every
+    fit uses the train config's lambda.  An exception
     raised inside a trial propagates with its type unchanged and a note
     naming the sweep point and trial.
     """

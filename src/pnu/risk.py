@@ -11,8 +11,9 @@ The PU and NU forms are unbiased only when the loss satisfies the
 symmetric condition l(t,+1) + l(t,-1) = 1; they reject other losses.  PU
 and NU values may be negative, and no clamping is applied anywhere.
 
-Means are accumulated with compensated summation so the million-resample
-unbiasedness checks are free of accumulation noise.
+The estimators accumulate their means with compensated summation so the
+million-resample unbiasedness checks are free of accumulation noise;
+``risk_true_mc`` scores large holdouts with numpy's pairwise sum instead.
 """
 
 from __future__ import annotations
@@ -109,6 +110,12 @@ def risk_true_mc(model: DecisionModel, source, loss: LossDescriptor) -> float:
     callable producing such a pair (a Monte-Carlo generator).  With the
     zero-one loss this is the misclassification rate, with ties at the
     decision boundary counted as half an error.
+
+    Every row is scored under both labels and the loss of its own label is
+    kept.  The losses are summed with numpy's pairwise summation, which is
+    exact for the zero-one loss: its values 0, 1/2 and 1 and every partial
+    sum of fewer than 2^52 of them are representable.  For other losses the
+    mean may differ from a compensated sum in its last bits.
     """
     if callable(source) and not isinstance(source, LabeledPool):
         source = source()
@@ -123,9 +130,6 @@ def risk_true_mc(model: DecisionModel, source, loss: LossDescriptor) -> float:
     if labels.shape != (feats.shape[0],):
         raise ValueError("labels must be a vector with one entry per feature row")
     scores = model.decision_values(feats)
-    pos = labels == 1
-    values = np.concatenate(
-        [np.atleast_1d(loss.value(scores[pos], +1)), np.atleast_1d(loss.value(scores[~pos], -1))]
-    )
-    return math.fsum(values.tolist()) / values.size
+    values = np.where(labels == 1, loss.value(scores, +1), loss.value(scores, -1))
+    return float(np.add.reduce(values)) / values.size
 

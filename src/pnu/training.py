@@ -9,7 +9,12 @@ given by ``losses.dc_split`` (the ramp-loss CCCP of Collobert et al.,
 of ``train`` linearizes the concave part at the current margins and
 solves the resulting convex hinge-plus-linear-plus-quadratic subproblem
 by full-batch subgradient descent with a 1/sqrt(k) step schedule, the
-base step calibrated by backtracking on the first step.  Because the
+base step calibrated by backtracking on the first step.  The subproblem's
+hinge is ``losses.half_hinge``, the convex part of ``dc_split``; the
+inner loop evaluates only that part, and it writes its margins, hinge,
+subgradient and iterate into buffers that ``train`` allocates once per
+call and reuses across restarts, outer steps and iterations (a fitted
+model's weights are copies, never views of them).  Because the
 inner solver never returns a point worse than its start, the true
 regularized objective is non-increasing across outer iterations; ``train``
 asserts that on every step with a 1e-12 slack, and a violation is a hard
@@ -26,13 +31,15 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+from collections import deque
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .datasets import SampleTriple
-from .losses import ZERO_ONE, dc_split, scaled_ramp
+from .losses import ZERO_ONE, half_hinge, scaled_ramp
 from .models import DecisionModel, EmpiricalKernelMap
 from .risk import MODE_SETS, MODE_TABLE, Mode
 from .risk import risk_nu, risk_pn, risk_pu  # noqa: F401 (called by name in _validation_risk)
@@ -54,29 +61,42 @@ class CccpMonotonicityError(RuntimeError):
 
 
 def _is_number(value, kind: str) -> bool:
-    return not isinstance(value, bool) and isinstance(value, int if kind == "int" else (int, float))
+    """An integer (for kind "int") or a real number, never a bool; numpy scalars count."""
+    return not isinstance(value, bool) and isinstance(
+        value, numbers.Integral if kind == "int" else numbers.Real
+    )
+
+
+def _check_field_types(config) -> None:
+    """Raise ValueError naming the first field of the wrong type.
+
+    Int fields need integers, float fields numbers, and grids a list, tuple
+    or array of numbers.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "tuple":
+            ok = (isinstance(value, (list, tuple, np.ndarray))
+                  and all(_is_number(v, "float") for v in value))
+        else:
+            ok = _is_number(value, f.type)
+        if not ok:
+            want = {"int": "an integer", "float": "a number", "tuple": "a list of numbers"}[f.type]
+            raise ValueError(f"{type(config).__name__} {f.name!r} must be {want}, got {value!r}")
 
 
 def _checked_doc(cls, doc) -> dict:
-    """A config document as keyword arguments of ``cls``; bad keys raise ValueError.
+    """A config document as keyword arguments of ``cls``.
 
-    A document must be an object whose keys are field names, with integers
-    for int fields, numbers for float fields and lists of numbers for grids.
+    A document must be an object whose keys are field names; anything else
+    raises ValueError.  The constructor checks the value types.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {type(doc).__name__}")
-    kinds = {f.name: f.type for f in fields(cls)}
-    for key, value in doc.items():
-        kind = kinds.get(key)
-        if kind is None:
-            raise ValueError(f"unknown {cls.__name__} key {key!r}; known keys: {sorted(kinds)}")
-        if kind == "tuple":
-            ok = isinstance(value, (list, tuple)) and all(_is_number(v, "float") for v in value)
-        else:
-            ok = _is_number(value, kind)
-        if not ok:
-            want = "a list of numbers" if kind == "tuple" else f"of type {kind}"
-            raise ValueError(f"{cls.__name__} key {key!r} must be {want}, got {value!r}")
+    known = {f.name for f in fields(cls)}
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown {cls.__name__} key {key!r}; known keys: {sorted(known)}")
     return doc
 
 
@@ -93,6 +113,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if self.lam < 0:
             raise ValueError(f"lam must be non-negative, got {self.lam}")
         if self.cccp_max_outer < 1 or self.inner_max_iter < 1:
@@ -124,6 +145,7 @@ class CvConfig:
     lambda_grid: tuple = ()
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if self.folds < 2:
             raise ValueError(f"folds must be at least 2, got {self.folds}")
         object.__setattr__(self, "width_grid", tuple(float(w) for w in self.width_grid))
@@ -214,36 +236,73 @@ def build_objective(mode: Mode, triple: SampleTriple,
     )
 
 
-def _convex_value(theta, Z, y, c, s, lam) -> tuple[float, np.ndarray]:
-    """Subproblem value at theta = (w, b), and the signed margins y*t there."""
-    w, b = theta[:-1], theta[-1]
-    t = Z @ w + b
-    m = t * y
-    val = float(c @ (dc_split(m, +1)[0] + s * t)) + 0.5 * lam * float(w @ w)
+class _Buffers:
+    """Scratch arrays that one ``train`` call reuses in every inner iteration.
+
+    Per row: the margins t, the signed margins m = y*t, the hinge, s*t, the
+    subgradient weights dt and the active-hinge mask.  Per coordinate of
+    theta = (w, b): the subgradient, a step scratch, the iterate and the
+    best iterate so far.
+    """
+
+    __slots__ = ("t", "m", "hinge", "st", "dt", "active", "g", "step", "theta", "best")
+
+    def __init__(self, n: int, dim: int):
+        self.t, self.m, self.hinge, self.st, self.dt = np.empty((5, n))
+        self.active = np.empty(n, dtype=bool)
+        self.g, self.step, self.theta, self.best = np.empty((4, dim + 1))
+
+
+def _convex_value(theta, Z, y, c, s, lam, buf: _Buffers) -> tuple[float, np.ndarray]:
+    """Subproblem value at theta = (w, b), and the signed margins y*t there.
+
+    The margins are returned in ``buf.m``, which the next call overwrites.
+    """
+    w = theta[:-1]
+    t = Z.dot(w, out=buf.t)
+    t += theta[-1]
+    m = np.multiply(t, y, out=buf.m)
+    st = np.multiply(s, t, out=buf.st)
+    st += half_hinge(m, +1, out=buf.hinge)
+    val = float(c.dot(st)) + 0.5 * lam * float(w.dot(w))
     if not math.isfinite(val):
         raise ValueError("non-finite objective value; a gradient step broke")
     return val, m
 
 
-def _convex_subgrad(theta, m, Z, slopes, lam) -> np.ndarray:
-    """A subgradient at theta, given the signed margins m = y*t that theta scores."""
-    dt = np.where(m < 1.0, slopes[0], slopes[1])
-    g = np.empty_like(theta)
-    g[:-1] = Z.T @ dt + lam * theta[:-1]
-    g[-1] = float(dt.sum())
+def _convex_subgrad(theta, m, Z, slopes, lam, buf: _Buffers) -> np.ndarray:
+    """A subgradient at theta, given the signed margins m = y*t that theta scores.
+
+    It is written to ``buf.g``, which the next call overwrites.
+    """
+    active = np.less(m, 1.0, out=buf.active)
+    dt = buf.dt
+    np.copyto(dt, slopes[1])
+    np.copyto(dt, slopes[0], where=active)
+    g, lam_w = buf.g, buf.step[:-1]
+    Z.T.dot(dt, out=g[:-1])
+    g[:-1] += np.multiply(theta[:-1], lam, out=lam_w)
+    g[-1] = np.add.reduce(dt)
     return g
 
 
-def _calibrate_step(theta0, f0, g0, Z, y, c, s, lam) -> float:
+def _calibrate_step(theta0, f0, g0, Z, y, c, s, lam, buf: _Buffers) -> float:
     """Pick the base step by backtracking (with greedy expansion) at step one."""
     gnorm = float(np.linalg.norm(g0))
     if gnorm < 1e-15:
         return 0.0
+
+    def value_at(scale: float) -> float:
+        # theta0 - scale*g0, built in the iterate buffer before the solve uses it
+        probe = np.multiply(g0, scale, out=buf.theta)
+        np.subtract(theta0, probe, out=probe)
+        return _convex_value(probe, Z, y, c, s, lam, buf)[0]
+
     step = max(1.0, float(np.linalg.norm(theta0))) / gnorm
-    f_try = _convex_value(theta0 - step * g0, Z, y, c, s, lam)[0]
+    f_try = value_at(step)
     if f_try < f0:
         for _ in range(20):
-            f_next = _convex_value(theta0 - 2.0 * step * g0, Z, y, c, s, lam)[0]
+            f_next = value_at(2.0 * step)
             if f_next < f_try:
                 step *= 2.0
                 f_try = f_next
@@ -252,34 +311,37 @@ def _calibrate_step(theta0, f0, g0, Z, y, c, s, lam) -> float:
         return step
     for _ in range(60):
         step *= 0.5
-        if _convex_value(theta0 - step * g0, Z, y, c, s, lam)[0] < f0:
+        if value_at(step) < f0:
             return step
     return 0.0
 
 
-def _solve_convex(theta0, Z, y, c, s, lam, config: TrainConfig):
-    """Subgradient descent on the linearized subproblem; never worse than start."""
+def _solve_convex(theta0, Z, y, c, s, lam, config: TrainConfig, buf: _Buffers):
+    """Subgradient descent on the linearized subproblem; never worse than start.
+
+    Returns a fresh (theta, value) pair; nothing returned aliases ``buf``.
+    """
     # Per-row derivative in t of c*(hinge + s*t): the hinge adds -y/2 where
     # it is active (y*t < 1) and nothing where it is flat.
     slopes = (c * (s - 0.5 * y), c * s)
-    f0, m = _convex_value(theta0, Z, y, c, s, lam)
-    g0 = _convex_subgrad(theta0, m, Z, slopes, lam)
-    step = _calibrate_step(theta0, f0, g0, Z, y, c, s, lam)
+    f0, m = _convex_value(theta0, Z, y, c, s, lam, buf)
+    g = _convex_subgrad(theta0, m, Z, slopes, lam, buf)
+    step = _calibrate_step(theta0, f0, g, Z, y, c, s, lam, buf)
     if step == 0.0:
         return theta0, f0
 
-    theta, g = theta0, g0
-    best_theta, best_f = theta0, f0
-    prev_f = f0
-    window_best = f0
+    theta, best_theta = buf.theta, buf.best
+    theta[:] = theta0
+    best_theta[:] = theta0
+    best_f = prev_f = window_best = f0
     increase_streak = 0
-    recent: list[float] = [f0]
+    recent = deque([f0], maxlen=_DIVERGENCE_STREAK + 2)
     for k in range(1, config.inner_max_iter + 1):
         if k > 1:
-            g = _convex_subgrad(theta, m, Z, slopes, lam)
-        theta = theta - (step / math.sqrt(k)) * g
-        f, m = _convex_value(theta, Z, y, c, s, lam)
-        recent = (recent + [f])[-(_DIVERGENCE_STREAK + 2):]
+            g = _convex_subgrad(theta, m, Z, slopes, lam, buf)
+        theta -= np.multiply(g, step / math.sqrt(k), out=buf.step)
+        f, m = _convex_value(theta, Z, y, c, s, lam, buf)
+        recent.append(f)
         if f > prev_f:
             increase_streak += 1
             if increase_streak >= _DIVERGENCE_STREAK:
@@ -289,13 +351,14 @@ def _solve_convex(theta0, Z, y, c, s, lam, config: TrainConfig):
         else:
             increase_streak = 0
         if f < best_f:
-            best_f, best_theta = f, theta.copy()
+            best_f = f
+            best_theta[:] = theta
         prev_f = f
         if k % _STALL_WINDOW == 0:
             if window_best - best_f < config.inner_tol * max(1.0, abs(best_f)):
                 break
             window_best = best_f
-    return best_theta, best_f
+    return best_theta.copy(), best_f
 
 
 _RUN_STATS = {"runs": 0, "outer_steps": 0, "monotonicity_violations": 0}
@@ -335,6 +398,7 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
     obj = build_objective(mode, triple, fmap, config.lam)
     rng = np.random.default_rng(config.seed)
     dim = obj.features.shape[1]
+    buf = _Buffers(obj.features.shape[0], dim)
 
     _RUN_STATS["runs"] += 1
     best = None
@@ -353,7 +417,7 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
             # at the current margins (slope y/2 below margin -1, else 0).
             s = np.where(obj.margins(w, b) * obj.labels < -1.0, 0.5 * obj.labels, 0.0)
             theta, _ = _solve_convex(np.append(w, b), obj.features, obj.labels, obj.coeffs,
-                                     s, obj.lam, config)
+                                     s, obj.lam, config, buf)
             w_new, b_new = theta[:-1], float(theta[-1])
             value = obj.value(w_new, b_new)
             _RUN_STATS["outer_steps"] += 1

@@ -113,6 +113,23 @@ class TestRunSweep:
         for row in table.rows:
             assert 0.0 <= row.mean_error <= 1.0
 
+    def test_synthetic_sweep_cross_validates_when_given_a_cv_config(self, monkeypatch):
+        """A supplied CvConfig is honoured on the synthetic source too: once per mode."""
+        calls = []
+        real_cv = harness.cross_validate
+
+        def counting_cv(mode, *args):
+            calls.append(mode)
+            return real_cv(mode, *args)
+
+        monkeypatch.setattr(harness, "cross_validate", counting_cv)
+        cv = CvConfig(folds=2, lambda_grid=(1e-3, 1e-1))
+        table = run_sweep(_tiny_grid(values=(6,), trials=1), FAST_TRAIN, cv_config=cv)
+        assert calls == ["PN", "PU", "NU"]
+        assert len(table.rows) == 3
+        run_sweep(_tiny_grid(values=(6,), trials=1), FAST_TRAIN)
+        assert len(calls) == 3
+
     def test_errors_carry_context(self, tmp_path):
         """A per-trial failure keeps its type and gains (sweep value, trial) context."""
         path = tmp_path / "small.csv"

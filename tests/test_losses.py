@@ -10,6 +10,7 @@ from pnu.losses import (
     dc_split,
     default_g_grid,
     default_pi_grid,
+    half_hinge,
     scaled_ramp,
     verify_calibration,
     zero_one,
@@ -91,9 +92,17 @@ class TestDcSplit:
     def test_parts_sum_to_ramp(self):
         rng = np.random.default_rng(4)
         t = rng.uniform(-10, 10, 200_000)
+        edges = np.array([-np.inf, -1.0, 1.0, np.inf])
         for y in (+1, -1):
             convex, concave = dc_split(t, y)
             np.testing.assert_allclose(convex + concave, scaled_ramp(t, y), atol=1e-15)
+            # The trainer's in-place hinge is the convex part bit for bit.
+            for margins in (t, edges):
+                want = dc_split(margins, y)[0].tobytes()
+                assert half_hinge(margins, y).tobytes() == want
+                out = np.empty_like(margins)
+                assert half_hinge(margins, y, out=out) is out
+                assert out.tobytes() == want
 
     def test_convexity_roles(self):
         """The convex part is a hinge (nonnegative), the concave part nonpositive."""

@@ -196,6 +196,21 @@ class TestTrain:
             train("PN", _toy_triple(), config=TrainConfig(seed=0))
         assert len(err.value.trace) >= 10
 
+    def test_models_do_not_alias_solver_buffers(self):
+        """Later fits, linear and kernel, leave an earlier model's parameters alone."""
+        config = TrainConfig(seed=11, inner_max_iter=60, cccp_max_outer=4)
+        templates = (ModelTemplate(), ModelTemplate(kind="kernel", width=1.0))
+        first_data = gen_gaussian_artificial(15, 15, 20, 0.5, 21)
+        other_data = gen_gaussian_artificial(12, 18, 25, 0.4, 22)
+        firsts = [train("PU", first_data, template, config) for template in templates]
+        kept = [(model.weights.copy(), model.bias) for model in firsts]
+        laters = [train(mode, other_data, template, config)
+                  for mode in ("PU", "NU") for template in templates]
+        for model, (weights, bias) in zip(firsts, kept):
+            assert model.weights.tobytes() == weights.tobytes()
+            assert model.bias == bias
+            assert not any(np.shares_memory(model.weights, later.weights) for later in laters)
+
 
 class TestKernelTraining:
     def test_anchor_sets_mirror_the_mode(self):
@@ -337,6 +352,16 @@ class TestConfigs:
     def test_cv_config_from_dict_accepts_lists(self):
         cv = CvConfig.from_dict({"folds": 3, "width_grid": [1, 2.5], "lambda_grid": [0.1]})
         assert cv == CvConfig(folds=3, width_grid=(1.0, 2.5), lambda_grid=(0.1,))
+
+    @pytest.mark.parametrize("build, fragment", [
+        (lambda: CvConfig(folds=2.5, lambda_grid=(0.1,)), "'folds'"),
+        (lambda: TrainConfig(restarts=1.5), "'restarts'"),
+        (lambda: TrainConfig(lam="x"), "'lam'"),
+    ], ids=["cv-folds-float", "train-restarts-float", "train-lam-str"])
+    def test_constructors_check_types(self, build, fragment):
+        """Built directly, not only through from_dict, a config rejects wrong types."""
+        with pytest.raises(ValueError, match=fragment):
+            build()
 
     def test_validation(self):
         with pytest.raises(ValueError):
