@@ -7,18 +7,31 @@ training majorize-minimizes the difference-of-convex split of the ramp
 given by ``losses.dc_split`` (the ramp-loss CCCP of Collobert et al.,
 "Trading Convexity for Scalability", ICML 2006).  Each outer iteration
 of ``train`` linearizes the concave part at the current margins and
-solves the resulting convex hinge-plus-linear-plus-quadratic subproblem
-by full-batch subgradient descent with a 1/sqrt(k) step schedule, the
-base step calibrated by backtracking on the first step.  The subproblem's
-hinge is ``losses.half_hinge``, the convex part of ``dc_split``; the
-inner loop evaluates only that part, and it writes its margins, hinge,
-subgradient and iterate into buffers that ``train`` allocates once per
-call and reuses across restarts, outer steps and iterations (a fitted
-model's weights are copies, never views of them).  Because the
-inner solver never returns a point worse than its start, the true
-regularized objective is non-increasing across outer iterations; ``train``
-asserts that on every step with a 1e-12 slack, and a violation is a hard
-error, not a warning.
+solves the resulting convex hinge-plus-linear-plus-quadratic subproblem,
+whose hinge is ``losses.half_hinge``, the convex part of ``dc_split``.
+There are two inner solves, chosen by the template's kind:
+
+* A linear fit has d + 1 unknowns theta = (w, b), and its subproblem is
+  piecewise quadratic in them.  A primal active-set method (Scheinberg,
+  JMLR 2006) solves it exactly, warm-started from the rows the previous
+  outer step left on the hinge's kink, and stops only on a KKT
+  certificate: per-row slopes, each allowed at its row's margin, whose
+  gradient vanishes to 1e-9 (``_kkt_residual``).  A solve that does not
+  certify within ``inner_max_iter`` pivots falls back to the subgradient
+  solve below for that subproblem.
+* A kernel fit's subproblem is solved by full-batch subgradient descent
+  with a 1/sqrt(k) step schedule, the base step calibrated by
+  backtracking on the first step.  It stops when its best value improved
+  by less than ``inner_tol`` (relative) over a window of iterations, or
+  after ``inner_max_iter`` iterations, uncertified.  It writes its
+  margins, hinge, subgradient and iterate into buffers that ``train``
+  allocates once per call and reuses across restarts, outer steps and
+  iterations (a fitted model's weights are copies, never views of them).
+
+Either inner solve returns its start unless it found a strictly lower
+subproblem value, so the true regularized objective is non-increasing
+across outer iterations; ``train`` asserts that on every step with a
+1e-12 slack, and a violation is a hard error, not a warning.
 
 Multiple restarts (zero init plus random Gaussian inits of scale 0.1)
 hedge against bad local minima; the restart with the lowest final
@@ -47,6 +60,15 @@ from .risk import risk_nu, risk_pn, risk_pu  # noqa: F401 (called by name in _va
 MONOTONICITY_SLACK = 1e-12
 _DIVERGENCE_STREAK = 10
 _STALL_WINDOW = 25
+# The linear active-set solve: row i's kink sits at 1 + _KINK_OFFSET*(i+1)/n
+# while pivoting; its certificate accepts any slope between the two sides of
+# a kink within _KINK_BAND of the margin, and a gradient residual up to
+# _KKT_TOL.  Gaps, multiplier excesses and slopes below _ZERO count as zero.
+_KINK_OFFSET = 1e-9
+_KINK_BAND = 1e-8
+_KKT_TOL = 1e-9
+_ZERO = 1e-12
+
 
 class DivergenceError(RuntimeError):
     """Inner solver increased its objective for too many consecutive steps."""
@@ -106,7 +128,11 @@ class TrainConfig:
 
     lam: float = 1e-3
     cccp_max_outer: int = 30
+    #: Cap per subproblem: pivots of a linear fit's active-set solve (and
+    #: iterations of its fallback), iterations of a kernel fit's subgradient solve.
     inner_max_iter: int = 300
+    #: Relative stall tolerance of the subgradient solve (kernel fits and
+    #: linear fallbacks); the linear active set stops on its certificate.
     inner_tol: float = 1e-8
     outer_tol: float = 1e-6
     restarts: int = 2
@@ -316,7 +342,7 @@ def _calibrate_step(theta0, f0, g0, Z, y, c, s, lam, buf: _Buffers) -> float:
     return 0.0
 
 
-def _solve_convex(theta0, Z, y, c, s, lam, config: TrainConfig, buf: _Buffers):
+def _solve_subgradient(theta0, Z, y, c, s, lam, config: TrainConfig, buf: _Buffers):
     """Subgradient descent on the linearized subproblem; never worse than start.
 
     Returns a fresh (theta, value) pair; nothing returned aliases ``buf``.
@@ -361,6 +387,194 @@ def _solve_convex(theta0, Z, y, c, s, lam, config: TrainConfig, buf: _Buffers):
     return best_theta.copy(), best_f
 
 
+def _row_slopes(y, c, s) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's slope in its margin m = y*t below and above the kink at m = 1.
+
+    Row i's subproblem term c_i*(hinge + s_i*t_i) is c_i*(max(0, (1 - m)/2)
+    + s_i*y_i*m), so the slope is c_i*(s_i*y_i - 1/2) below 1 and
+    c_i*s_i*y_i above.
+    """
+    hi = c * s * y
+    return hi - 0.5 * c, hi
+
+
+def _kkt_residual(theta, beta, Z, y, c, s, lam) -> float:
+    """How far (theta, beta) is from certifying theta a minimizer of a linear subproblem.
+
+    ``beta[i]`` is a slope claimed for row i's term.  It is first clipped to
+    what the row allows at its margin m_i: the slope below or above the kink
+    when m_i is more than _KINK_BAND from 1, anything between the two within
+    it.  The result is the sup norm of the gradient lam*(w, 0) +
+    sum_i beta_i*y_i*(z_i, 1) that the clipped slopes give.  Zero certifies
+    theta optimal for the subproblem with its kinks at exactly 1; a residual r
+    leaves theta at most r*||theta* - theta||_1 + _KINK_BAND*sum(c) above
+    the minimum.
+    """
+    m = y * (Z.dot(theta[:-1]) + theta[-1])
+    lo, hi = _row_slopes(y, c, s)
+    beta = np.clip(beta, np.where(m > 1.0 + _KINK_BAND, hi, lo),
+                   np.where(m < 1.0 - _KINK_BAND, lo, hi))
+    yb = y * beta
+    grad = Z.T.dot(yb) + lam * theta[:-1]
+    return max(float(np.abs(grad).max(initial=0.0)), abs(float(yb.sum())))
+
+
+def _independent(rows: np.ndarray, a: np.ndarray) -> bool:
+    """Whether a is linearly independent of the (independent) rows."""
+    rest = a - rows.T.dot(np.linalg.solve(rows.dot(rows.T), rows.dot(a))) if len(rows) else a
+    return float(np.linalg.norm(rest)) > 1e-9 * float(np.linalg.norm(a))
+
+
+def _cell_step(grad, kinked, lam: float):
+    """The step toward the minimum of a cell's quadratic with the working rows on their kinks.
+
+    ``grad`` is the quadratic's gradient at the current point and
+    ``kinked`` holds the working rows' margin coefficients.  Returns
+    (p, mult, newton).  When the quadratic is strictly convex on the step's
+    subspace (lam > 0 and a working row fixes the bias), p is the Newton
+    step to the minimum and ``mult`` the working rows' slopes there, both
+    from one KKT solve.  Where it is flat, p is a unit ray: along the bias
+    with no working rows, or the projected gradient with lam = 0, where
+    ``mult`` are least-squares slopes at the current point.  p is None when
+    the projected gradient vanishes.
+    """
+    k, dim = kinked.shape
+    if lam > 0 and k:
+        kkt = np.zeros((dim + k, dim + k))
+        kkt[np.arange(dim - 1), np.arange(dim - 1)] = lam
+        kkt[:dim, dim:] = kinked.T
+        kkt[dim:, :dim] = kinked
+        sol = np.linalg.solve(kkt, np.concatenate((-grad, np.zeros(k))))
+        return sol[:dim], sol[dim:], True
+    if lam > 0:
+        if abs(grad[-1]) > _ZERO:
+            p = np.zeros(dim)
+            p[-1] = -math.copysign(1.0, grad[-1])
+            return p, np.empty(0), False
+        return np.append(-grad[:-1] / lam, 0.0), np.empty(0), True
+    mult = (-np.linalg.solve(kinked.dot(kinked.T), kinked.dot(grad)) if k else np.empty(0))
+    reduced = grad + kinked.T.dot(mult)
+    if np.abs(reduced).max() <= _ZERO:
+        return None, mult, False
+    return reduced / -np.abs(reduced).max(), mult, False
+
+
+def _solve_active_set(theta0, Z, y, c, s, lam, max_iter: int):
+    """Exact primal active-set solve of a linear fit's subproblem (Scheinberg, JMLR 2006).
+
+    The subproblem is piecewise quadratic in theta = (w, b): row i's term is
+    linear in its margin m_i on either side of its kink (``_row_slopes``).
+    The working set holds rows kept exactly on their kink, seeded with the
+    rows on it at theta0 (the previous outer step's); every other row sits on
+    a known side.  Each pivot steps toward the minimum of the current cell's
+    quadratic subject to those equalities (``_cell_step``), by an exact line
+    search that crosses any kinks on the way and adds the row it stops on to
+    the working set.  At the cell's minimum it releases the working row
+    whose slope lies furthest outside [slope below, slope above], to the
+    side the slope points to, or stops when none does.  Row i's kink sits
+    at 1 + _KINK_OFFSET*(i+1)/n while pivoting, so no two rows reach theirs
+    together: at pi = 0.05 the optimum w = 0, b = -1 puts every negative
+    row on its kink, and duplicate rows share one.  The final point moves
+    the working rows onto margin 1.
+
+    Returns (theta, beta), row slopes that ``_kkt_residual`` certifies
+    within _KKT_TOL for the unperturbed subproblem, or None when that takes
+    more than ``max_iter`` pivots or the certificate fails.
+    """
+    n, dim = Z.shape[0], Z.shape[1] + 1
+    A = np.empty((n, dim))
+    A[:, :-1] = Z
+    A[:, -1] = 1.0
+    A *= y[:, None]  # margins are A @ theta
+    a_max = float(np.abs(A).max())
+    lo, hi = _row_slopes(y, c, s)
+    kink = 1.0 + _KINK_OFFSET * np.arange(1, n + 1) / n
+    theta = np.array(theta0, dtype=float)
+    m = A.dot(theta)
+    right = m > kink
+    free = np.ones(n, dtype=bool)
+    work: list[int] = []
+    for i in np.flatnonzero(np.abs(m - kink) <= _ZERO):
+        if len(work) < dim and _independent(A[work], A[i]):
+            work.append(int(i))
+            free[i] = False
+    for _ in range(max_iter):
+        beta = np.where(right, hi, lo)
+        beta[work] = 0.0
+        grad = A.T.dot(beta)
+        grad[:-1] += lam * theta[:-1]
+        p, mult, newton = _cell_step(grad, A[work], lam)
+        slope = float(grad.dot(p)) if p is not None else 0.0
+        if slope < 0.0:
+            # Exact line search on theta + tau*p.  Free rows moving toward
+            # their kink cross it at tau_i; each crossing raises the slope in
+            # tau by c_i/2*|d_i|, and between crossings it grows by curv.
+            d = A.dot(p)
+            curv = lam * float(p[:-1].dot(p[:-1]))
+            moving = _ZERO * a_max * float(np.abs(p).sum())
+            rows = np.flatnonzero(free & np.where(right, d < -moving, d > moving))
+            tau = np.maximum((kink[rows] - m[rows]) / d[rows], 0.0)
+            order = np.argsort(tau, kind="stable")
+            rows, tau = rows[order], tau[order]
+            jumps = 0.5 * c[rows] * np.abs(d[rows])
+            after = slope + np.cumsum(jumps)  # slope just past each kink, less curv*tau
+            turn = np.flatnonzero(after + curv * tau >= 0.0)
+            j = int(turn[0]) if turn.size else rows.size  # the first kink past which f rises
+            block = None
+            if curv > 0.0:
+                step = -(after[j - 1] if j else slope) / curv
+                if j < rows.size and step >= tau[j]:
+                    step, block = tau[j], int(rows[j])
+            elif j < rows.size:
+                step, block = tau[j], int(rows[j])
+            elif rows.size and after[-1] >= -_ZERO * (abs(slope) + float(jumps.sum())):
+                j = rows.size - 1  # flat past the last kink, up to rounding
+                step, block = tau[j], int(rows[j])
+            else:
+                return None
+            theta += step * p
+            m = A.dot(theta)
+            right[rows[:j]] ^= True
+            if block is not None:
+                work.append(block)
+                free[block] = False
+            if not (newton and j == 0 and block is None):
+                continue
+        # At the cell's minimum, where mult are the working rows' slopes.
+        if work:
+            excess = np.maximum(lo[work] - mult, mult - hi[work])
+            worst = int(np.argmax(excess))
+            if excess[worst] > _ZERO:
+                released = work.pop(worst)
+                right[released] = mult[worst] > hi[released]
+                free[released] = True
+                continue
+            beta[work] = mult
+            kinked = A[work]
+            theta += kinked.T.dot(np.linalg.solve(kinked.dot(kinked.T), 1.0 - kink[work]))
+        if _kkt_residual(theta, beta, Z, y, c, s, lam) > _KKT_TOL:
+            return None
+        return theta, beta
+    return None
+
+
+def _solve_linear(theta0, Z, y, c, s, lam, config: TrainConfig, buf: _Buffers):
+    """A linear fit's subproblem: the exact active-set solve, never worse than start.
+
+    A solve that does not certify within ``config.inner_max_iter`` pivots
+    falls back to ``_solve_subgradient`` for this subproblem.
+    """
+    try:
+        solved = _solve_active_set(theta0, Z, y, c, s, lam, config.inner_max_iter)
+    except np.linalg.LinAlgError:  # a singular system: no certificate
+        solved = None
+    if solved is None:
+        return _solve_subgradient(theta0, Z, y, c, s, lam, config, buf)
+    f0 = _convex_value(theta0, Z, y, c, s, lam, buf)[0]
+    f = _convex_value(solved[0], Z, y, c, s, lam, buf)[0]
+    return (solved[0], f) if f < f0 else (theta0, f0)
+
+
 _RUN_STATS = {"runs": 0, "outer_steps": 0, "monotonicity_violations": 0}
 
 
@@ -399,6 +613,7 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
     rng = np.random.default_rng(config.seed)
     dim = obj.features.shape[1]
     buf = _Buffers(obj.features.shape[0], dim)
+    solve = _solve_linear if template.kind == "linear" else _solve_subgradient
 
     _RUN_STATS["runs"] += 1
     best = None
@@ -416,8 +631,8 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
             # Majorize: replace the concave part of each ramp by its tangent
             # at the current margins (slope y/2 below margin -1, else 0).
             s = np.where(obj.margins(w, b) * obj.labels < -1.0, 0.5 * obj.labels, 0.0)
-            theta, _ = _solve_convex(np.append(w, b), obj.features, obj.labels, obj.coeffs,
-                                     s, obj.lam, config, buf)
+            theta, _ = solve(np.append(w, b), obj.features, obj.labels, obj.coeffs,
+                             s, obj.lam, config, buf)
             w_new, b_new = theta[:-1], float(theta[-1])
             value = obj.value(w_new, b_new)
             _RUN_STATS["outer_steps"] += 1

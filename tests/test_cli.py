@@ -114,14 +114,17 @@ class TestSweepCommands:
         assert code == 2
         self._assert_one_line_error(capsys.readouterr().err, fragment)
 
-    def test_solver_failure_exits_3(self, monkeypatch, capsys):
-        """A trial whose inner solver diverges aborts the sweep with its context."""
+    def test_solver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        """A trial whose kernel solve diverges aborts the sweep with its context."""
+        path = tmp_path / "pool.csv"
+        path.write_text("f1,f2,y\n" + "".join(f"{i % 7}.5,{i % 5}.0,{i % 2}\n" for i in range(60)),
+                        encoding="utf-8")
         monkeypatch.setattr(training, "_calibrate_step", lambda *a: 1.0)
         real_grad = training._convex_subgrad
         monkeypatch.setattr(training, "_convex_subgrad", lambda *a: -real_grad(*a))
         code = main([
             "sweep-nu", "--n-unl", "5", "--pi", "0.5", "--n-pos", "6", "--n-neg", "6",
-            "--trials", "1", "--test-size", "400",
+            "--trials", "1", "--data", str(path), "--label-col", "y",
         ])
         assert code == 3
         self._assert_one_line_error(capsys.readouterr().err, "sweep point nu=5, trial 0: ",

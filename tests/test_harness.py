@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from pnu import harness
+from pnu import harness, training
 from pnu.datasets import InsufficientDataError, gen_gaussian_artificial
 from pnu.harness import (
     ExperimentGrid,
@@ -144,24 +144,36 @@ class TestRunSweep:
         assert info.value.__notes__ == ["sweep point nu=5, trial 0"]
 
 
-class TestGoldenSweep:
-    """Fixed-seed sweeps against tables recorded before the trainer refactors.
+LINEAR_GOLDEN_GRID = ExperimentGrid(sweep="nu", values=(5, 30), n_pos=12, n_neg=4, pi=0.5,
+                                    trials=2, test_size=20_000, seed=11)
 
-    Every field must match exactly: a change that claims to leave the
-    numbers alone has to reproduce these tables bit for bit.
+
+class TestGoldenSweep:
+    """Fixed-seed sweeps and weights, compared exactly.
+
+    The kernel values were recorded before the trainer refactors; the linear
+    ones when linear fits moved to the exact active-set inner solve.  A
+    change that claims to leave the numbers alone has to reproduce them
+    bit for bit.
     """
 
     def test_linear_nu_sweep(self):
-        grid = ExperimentGrid(sweep="nu", values=(5, 30), n_pos=12, n_neg=4, pi=0.5,
-                              trials=2, test_size=20_000, seed=11)
-        assert run_sweep(grid, TrainConfig(seed=0)).rows == [
-            SweepRow(5.0, "PN", 0.185025, 0.0021749999999999964, 2.3662046511894577, 4.8304374845348095),
-            SweepRow(5.0, "PU", 0.24832500000000002, 0.06747500000000001, 2.3662046511894577, 4.8304374845348095),
-            SweepRow(5.0, "NU", 0.4146, 0.2089, 2.3662046511894577, 4.8304374845348095),
-            SweepRow(30.0, "PN", 0.1786, 0.019449999999999995, 1.3076470125298472, 2.9969618716362287),
-            SweepRow(30.0, "PU", 0.188925, 0.027975, 1.3076470125298472, 2.9969618716362287),
-            SweepRow(30.0, "NU", 0.450075, 0.18507499999999996, 1.3076470125298472, 2.9969618716362287),
+        assert run_sweep(LINEAR_GOLDEN_GRID, TrainConfig(seed=0)).rows == [
+            SweepRow(5.0, "PN", 0.21685, 0.029649999999999992, 2.3662046511894577, 4.8304374845348095),
+            SweepRow(5.0, "PU", 0.2568, 0.05839999999999999, 2.3662046511894577, 4.8304374845348095),
+            SweepRow(5.0, "NU", 0.41435, 0.20915, 2.3662046511894577, 4.8304374845348095),
+            SweepRow(30.0, "PN", 0.23375, 0.03945, 1.3076470125298472, 2.9969618716362287),
+            SweepRow(30.0, "PU", 0.19805, 0.031799999999999995, 1.3076470125298472, 2.9969618716362287),
+            SweepRow(30.0, "NU", 0.498125, 0.13712499999999997, 1.3076470125298472, 2.9969618716362287),
         ]
+
+    def test_linear_sweep_never_falls_back(self, monkeypatch):
+        """Every inner solve of the linear golden sweep certifies without the subgradient."""
+        def no_fallback(*args):
+            raise AssertionError("a linear subproblem fell back to the subgradient")
+
+        monkeypatch.setattr(training, "_solve_subgradient", no_fallback)
+        run_sweep(LINEAR_GOLDEN_GRID, TrainConfig(seed=0))
 
     def test_kernel_pi_sweep(self):
         grid = ExperimentGrid(sweep="pi", values=(0.3, 0.7), n_pos=10, n_neg=10, n_unl=20,
@@ -180,9 +192,9 @@ class TestGoldenSweep:
         """The fitted weights themselves, which a holdout error rate can hide."""
         triple = gen_gaussian_artificial(12, 4, 30, 0.5, 5)
         want = {
-            "PN": ([5.140526928783244, 0.8066094783442973], 0.4301370506537442),
-            "PU": ([3.2416990833444412, 0.32598450369605664], 1.0620927140648575),
-            "NU": ([0.9182377441704276, -0.059198021410505945], 0.792650550870653),
+            "PN": ([5.122053766552068, 0.8070011246123702], 0.4245937810665256),
+            "PU": ([5.456656903545105, 0.29170639917432034], 1.697481969530991),
+            "NU": ([0.9184058776375759, -0.06193877952546087], 0.7911049864476506),
         }
         for mode, (weights, bias) in want.items():
             model = train(mode, triple, config=TrainConfig(seed=0))

@@ -188,12 +188,13 @@ class TestTrain:
         assert risk_true_mc(constant_sign, (feats, labels), ZERO_ONE) == 0.5  # min(pi, 1-pi)
 
     def test_divergence_guard(self, monkeypatch):
-        """An ascent direction (broken gradient) must be caught, with a trace."""
+        """An ascent direction (broken gradient) in the kernel solve is caught, with a trace."""
         monkeypatch.setattr(training, "_calibrate_step", lambda *a: 1.0)
         real_grad = training._convex_subgrad
         monkeypatch.setattr(training, "_convex_subgrad", lambda *a: -real_grad(*a))
         with pytest.raises(DivergenceError) as err:
-            train("PN", _toy_triple(), config=TrainConfig(seed=0))
+            train("PN", _toy_triple(), ModelTemplate(kind="kernel", width=1.0),
+                  TrainConfig(seed=0))
         assert len(err.value.trace) >= 10
 
     def test_models_do_not_alias_solver_buffers(self):
@@ -210,6 +211,110 @@ class TestTrain:
             assert model.weights.tobytes() == weights.tobytes()
             assert model.bias == bias
             assert not any(np.shares_memory(model.weights, later.weights) for later in laters)
+
+
+def _linear_subproblem(triple, mode, start, lam=1e-3, seed=0):
+    """A linear fit's CCCP subproblem, linearized at a zero or a random start.
+
+    Returns the solver arguments (theta0, Z, y, c, s, lam).  A random start
+    of scale 1.5 puts some rows below margin -1, so their concave parts are
+    linearized with a nonzero slope.
+    """
+    obj = build_objective(mode, triple, None, lam)
+    dim = triple.d + 1
+    theta0 = np.zeros(dim) if start == "zero" else np.random.default_rng(seed).normal(0.0, 1.5, dim)
+    margins = obj.labels * obj.margins(theta0[:-1], theta0[-1])
+    s = np.where(margins < -1.0, 0.5 * obj.labels, 0.0)
+    return theta0, obj.features, obj.labels, obj.coeffs, s, lam
+
+
+def _certify(sub, max_iter=TrainConfig().inner_max_iter):
+    """Solve a subproblem by the active set; check its certificate and the subgradient bound.
+
+    Returns the certified (theta, beta).
+    """
+    solved = training._solve_active_set(*sub, max_iter)
+    assert solved is not None, "the active set did not certify"
+    theta, beta = solved
+    _, Z, y, c, s, lam = sub
+    assert training._kkt_residual(theta, beta, Z, y, c, s, lam) <= training._KKT_TOL
+    buf = training._Buffers(*Z.shape)
+    exact = training._convex_value(theta, Z, y, c, s, lam, buf)[0]
+    subgradient = training._solve_subgradient(*sub, TrainConfig(), buf)[1]
+    assert exact <= subgradient + 1e-12
+    return solved
+
+
+class TestLinearActiveSet:
+    """The exact inner solve of linear fits and its KKT certificate."""
+
+    @pytest.mark.parametrize("mode", ["PN", "PU", "NU"])
+    def test_certifies_a_corpus_of_subproblems(self, mode):
+        """Acceptance design, n_unl 5 to 200, zero and random starts, three seeds each."""
+        linearized = 0
+        for n_unl in (5, 10, 25, 70, 200):
+            for seed in range(3):
+                triple = gen_gaussian_artificial(45, 5, n_unl, 0.5, 100 * n_unl + seed)
+                for start in ("zero", "random"):
+                    sub = _linear_subproblem(triple, mode, start, seed=seed)
+                    theta, beta = _certify(sub)
+                    # The certificate is not vacuous: a nearby point fails it.
+                    assert training._kkt_residual(theta + 1e-3, beta, *sub[1:]) > training._KKT_TOL
+                    linearized += int(np.count_nonzero(sub[4]))
+        assert linearized > 0  # some random starts put rows below margin -1
+
+    def test_degenerate_vertex_certifies(self):
+        """At pi = 0.05 the PU optimum w = 0, b = -1 puts all 100 unlabeled rows on the kink."""
+        triple = gen_gaussian_artificial(45, 5, 100, 0.05, 2)
+        sub = _linear_subproblem(triple, "PU", "zero")
+        theta, _ = _certify(sub)
+        assert np.abs(theta[:-1]).max() < 1e-6 and theta[-1] == pytest.approx(-1.0, abs=1e-6)
+        _, Z, y, *_ = sub
+        on_kink = np.abs(y * (Z @ theta[:-1] + theta[-1]) - 1.0) <= training._KINK_BAND
+        assert int(np.sum(on_kink & (y < 0))) == 100
+
+    @pytest.mark.parametrize("mode", ["PN", "PU", "NU"])
+    def test_duplicate_rows_certify(self, mode, monkeypatch):
+        """Repeated rows, which a CSV pool can hold, certify in every subproblem of a fit."""
+        base = gen_gaussian_artificial(20, 8, 30, 0.5, 41)
+        triple = SampleTriple(
+            x_pos=np.vstack([base.x_pos, base.x_pos[:5]]),
+            x_neg=np.vstack([base.x_neg, base.x_neg[:3]]),
+            x_unl=np.vstack([base.x_unl, base.x_unl[:10], base.x_pos[:4], base.x_neg[:2]]),
+            pi=0.5,
+        )
+        for start in ("zero", "random"):
+            _certify(_linear_subproblem(triple, mode, start, seed=42))
+
+        def no_fallback(*args):
+            raise AssertionError("a linear subproblem fell back to the subgradient")
+
+        monkeypatch.setattr(training, "_solve_subgradient", no_fallback)
+        train(mode, triple, config=TrainConfig(seed=43))
+
+    @pytest.mark.parametrize("mode", ["PN", "PU", "NU"])
+    def test_zero_lambda_certifies(self, mode):
+        """lam = 0 makes each subproblem a linear program; the active set still certifies."""
+        triple = gen_gaussian_artificial(12, 4, 30, 0.5, 44)
+        for start in ("zero", "random"):
+            _certify(_linear_subproblem(triple, mode, start, lam=0.0, seed=45))
+
+    def test_fallback_at_a_cap_of_one_pivot(self, monkeypatch):
+        """Without a certificate the subgradient solves the subproblem, never worse than start."""
+        triple = gen_gaussian_artificial(45, 5, 50, 0.5, 46)
+        sub = _linear_subproblem(triple, "PU", "random", seed=47)
+        assert training._solve_active_set(*sub, 1) is None
+        config = TrainConfig(inner_max_iter=1)
+        buf = training._Buffers(*sub[1].shape)
+        start = training._convex_value(*sub, buf)[0]
+        fallbacks = []
+        real = training._solve_subgradient
+        monkeypatch.setattr(training, "_solve_subgradient",
+                            lambda *args: fallbacks.append(1) or real(*args))
+        theta, value = training._solve_linear(*sub, config, buf)
+        assert fallbacks == [1]
+        assert value <= start
+        assert training._convex_value(theta, *sub[1:], buf)[0] == value
 
 
 class TestKernelTraining:
