@@ -43,9 +43,15 @@ def scaled_ramp(t, y):
     clipped halves separately can be off by one ulp).
     """
     _check_label(y)
-    base = np.clip((1.0 - np.asarray(t, dtype=float)) * 0.5, 0.0, 1.0)
-    out = base if y == +1 else 1.0 - base
-    return float(out) if np.ndim(t) == 0 else out
+    m = np.asarray(t, dtype=float)
+    out = np.subtract(1.0, m, out=np.empty_like(m))
+    out *= 0.5
+    # np.clip's bits on non-NaN input, without the cost of its Python wrapper.
+    np.maximum(out, 0.0, out=out)
+    np.minimum(out, 1.0, out=out)
+    if y == -1:
+        np.subtract(1.0, out, out=out)
+    return float(out) if out.ndim == 0 else out
 
 
 def zero_one(t, y):

@@ -9,29 +9,29 @@ given by ``losses.dc_split`` (the ramp-loss CCCP of Collobert et al.,
 of ``train`` linearizes the concave part at the current margins and
 solves the resulting convex hinge-plus-linear-plus-quadratic subproblem,
 whose hinge is ``losses.half_hinge``, the convex part of ``dc_split``.
-There are two inner solves, chosen by the template's kind:
 
-* A linear fit has d + 1 unknowns theta = (w, b), and its subproblem is
-  piecewise quadratic in them.  A primal active-set method (Scheinberg,
-  JMLR 2006) solves it exactly, warm-started from the rows the previous
-  outer step left on the hinge's kink, and stops only on a KKT
-  certificate: per-row slopes, each allowed at its row's margin, whose
-  gradient vanishes to 1e-9 (``_kkt_residual``).  A solve that does not
-  certify within ``inner_max_iter`` pivots falls back to the subgradient
-  solve below for that subproblem.
-* A kernel fit's subproblem is solved by full-batch subgradient descent
-  with a 1/sqrt(k) step schedule, the base step calibrated by
-  backtracking on the first step.  It stops when its best value improved
-  by less than ``inner_tol`` (relative) over a window of iterations, or
-  after ``inner_max_iter`` iterations, uncertified.  It writes its
-  margins, hinge, subgradient and iterate into buffers that ``train``
-  allocates once per call and reuses across restarts, outer steps and
-  iterations (a fitted model's weights are copies, never views of them).
+Every subproblem, linear or kernel, goes through one inner solve.  A fit
+is linear in its features, raw or pushed through the kernel map, so its
+unknowns are theta = (w, b), d + 1 of them for a linear fit and one per
+anchor plus the bias for a kernel fit, and its subproblem is piecewise
+quadratic in them.  A primal active-set method (Scheinberg, JMLR 2006)
+solves it exactly, warm-started from the rows the previous outer step
+left on the hinge's kink, and stops only on a KKT certificate: per-row
+slopes, each allowed at its row's margin, whose gradient vanishes to 1e-9
+(``_kkt_residual``).  A subproblem that does not certify within
+``inner_max_iter`` pivots falls back to full-batch subgradient descent
+with a 1/sqrt(k) step schedule, the base step calibrated by backtracking
+on the first step.  The fallback stops when its best value improved by
+less than ``inner_tol`` (relative) over a window of iterations, or after
+``inner_max_iter`` iterations, uncertified.  It writes its margins,
+hinge, subgradient and iterate into buffers that ``train`` allocates once
+per call and reuses across restarts, outer steps and iterations (a
+fitted model's weights are copies, never views of them).
 
-Either inner solve returns its start unless it found a strictly lower
-subproblem value, so the true regularized objective is non-increasing
-across outer iterations; ``train`` asserts that on every step with a
-1e-12 slack, and a violation is a hard error, not a warning.
+The solve returns its start unless it found a strictly lower subproblem
+value, so the true regularized objective is non-increasing across outer
+iterations; ``train`` asserts that on every step with a 1e-12 slack, and
+a violation is a hard error, not a warning.
 
 Multiple restarts (zero init plus random Gaussian inits of scale 0.1)
 hedge against bad local minima; the restart with the lowest final
@@ -60,7 +60,7 @@ from .risk import risk_nu, risk_pn, risk_pu  # noqa: F401 (called by name in _va
 MONOTONICITY_SLACK = 1e-12
 _DIVERGENCE_STREAK = 10
 _STALL_WINDOW = 25
-# The linear active-set solve: row i's kink sits at 1 + _KINK_OFFSET*(i+1)/n
+# The active-set solve: row i's kink sits at 1 + _KINK_OFFSET*(i+1)/n
 # while pivoting; its certificate accepts any slope between the two sides of
 # a kink within _KINK_BAND of the margin, and a gradient residual up to
 # _KKT_TOL.  Gaps, multiplier excesses and slopes below _ZERO count as zero.
@@ -128,11 +128,11 @@ class TrainConfig:
 
     lam: float = 1e-3
     cccp_max_outer: int = 30
-    #: Cap per subproblem: pivots of a linear fit's active-set solve (and
-    #: iterations of its fallback), iterations of a kernel fit's subgradient solve.
+    #: Cap per subproblem: pivots of the active-set solve, and iterations of
+    #: the subgradient fallback when the pivots do not certify.
     inner_max_iter: int = 300
-    #: Relative stall tolerance of the subgradient solve (kernel fits and
-    #: linear fallbacks); the linear active set stops on its certificate.
+    #: Relative stall tolerance of the subgradient fallback; the active set
+    #: stops on its certificate.
     inner_tol: float = 1e-8
     outer_tol: float = 1e-6
     restarts: int = 2
@@ -399,7 +399,7 @@ def _row_slopes(y, c, s) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kkt_residual(theta, beta, Z, y, c, s, lam) -> float:
-    """How far (theta, beta) is from certifying theta a minimizer of a linear subproblem.
+    """How far (theta, beta) is from certifying theta a minimizer of a subproblem.
 
     ``beta[i]`` is a slope claimed for row i's term.  It is first clipped to
     what the row allows at its margin m_i: the slope below or above the kink
@@ -460,7 +460,7 @@ def _cell_step(grad, kinked, lam: float):
 
 
 def _solve_active_set(theta0, Z, y, c, s, lam, max_iter: int):
-    """Exact primal active-set solve of a linear fit's subproblem (Scheinberg, JMLR 2006).
+    """Exact primal active-set solve of a CCCP subproblem (Scheinberg, JMLR 2006).
 
     The subproblem is piecewise quadratic in theta = (w, b): row i's term is
     linear in its margin m_i on either side of its kink (``_row_slopes``).
@@ -475,7 +475,8 @@ def _solve_active_set(theta0, Z, y, c, s, lam, max_iter: int):
     at 1 + _KINK_OFFSET*(i+1)/n while pivoting, so no two rows reach theirs
     together: at pi = 0.05 the optimum w = 0, b = -1 puts every negative
     row on its kink, and duplicate rows share one.  The final point moves
-    the working rows onto margin 1.
+    the working rows onto margin 1; when that point does not certify, one
+    more KKT solve at the final working set refines it.
 
     Returns (theta, beta), row slopes that ``_kkt_residual`` certifies
     within _KKT_TOL for the unperturbed subproblem, or None when that takes
@@ -552,17 +553,28 @@ def _solve_active_set(theta0, Z, y, c, s, lam, max_iter: int):
             beta[work] = mult
             kinked = A[work]
             theta += kinked.T.dot(np.linalg.solve(kinked.dot(kinked.T), 1.0 - kink[work]))
-        if _kkt_residual(theta, beta, Z, y, c, s, lam) > _KKT_TOL:
-            return None
-        return theta, beta
+        residual = _kkt_residual(theta, beta, Z, y, c, s, lam)
+        if residual > _KKT_TOL and work and lam > 0:
+            # A rounding-sized last Newton step makes the line search's
+            # -slope/curv a ratio of rounding errors, which can leave theta
+            # off the cell's minimum; one more KKT solve at the same working
+            # set, taken whole, refines it.
+            beta[work] = 0.0
+            grad = A.T.dot(beta)
+            grad[:-1] += lam * theta[:-1]
+            p, beta[work], _ = _cell_step(grad, A[work], lam)
+            theta += p
+            residual = _kkt_residual(theta, beta, Z, y, c, s, lam)
+        return (theta, beta) if residual <= _KKT_TOL else None
     return None
 
 
-def _solve_linear(theta0, Z, y, c, s, lam, config: TrainConfig, buf: _Buffers):
-    """A linear fit's subproblem: the exact active-set solve, never worse than start.
+def _solve(theta0, Z, y, c, s, lam, config: TrainConfig, buf: _Buffers):
+    """One CCCP subproblem, of a linear or a kernel fit: the exact active-set solve.
 
     A solve that does not certify within ``config.inner_max_iter`` pivots
-    falls back to ``_solve_subgradient`` for this subproblem.
+    falls back to ``_solve_subgradient`` for this subproblem.  Never worse
+    than the start.
     """
     try:
         solved = _solve_active_set(theta0, Z, y, c, s, lam, config.inner_max_iter)
@@ -613,7 +625,6 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
     rng = np.random.default_rng(config.seed)
     dim = obj.features.shape[1]
     buf = _Buffers(obj.features.shape[0], dim)
-    solve = _solve_linear if template.kind == "linear" else _solve_subgradient
 
     _RUN_STATS["runs"] += 1
     best = None
@@ -631,8 +642,8 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
             # Majorize: replace the concave part of each ramp by its tangent
             # at the current margins (slope y/2 below margin -1, else 0).
             s = np.where(obj.margins(w, b) * obj.labels < -1.0, 0.5 * obj.labels, 0.0)
-            theta, _ = solve(np.append(w, b), obj.features, obj.labels, obj.coeffs,
-                             s, obj.lam, config, buf)
+            theta, _ = _solve(np.append(w, b), obj.features, obj.labels, obj.coeffs,
+                              s, obj.lam, config, buf)
             w_new, b_new = theta[:-1], float(theta[-1])
             value = obj.value(w_new, b_new)
             _RUN_STATS["outer_steps"] += 1

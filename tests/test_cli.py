@@ -115,10 +115,11 @@ class TestSweepCommands:
         self._assert_one_line_error(capsys.readouterr().err, fragment)
 
     def test_solver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
-        """A trial whose kernel solve diverges aborts the sweep with its context."""
+        """A trial whose subgradient fallback diverges aborts the sweep with its context."""
         path = tmp_path / "pool.csv"
         path.write_text("f1,f2,y\n" + "".join(f"{i % 7}.5,{i % 5}.0,{i % 2}\n" for i in range(60)),
                         encoding="utf-8")
+        monkeypatch.setattr(training, "_solve_active_set", lambda *a: None)
         monkeypatch.setattr(training, "_calibrate_step", lambda *a: 1.0)
         real_grad = training._convex_subgrad
         monkeypatch.setattr(training, "_convex_subgrad", lambda *a: -real_grad(*a))

@@ -146,15 +146,17 @@ class TestRunSweep:
 
 LINEAR_GOLDEN_GRID = ExperimentGrid(sweep="nu", values=(5, 30), n_pos=12, n_neg=4, pi=0.5,
                                     trials=2, test_size=20_000, seed=11)
+KERNEL_GOLDEN_GRID = ExperimentGrid(sweep="pi", values=(0.3, 0.7), n_pos=10, n_neg=10, n_unl=20,
+                                    trials=2, test_size=20_000, seed=12)
 
 
 class TestGoldenSweep:
     """Fixed-seed sweeps and weights, compared exactly.
 
-    The kernel values were recorded before the trainer refactors; the linear
-    ones when linear fits moved to the exact active-set inner solve.  A
-    change that claims to leave the numbers alone has to reproduce them
-    bit for bit.
+    The linear values were recorded when linear fits moved to the exact
+    active-set inner solve, the kernel ones when kernel fits did.  A change
+    that claims to leave the numbers alone has to reproduce them bit for
+    bit.
     """
 
     def test_linear_nu_sweep(self):
@@ -167,25 +169,27 @@ class TestGoldenSweep:
             SweepRow(30.0, "NU", 0.498125, 0.13712499999999997, 1.3076470125298472, 2.9969618716362287),
         ]
 
-    def test_linear_sweep_never_falls_back(self, monkeypatch):
-        """Every inner solve of the linear golden sweep certifies without the subgradient."""
+    @pytest.mark.parametrize("grid, kind", [(LINEAR_GOLDEN_GRID, "linear"),
+                                            (KERNEL_GOLDEN_GRID, "kernel")],
+                             ids=["linear", "kernel"])
+    def test_sweep_never_falls_back(self, grid, kind, monkeypatch):
+        """Every inner solve of a golden sweep certifies without the subgradient."""
         def no_fallback(*args):
-            raise AssertionError("a linear subproblem fell back to the subgradient")
+            raise AssertionError(f"a {kind} subproblem fell back to the subgradient")
 
         monkeypatch.setattr(training, "_solve_subgradient", no_fallback)
-        run_sweep(LINEAR_GOLDEN_GRID, TrainConfig(seed=0))
+        run_sweep(grid, TrainConfig(seed=0), template=ModelTemplate(kind=kind))
 
     def test_kernel_pi_sweep(self):
-        grid = ExperimentGrid(sweep="pi", values=(0.3, 0.7), n_pos=10, n_neg=10, n_unl=20,
-                              trials=2, test_size=20_000, seed=12)
-        table = run_sweep(grid, TrainConfig(seed=0), template=ModelTemplate(kind="kernel"))
+        table = run_sweep(KERNEL_GOLDEN_GRID, TrainConfig(seed=0),
+                          template=ModelTemplate(kind="kernel"))
         assert table.rows == [
-            SweepRow(0.3, "PN", 0.15325, 0.0037999999999999974, 1.4387239731236394, 4.6903559372884915),
-            SweepRow(0.3, "PU", 0.232875, 0.064875, 1.4387239731236394, 4.6903559372884915),
-            SweepRow(0.3, "NU", 0.218875, 0.021775000000000003, 1.4387239731236394, 4.6903559372884915),
-            SweepRow(0.7, "PN", 0.14825, 0.000799999999999995, 4.690355937288491, 1.4387239731236396),
-            SweepRow(0.7, "PU", 0.218575, 0.07442499999999999, 4.690355937288491, 1.4387239731236396),
-            SweepRow(0.7, "NU", 0.23095, 0.07104999999999999, 4.690355937288491, 1.4387239731236396),
+            SweepRow(0.3, "PN", 0.192125, 0.014975, 1.4387239731236394, 4.6903559372884915),
+            SweepRow(0.3, "PU", 0.27645, 0.10325, 1.4387239731236394, 4.6903559372884915),
+            SweepRow(0.3, "NU", 0.315725, 0.12147499999999997, 1.4387239731236394, 4.6903559372884915),
+            SweepRow(0.7, "PN", 0.16044999999999998, 0.0006999999999999922, 4.690355937288491, 1.4387239731236396),
+            SweepRow(0.7, "PU", 0.28350000000000003, 0.11599999999999999, 4.690355937288491, 1.4387239731236396),
+            SweepRow(0.7, "NU", 0.268525, 0.032275000000000005, 4.690355937288491, 1.4387239731236396),
         ]
 
     def test_trained_weights(self):
@@ -202,11 +206,11 @@ class TestGoldenSweep:
         model = train("PU", gen_gaussian_artificial(4, 3, 4, 0.5, 6),
                       ModelTemplate(kind="kernel"), TrainConfig(seed=0))
         assert model.weights.tolist() == [
-            0.47367484284392924, 2.7124228220870923, -0.044801107838209064,
-            -0.08274241607936128, -0.29041083939519224, -2.3558373233365026,
-            -1.890209990320592, -2.03395409045275,
+            -1.963855073750958, -0.23356256098156267, -2.8431130031999783,
+            -4.14749439030859, -6.432724465998217, -8.723560649364302,
+            -7.713116534233161, -7.379795979231887,
         ]
-        assert model.bias == 2.902044253808993
+        assert model.bias == 28.231964324444967
 
 
 class TestEmit:

@@ -188,7 +188,8 @@ class TestTrain:
         assert risk_true_mc(constant_sign, (feats, labels), ZERO_ONE) == 0.5  # min(pi, 1-pi)
 
     def test_divergence_guard(self, monkeypatch):
-        """An ascent direction (broken gradient) in the kernel solve is caught, with a trace."""
+        """A broken gradient in the subgradient fallback is caught, with a trace."""
+        monkeypatch.setattr(training, "_solve_active_set", lambda *a: None)
         monkeypatch.setattr(training, "_calibrate_step", lambda *a: 1.0)
         real_grad = training._convex_subgrad
         monkeypatch.setattr(training, "_convex_subgrad", lambda *a: -real_grad(*a))
@@ -213,15 +214,16 @@ class TestTrain:
             assert not any(np.shares_memory(model.weights, later.weights) for later in laters)
 
 
-def _linear_subproblem(triple, mode, start, lam=1e-3, seed=0):
-    """A linear fit's CCCP subproblem, linearized at a zero or a random start.
+def _subproblem(triple, mode, start, lam=1e-3, seed=0, feature_map=None):
+    """A fit's CCCP subproblem, linearized at a zero or a random start.
 
+    The fit is linear, or a kernel fit when ``feature_map`` is given.
     Returns the solver arguments (theta0, Z, y, c, s, lam).  A random start
     of scale 1.5 puts some rows below margin -1, so their concave parts are
     linearized with a nonzero slope.
     """
-    obj = build_objective(mode, triple, None, lam)
-    dim = triple.d + 1
+    obj = build_objective(mode, triple, feature_map, lam)
+    dim = obj.features.shape[1] + 1
     theta0 = np.zeros(dim) if start == "zero" else np.random.default_rng(seed).normal(0.0, 1.5, dim)
     margins = obj.labels * obj.margins(theta0[:-1], theta0[-1])
     s = np.where(margins < -1.0, 0.5 * obj.labels, 0.0)
@@ -245,28 +247,37 @@ def _certify(sub, max_iter=TrainConfig().inner_max_iter):
     return solved
 
 
+def _kernel_map(mode, triple, width=None):
+    return training._build_feature_map(ModelTemplate(kind="kernel", width=width), mode, triple)
+
+
+def _certify_corpus(mode, kind):
+    """Certify the acceptance design's subproblems: n_unl 5 to 200, three seeds, two starts."""
+    linearized = 0
+    for n_unl in (5, 10, 25, 70, 200):
+        for seed in range(3):
+            triple = gen_gaussian_artificial(45, 5, n_unl, 0.5, 100 * n_unl + seed)
+            fmap = _kernel_map(mode, triple) if kind == "kernel" else None
+            for start in ("zero", "random"):
+                sub = _subproblem(triple, mode, start, seed=seed, feature_map=fmap)
+                theta, beta = _certify(sub)
+                # The certificate is not vacuous: a nearby point fails it.
+                assert training._kkt_residual(theta + 1e-3, beta, *sub[1:]) > training._KKT_TOL
+                linearized += int(np.count_nonzero(sub[4]))
+    assert linearized > 0  # some random starts put rows below margin -1
+
+
 class TestLinearActiveSet:
     """The exact inner solve of linear fits and its KKT certificate."""
 
     @pytest.mark.parametrize("mode", ["PN", "PU", "NU"])
     def test_certifies_a_corpus_of_subproblems(self, mode):
-        """Acceptance design, n_unl 5 to 200, zero and random starts, three seeds each."""
-        linearized = 0
-        for n_unl in (5, 10, 25, 70, 200):
-            for seed in range(3):
-                triple = gen_gaussian_artificial(45, 5, n_unl, 0.5, 100 * n_unl + seed)
-                for start in ("zero", "random"):
-                    sub = _linear_subproblem(triple, mode, start, seed=seed)
-                    theta, beta = _certify(sub)
-                    # The certificate is not vacuous: a nearby point fails it.
-                    assert training._kkt_residual(theta + 1e-3, beta, *sub[1:]) > training._KKT_TOL
-                    linearized += int(np.count_nonzero(sub[4]))
-        assert linearized > 0  # some random starts put rows below margin -1
+        _certify_corpus(mode, "linear")
 
     def test_degenerate_vertex_certifies(self):
         """At pi = 0.05 the PU optimum w = 0, b = -1 puts all 100 unlabeled rows on the kink."""
         triple = gen_gaussian_artificial(45, 5, 100, 0.05, 2)
-        sub = _linear_subproblem(triple, "PU", "zero")
+        sub = _subproblem(triple, "PU", "zero")
         theta, _ = _certify(sub)
         assert np.abs(theta[:-1]).max() < 1e-6 and theta[-1] == pytest.approx(-1.0, abs=1e-6)
         _, Z, y, *_ = sub
@@ -284,7 +295,7 @@ class TestLinearActiveSet:
             pi=0.5,
         )
         for start in ("zero", "random"):
-            _certify(_linear_subproblem(triple, mode, start, seed=42))
+            _certify(_subproblem(triple, mode, start, seed=42))
 
         def no_fallback(*args):
             raise AssertionError("a linear subproblem fell back to the subgradient")
@@ -297,12 +308,12 @@ class TestLinearActiveSet:
         """lam = 0 makes each subproblem a linear program; the active set still certifies."""
         triple = gen_gaussian_artificial(12, 4, 30, 0.5, 44)
         for start in ("zero", "random"):
-            _certify(_linear_subproblem(triple, mode, start, lam=0.0, seed=45))
+            _certify(_subproblem(triple, mode, start, lam=0.0, seed=45))
 
     def test_fallback_at_a_cap_of_one_pivot(self, monkeypatch):
         """Without a certificate the subgradient solves the subproblem, never worse than start."""
         triple = gen_gaussian_artificial(45, 5, 50, 0.5, 46)
-        sub = _linear_subproblem(triple, "PU", "random", seed=47)
+        sub = _subproblem(triple, "PU", "random", seed=47)
         assert training._solve_active_set(*sub, 1) is None
         config = TrainConfig(inner_max_iter=1)
         buf = training._Buffers(*sub[1].shape)
@@ -311,10 +322,35 @@ class TestLinearActiveSet:
         real = training._solve_subgradient
         monkeypatch.setattr(training, "_solve_subgradient",
                             lambda *args: fallbacks.append(1) or real(*args))
-        theta, value = training._solve_linear(*sub, config, buf)
+        theta, value = training._solve(*sub, config, buf)
         assert fallbacks == [1]
         assert value <= start
         assert training._convex_value(theta, *sub[1:], buf)[0] == value
+
+
+class TestKernelActiveSet:
+    """The same solve on a kernel fit's subproblem, a linear fit over the mapped rows."""
+
+    @pytest.mark.parametrize("mode", ["PN", "PU", "NU"])
+    def test_certifies_a_corpus_of_subproblems(self, mode):
+        _certify_corpus(mode, "kernel")
+
+    def test_refinement_certifies_a_rounding_sized_last_step(self, monkeypatch):
+        """A rounding-sized last Newton step leaves the pivots uncertified; a refinement certifies.
+
+        Here the line search stretches a last step of about 2e-16 by about 2e11.
+        """
+        triple = gen_gaussian_artificial(6, 6, 25, 0.3, 43)
+        sub = _subproblem(triple, "PN", "zero", lam=1e-2,
+                          feature_map=_kernel_map("PN", triple, width=0.5))
+        _certify(sub)
+        residuals = []
+        real = training._kkt_residual
+        monkeypatch.setattr(training, "_kkt_residual",
+                            lambda *args: residuals.append(real(*args)) or residuals[-1])
+        assert training._solve_active_set(*sub, TrainConfig().inner_max_iter) is not None
+        assert len(residuals) == 2
+        assert residuals[0] > training._KKT_TOL >= residuals[1]
 
 
 class TestKernelTraining:
@@ -396,7 +432,7 @@ class TestCrossValidation:
         assert len(table) == 2
 
     def test_golden_kernel_cv_tables(self):
-        """Fixed-seed CV tables recorded before the mode-table refactor, compared with ==.
+        """Fixed-seed CV tables from the kernel fits' active set, compared with ==.
 
         They pin the folds, the per-fold training sub-triples and the
         validation estimator of the two modes that use the unlabeled set.
@@ -406,12 +442,12 @@ class TestCrossValidation:
         config = TrainConfig(seed=32, inner_max_iter=80, cccp_max_outer=5)
         want = {
             "PU": (1.5, 0.1, [
-                (1.5, 0.1, -0.022222222222222254), (1.5, 0.001, 0.11111111111111109),
-                (0.7, 0.1, 0.17777777777777778), (0.7, 0.001, 0.0222222222222222),
+                (1.5, 0.1, 0.04444444444444442), (1.5, 0.001, 0.11111111111111109),
+                (0.7, 0.1, 0.17777777777777778), (0.7, 0.001, 0.15555555555555553),
             ]),
-            "NU": (1.5, 0.001, [
-                (1.5, 0.1, 0.49999999999999994), (1.5, 0.001, 0.3333333333333333),
-                (0.7, 0.1, 0.6333333333333333), (0.7, 0.001, 0.7000000000000001),
+            "NU": (1.5, 0.1, [
+                (1.5, 0.1, 0.3), (1.5, 0.001, 0.7999999999999999),
+                (0.7, 0.1, 0.6333333333333333), (0.7, 0.001, 0.8333333333333334),
             ]),
         }
         for mode, expected in want.items():
