@@ -286,7 +286,7 @@ def rademacher_mc_check(sample, c_w: float, c_phi: float, num_sigma_draws: int,
         )
 
     rng = np.random.default_rng(seed)
-    sigma = rng.integers(0, 2, size=(num_sigma_draws, n)) * 2.0 - 1.0
+    sigma = rng.integers(0, 2, size=(num_sigma_draws, n), dtype=np.int8) * 2.0 - 1.0
     norms = np.linalg.norm(sigma @ x, axis=1)
     estimate = (c_w / n) * float(np.mean(norms))
     std_error = (c_w / n) * float(np.std(norms, ddof=1)) / math.sqrt(num_sigma_draws)

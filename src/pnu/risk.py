@@ -11,14 +11,15 @@ The PU and NU forms are unbiased only when the loss satisfies the
 symmetric condition l(t,+1) + l(t,-1) = 1; they reject other losses.  PU
 and NU values may be negative, and no clamping is applied anywhere.
 
-The estimators accumulate their means with compensated summation so the
-million-resample unbiasedness checks are free of accumulation noise;
-``risk_true_mc`` scores large holdouts with numpy's pairwise sum instead.
+Every mean, in the estimators and in ``risk_true_mc``, is numpy's pairwise
+sum divided by the count.  It is exact for the zero-one loss, whose values
+0, 1/2 and 1 and every partial sum of fewer than 2^52 of them are
+representable, so cross-validation scores do not depend on the summation
+order; ramp-loss means may differ from a compensated sum in their last bits.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -31,11 +32,12 @@ from .models import DecisionModel
 Mode = Literal["PN", "PU", "NU"]
 
 
-def _fmean(values: np.ndarray) -> float:
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
+def _fmean(values: np.ndarray):
+    """Pairwise-summed mean over the last axis: a scalar, or one per resample."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
         raise ValueError("cannot average an empty sample set")
-    return math.fsum(arr.tolist()) / arr.size
+    return np.add.reduce(values, axis=-1) / values.shape[-1]
 
 
 def _check_pi(pi: float) -> float:
@@ -66,8 +68,17 @@ MODE_TABLE = {
 MODE_SETS = {mode: spec.sets for mode, spec in MODE_TABLE.items()}
 
 
+def _mean_loss(model: DecisionModel, x: np.ndarray, loss: LossDescriptor, label: int):
+    """Mean loss of one sample set, or of each resample of a (B, n, d) set."""
+    if x.ndim == 3:
+        scores = model.decision_values(x.reshape(-1, x.shape[2])).reshape(x.shape[:2])
+    else:
+        scores = model.decision_values(x)
+    return _fmean(loss.value(scores, label))
+
+
 def _risk(mode: str, model: DecisionModel, x_plus, x_minus, pi: float,
-          loss: LossDescriptor) -> float:
+          loss: LossDescriptor) -> float | np.ndarray:
     spec = MODE_TABLE[mode]
     pi = _check_pi(pi)
     if "x_unl" in spec.sets and not loss.is_symmetric:
@@ -75,31 +86,54 @@ def _risk(mode: str, model: DecisionModel, x_plus, x_minus, pi: float,
             f"{mode} risk estimation requires a symmetric loss "
             f"(l(t,+1) + l(t,-1) = 1); {loss.name!r} is not"
         )
+    x_plus = np.asarray(x_plus, dtype=float)
+    x_minus = np.asarray(x_minus, dtype=float)
+    batched = x_plus.ndim == 3
+    if batched != (x_minus.ndim == 3) or (batched and x_plus.shape[0] != x_minus.shape[0]):
+        raise ValueError(
+            f"{mode} sample sets must share their leading resample axis or both have "
+            f"none; got shapes {x_plus.shape} and {x_minus.shape}"
+        )
     w_plus, w_minus = spec.weights(pi)
-    plus = w_plus * _fmean(loss.value(model.decision_values(x_plus), +1))
-    minus = w_minus * _fmean(loss.value(model.decision_values(x_minus), -1))
+    plus = w_plus * _mean_loss(model, x_plus, loss, +1)
+    minus = w_minus * _mean_loss(model, x_minus, loss, -1)
     # The constant meets the labeled term first and the unlabeled term is
     # added last; for PN the order of the two terms is immaterial.
     labeled, other = (minus, plus) if spec.sets[0] == "x_unl" else (plus, minus)
-    return (spec.constant(pi) + labeled) + other
+    value = (spec.constant(pi) + labeled) + other
+    return value if batched else float(value)
 
 
-def risk_pn(model: DecisionModel, x_pos, x_neg, pi: float, loss: LossDescriptor) -> float:
-    """Supervised estimator from positive and negative samples."""
+def risk_pn(model: DecisionModel, x_pos, x_neg, pi: float,
+            loss: LossDescriptor) -> float | np.ndarray:
+    """Supervised estimator from positive and negative samples.
+
+    Sets of rows give a float.  (B, n_pos, d) and (B, n_neg, d) sets give
+    the B resamples' estimates as a (B,) array, resample k drawing on
+    ``x_pos[k]`` and ``x_neg[k]``; the two sets must agree on B.
+    """
     return _risk("PN", model, x_pos, x_neg, pi, loss)
 
 
-def risk_pu(model: DecisionModel, x_pos, x_unl, pi: float, loss: LossDescriptor) -> float:
+def risk_pu(model: DecisionModel, x_pos, x_unl, pi: float,
+            loss: LossDescriptor) -> float | np.ndarray:
     """Unbiased estimator from positive and unlabeled samples.
 
     Treats the unlabeled set as negatives and removes the resulting bias
-    exactly via the symmetric condition; the value can be negative.
+    exactly via the symmetric condition; the value can be negative.  Sets
+    with a leading resample axis of length B give a (B,) array, as in
+    ``risk_pn``.
     """
     return _risk("PU", model, x_pos, x_unl, pi, loss)
 
 
-def risk_nu(model: DecisionModel, x_unl, x_neg, pi: float, loss: LossDescriptor) -> float:
-    """Unbiased estimator from negative and unlabeled samples (PU mirrored)."""
+def risk_nu(model: DecisionModel, x_unl, x_neg, pi: float,
+            loss: LossDescriptor) -> float | np.ndarray:
+    """Unbiased estimator from negative and unlabeled samples (PU mirrored).
+
+    Sets with a leading resample axis of length B give a (B,) array, as in
+    ``risk_pn``.
+    """
     return _risk("NU", model, x_unl, x_neg, pi, loss)
 
 
@@ -112,10 +146,8 @@ def risk_true_mc(model: DecisionModel, source, loss: LossDescriptor) -> float:
     decision boundary counted as half an error.
 
     Every row is scored under both labels and the loss of its own label is
-    kept.  The losses are summed with numpy's pairwise summation, which is
-    exact for the zero-one loss: its values 0, 1/2 and 1 and every partial
-    sum of fewer than 2^52 of them are representable.  For other losses the
-    mean may differ from a compensated sum in its last bits.
+    kept.  The mean is summed pairwise, as in the estimators (see the module
+    docstring).
     """
     if callable(source) and not isinstance(source, LabeledPool):
         source = source()
@@ -131,5 +163,5 @@ def risk_true_mc(model: DecisionModel, source, loss: LossDescriptor) -> float:
         raise ValueError("labels must be a vector with one entry per feature row")
     scores = model.decision_values(feats)
     values = np.where(labels == 1, loss.value(scores, +1), loss.value(scores, -1))
-    return float(np.add.reduce(values)) / values.size
+    return float(_fmean(values))
 

@@ -1,11 +1,13 @@
 """End-to-end CLI coverage over the documented subcommands and flags."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from pnu import training
+from pnu import harness, training
 from pnu.cli import main
+from pnu.datasets import gen_gaussian_artificial
 
 
 class TestAdviseCommand:
@@ -169,3 +171,24 @@ class TestVerifyCommand:
         assert code == 0
         assert out.count("[PASS]") == 5
         assert "[FAIL]" not in out
+
+    @pytest.mark.parametrize("size", [[], ["--fast"]], ids=["full", "fast"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_passes_for_seeds_0_to_9(self, capsys, seed, size):
+        code = main(["verify", "--seed", str(seed), *size])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.count("[PASS]") == 5
+        assert "[FAIL]" not in out
+
+    def test_short_resample_draw_exits_2(self, monkeypatch, capsys):
+        """A draw one resample short of the others reaches the estimator's shape check."""
+        def short_neg(n_pos, n_neg, n_unl, pi, seed):
+            triple = gen_gaussian_artificial(n_pos, n_neg, n_unl, pi, seed)
+            return replace(triple, x_neg=triple.x_neg[50:])
+
+        monkeypatch.setattr(harness, "gen_gaussian_artificial", short_neg)
+        code = main(["verify", "--fast"])
+        assert code == 2
+        TestSweepCommands._assert_one_line_error(
+            capsys.readouterr().err, "resample axis", "(2000, 50, 2) and (1999, 50, 2)")

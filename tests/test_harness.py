@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from pnu import harness, training
+from pnu import harness, risk, training
 from pnu.datasets import InsufficientDataError, gen_gaussian_artificial
 from pnu.harness import (
     ExperimentGrid,
@@ -17,6 +17,7 @@ from pnu.harness import (
     estimate_pu_pn_crossing,
     run_sweep,
 )
+from pnu.losses import SCALED_RAMP
 from pnu.training import CvConfig, ModelTemplate, TrainConfig, train
 
 FAST_TRAIN = TrainConfig(inner_max_iter=40, cccp_max_outer=4, seed=0)
@@ -316,3 +317,35 @@ class TestVerifySuites:
         ]
         for name, ok, detail in results:
             assert ok, f"{name}: {detail}"
+
+    def test_unbiasedness_resample_k_is_rows_k_n_to_k_n_plus_n(self, monkeypatch):
+        """The batched estimates equal a per-resample loop over the same draw."""
+        draws, calls = [], []
+
+        def recording_draw(*args):
+            draws.append(gen_gaussian_artificial(*args))
+            return draws[-1]
+
+        def recording(estimator):
+            def call(model, *args):
+                calls.append((model, estimator(model, *args)))
+                return calls[-1][1]
+            return call
+
+        estimators = {"PN": risk.risk_pn, "PU": risk.risk_pu, "NU": risk.risk_nu}
+        monkeypatch.setattr(harness, "gen_gaussian_artificial", recording_draw)
+        for mode, estimator in estimators.items():
+            monkeypatch.setattr(risk, f"risk_{mode.lower()}", recording(estimator))
+        resamples, n, pi = 50, 50, 0.5
+        ok, _ = harness._verify_unbiasedness(seed=3, resamples=resamples)
+        assert ok
+        (triple,) = draws
+        assert triple.n_pos == triple.n_neg == triple.n_unl == resamples * n
+        for (model, batched), (mode, estimator) in zip(calls, estimators.items(), strict=True):
+            first, second = risk.MODE_SETS[mode]
+            looped = [
+                estimator(model, getattr(triple, first)[k * n:(k + 1) * n],
+                          getattr(triple, second)[k * n:(k + 1) * n], pi, SCALED_RAMP)
+                for k in range(resamples)
+            ]
+            assert np.array_equal(batched, looped), mode

@@ -1,14 +1,15 @@
 """Estimator values, unbiasedness, ranges, and the convergence rate."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from pnu.datasets import gen_gaussian_artificial, gen_gaussian_labeled
 from pnu.losses import SCALED_RAMP, ZERO_ONE, LossDescriptor
-from pnu.models import DecisionModel
-from pnu.risk import risk_nu, risk_pn, risk_pu, risk_true_mc
+from pnu.models import DecisionModel, EmpiricalKernelMap
+from pnu.risk import MODE_TABLE, risk_nu, risk_pn, risk_pu, risk_true_mc
 
 # Bayes error of the synthetic task at pi = 1/2: the class means sit at
 # distance 2 with unit covariance, so the optimal rule errs with
@@ -190,3 +191,89 @@ class TestEstimatorRanges:
             assert 0.0 <= risk_pn(model, t.x_pos, t.x_neg, pi, SCALED_RAMP) <= 1.0
             assert -pi <= risk_pu(model, t.x_pos, t.x_unl, pi, SCALED_RAMP) <= 1.0 + pi
             assert pi - 1.0 <= risk_nu(model, t.x_unl, t.x_neg, pi, SCALED_RAMP) <= 2.0 - pi
+
+
+ESTIMATORS = {"PN": risk_pn, "PU": risk_pu, "NU": risk_nu}
+
+
+def _batched_sets(rng, b=7, n_plus=13, n_minus=9):
+    """Two (B, n, 2) sample sets with different set sizes."""
+    return rng.normal(size=(b, n_plus, 2)), rng.normal(size=(b, n_minus, 2))
+
+
+def _kernel_model(rng, anchors):
+    fmap = EmpiricalKernelMap(rng.normal(size=(anchors, 2)), width=0.8)
+    return DecisionModel(rng.normal(size=anchors), float(rng.normal()), fmap)
+
+
+class TestBatchedEstimators:
+    """A leading resample axis gives the stacked per-resample estimates."""
+
+    @pytest.mark.parametrize("loss", [SCALED_RAMP, ZERO_ONE], ids=lambda l: l.name)
+    @pytest.mark.parametrize("mode", ["PN", "PU", "NU"])
+    def test_linear_matches_stacked_calls_bit_for_bit(self, mode, loss):
+        rng = np.random.default_rng(11)
+        model = DecisionModel(weights=rng.normal(size=2), bias=float(rng.normal()))
+        x_plus, x_minus = _batched_sets(rng)
+        batched = ESTIMATORS[mode](model, x_plus, x_minus, 0.4, loss)
+        stacked = [ESTIMATORS[mode](model, p, m, 0.4, loss) for p, m in zip(x_plus, x_minus)]
+        assert batched.shape == (7,)
+        assert np.array_equal(batched, stacked)
+
+    @pytest.mark.parametrize("anchors", [5, 60, 300])
+    @pytest.mark.parametrize("loss", [SCALED_RAMP, ZERO_ONE], ids=lambda l: l.name)
+    @pytest.mark.parametrize("mode", ["PN", "PU", "NU"])
+    def test_kernel_matches_stacked_calls(self, mode, loss, anchors):
+        # Scoring B*n rows at once blocks the kernel matvec differently from
+        # n rows at a time, which may move the last bits of a score.
+        rng = np.random.default_rng(12)
+        model = _kernel_model(rng, anchors)
+        x_plus, x_minus = _batched_sets(rng)
+        batched = ESTIMATORS[mode](model, x_plus, x_minus, 0.4, loss)
+        stacked = [ESTIMATORS[mode](model, p, m, 0.4, loss) for p, m in zip(x_plus, x_minus)]
+        np.testing.assert_allclose(batched, stacked, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["PN", "PU", "NU"])
+    def test_zero_one_equals_compensated_sum(self, mode):
+        """Pairwise sums of zero-one losses are exact, so fsum agrees bit for bit."""
+        rng = np.random.default_rng(13)
+        model = DecisionModel(weights=rng.normal(size=2), bias=0.0)
+        x_plus, x_minus = _batched_sets(rng, b=5, n_plus=301, n_minus=77)
+        x_plus[:, :3] = 0.0  # score 0 exactly: a half error
+        pi = 0.3
+        spec = MODE_TABLE[mode]
+        w_plus, w_minus = spec.weights(pi)
+
+        def reference(p, m):
+            plus = w_plus * (math.fsum(ZERO_ONE.value(model.decision_values(p), +1)) / len(p))
+            minus = w_minus * (math.fsum(ZERO_ONE.value(model.decision_values(m), -1)) / len(m))
+            labeled, other = (minus, plus) if mode == "NU" else (plus, minus)
+            return (spec.constant(pi) + labeled) + other
+
+        expected = [reference(p, m) for p, m in zip(x_plus, x_minus)]
+        assert ESTIMATORS[mode](model, x_plus[0], x_minus[0], pi, ZERO_ONE) == expected[0]
+        assert np.array_equal(ESTIMATORS[mode](model, x_plus, x_minus, pi, ZERO_ONE), expected)
+
+    def test_unbatched_call_returns_a_float(self):
+        model = DecisionModel(weights=[1.0, -0.5], bias=0.1)
+        x_plus, x_minus = _batched_sets(np.random.default_rng(14))
+        for estimator in ESTIMATORS.values():
+            assert type(estimator(model, x_plus[0], x_minus[0], 0.5, SCALED_RAMP)) is float
+
+    def test_empty_resamples_rejected(self):
+        model = DecisionModel(weights=[1.0, 0.0], bias=0.0)
+        with pytest.raises(ValueError, match="empty"):
+            risk_pu(model, np.empty((3, 0, 2)), np.ones((3, 4, 2)), 0.5, SCALED_RAMP)
+
+    @pytest.mark.parametrize("x_plus_shape, x_minus_shape", [
+        ((4, 10, 2), (3, 10, 2)),  # resample axes differ
+        ((4, 10, 2), (10, 2)),     # one set batched, the other not
+        ((10, 2), (4, 10, 2)),
+    ])
+    def test_mismatched_resample_axes_rejected(self, x_plus_shape, x_minus_shape):
+        model = DecisionModel(weights=[1.0, 0.0], bias=0.0)
+        message = re.escape(f"{x_plus_shape} and {x_minus_shape}")
+        for estimator in ESTIMATORS.values():
+            with pytest.raises(ValueError, match=message):
+                estimator(model, np.ones(x_plus_shape), np.ones(x_minus_shape), 0.5,
+                          SCALED_RAMP)
