@@ -46,7 +46,6 @@ from .risk import risk_nu, risk_pn, risk_pu, risk_true_mc
 from .training import (
     CccpMonotonicityError,
     CvConfig,
-    DivergenceError,
     ModelTemplate,
     TrainConfig,
     cross_validate,

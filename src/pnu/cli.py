@@ -7,7 +7,7 @@ import json
 import sys
 
 from . import harness
-from .training import CccpMonotonicityError, CvConfig, DivergenceError, TrainConfig
+from .training import CccpMonotonicityError, CvConfig, TrainConfig
 
 DESK_NU_VALUES = (5, 10, 20, 45, 90, 200)
 PAPER_NU_VALUES = (5, 10, 15, 20, 25, 30, 40, 50, 60, 80, 100, 125, 150, 175, 200)
@@ -145,7 +145,7 @@ def main(argv=None) -> int:
             return 0 if all_ok else 1
     except (ValueError, OSError) as exc:
         return _fail(exc, 2)
-    except (DivergenceError, CccpMonotonicityError) as exc:
+    except CccpMonotonicityError as exc:
         return _fail(exc, 3)
     return 2
 

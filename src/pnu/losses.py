@@ -8,11 +8,10 @@ Two losses live here: the zero-one loss and the scaled ramp surrogate
 which is what makes risk estimation from positive-plus-unlabeled (or
 negative-plus-unlabeled) samples unbiased.  The module also provides the
 difference-of-convex split of the ramp, whose convex part (``half_hinge``)
-the CCCP trainer evaluates in place, and a numeric certificate that
-minimizing the ramp's conditional risk recovers the Bayes classifier sign.
+the CCCP trainer evaluates, and a numeric certificate that minimizing the
+ramp's conditional risk recovers the Bayes classifier sign.
 
-All functions are pure, except that ``half_hinge`` writes into the ``out``
-buffer it is given, and accept scalars or numpy arrays in the margin
+All functions are pure and accept scalars or numpy arrays in the margin
 argument; the label argument is a scalar in {+1, -1}.
 """
 
@@ -65,17 +64,11 @@ def zero_one(t, y):
     return float(out) if np.ndim(t) == 0 else out
 
 
-def half_hinge(t, y, out=None):
-    """The half-scaled hinge ``max(0, (1 - t*y)/2)``, the convex part of ``dc_split``.
-
-    Pass an array of the margins' shape as ``out`` to have the hinge written
-    there and returned; the CCCP trainer's inner loop does so to evaluate its
-    subproblem without allocating.
-    """
+def half_hinge(t, y):
+    """The half-scaled hinge ``max(0, (1 - t*y)/2)``, the convex part of ``dc_split``."""
     _check_label(y)
     m = np.asarray(t, dtype=float)
-    if out is None:
-        out = np.empty_like(m)
+    out = np.empty_like(m)
     # 1 + t is exactly 1 - (-t), so both labels give the bits of (1 - t*y)/2.
     if y == +1:
         np.subtract(1.0, m, out=out)

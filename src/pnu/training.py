@@ -18,18 +18,10 @@ quadratic in them.  A primal active-set method (Scheinberg, JMLR 2006)
 solves it exactly, warm-started from the rows the previous outer step
 left on the hinge's kink, and stops only on a KKT certificate: per-row
 slopes, each allowed at its row's margin, whose gradient vanishes to 1e-9
-(``_kkt_residual``).  A subproblem that does not certify within
-``inner_max_iter`` pivots falls back to full-batch subgradient descent
-with a 1/sqrt(k) step schedule, the base step calibrated by backtracking
-on the first step.  The fallback stops when its best value improved by
-less than ``inner_tol`` (relative) over a window of iterations, or after
-``inner_max_iter`` iterations, uncertified.  It writes its margins,
-hinge, subgradient and iterate into buffers that ``train`` allocates once
-per call and reuses across restarts, outer steps and iterations (a
-fitted model's weights are copies, never views of them).
-
-The solve returns its start unless it found a strictly lower subproblem
-value, so the true regularized objective is non-increasing across outer
+(``_kkt_residual``).  The solve returns its start unless it certified a
+strictly lower subproblem value; one that does not certify within
+``inner_max_iter`` pivots, or meets a singular system, keeps its start.
+So the true regularized objective is non-increasing across outer
 iterations; ``train`` asserts that on every step with a 1e-12 slack, and
 a violation is a hard error, not a warning.
 
@@ -45,9 +37,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass, fields, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -58,8 +49,6 @@ from .risk import MODE_SETS, MODE_TABLE, Mode
 from .risk import risk_nu, risk_pn, risk_pu  # noqa: F401 (called by name in _validation_risk)
 
 MONOTONICITY_SLACK = 1e-12
-_DIVERGENCE_STREAK = 10
-_STALL_WINDOW = 25
 # The active-set solve: row i's kink sits at 1 + _KINK_OFFSET*(i+1)/n
 # while pivoting; its certificate accepts any slope between the two sides of
 # a kink within _KINK_BAND of the margin, and a gradient residual up to
@@ -68,14 +57,6 @@ _KINK_OFFSET = 1e-9
 _KINK_BAND = 1e-8
 _KKT_TOL = 1e-9
 _ZERO = 1e-12
-
-
-class DivergenceError(RuntimeError):
-    """Inner solver increased its objective for too many consecutive steps."""
-
-    def __init__(self, message: str, trace: Sequence[float]):
-        super().__init__(f"{message}; recent objective values: {list(trace)}")
-        self.trace = list(trace)
 
 
 class CccpMonotonicityError(RuntimeError):
@@ -124,16 +105,14 @@ def _checked_doc(cls, doc) -> dict:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Solver knobs: regularization, iteration caps, tolerances, restarts."""
+    """Solver knobs: regularization, iteration caps, the outer tolerance, restarts."""
 
     lam: float = 1e-3
     cccp_max_outer: int = 30
-    #: Cap per subproblem: pivots of the active-set solve, and iterations of
-    #: the subgradient fallback when the pivots do not certify.
+    #: Cap on the pivots of each subproblem's active-set solve; a solve that
+    #: does not certify within it keeps its start.
     inner_max_iter: int = 300
-    #: Relative stall tolerance of the subgradient fallback; the active set
-    #: stops on its certificate.
-    inner_tol: float = 1e-8
+    #: CCCP stops once an outer step lowers the objective by less than this.
     outer_tol: float = 1e-6
     restarts: int = 2
     seed: int = 0
@@ -144,8 +123,8 @@ class TrainConfig:
             raise ValueError(f"lam must be non-negative, got {self.lam}")
         if self.cccp_max_outer < 1 or self.inner_max_iter < 1:
             raise ValueError("iteration caps must be at least 1")
-        if not (self.inner_tol > 0 and self.outer_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not self.outer_tol > 0:
+            raise ValueError(f"outer_tol must be positive, got {self.outer_tol}")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
 
@@ -262,129 +241,14 @@ def build_objective(mode: Mode, triple: SampleTriple,
     )
 
 
-class _Buffers:
-    """Scratch arrays that one ``train`` call reuses in every inner iteration.
-
-    Per row: the margins t, the signed margins m = y*t, the hinge, s*t, the
-    subgradient weights dt and the active-hinge mask.  Per coordinate of
-    theta = (w, b): the subgradient, a step scratch, the iterate and the
-    best iterate so far.
-    """
-
-    __slots__ = ("t", "m", "hinge", "st", "dt", "active", "g", "step", "theta", "best")
-
-    def __init__(self, n: int, dim: int):
-        self.t, self.m, self.hinge, self.st, self.dt = np.empty((5, n))
-        self.active = np.empty(n, dtype=bool)
-        self.g, self.step, self.theta, self.best = np.empty((4, dim + 1))
-
-
-def _convex_value(theta, Z, y, c, s, lam, buf: _Buffers) -> tuple[float, np.ndarray]:
-    """Subproblem value at theta = (w, b), and the signed margins y*t there.
-
-    The margins are returned in ``buf.m``, which the next call overwrites.
-    """
+def _convex_value(theta, Z, y, c, s, lam) -> float:
+    """Subproblem value at theta = (w, b): sum_i c_i*(hinge_i + s_i*t_i) + (lam/2)*||w||^2."""
     w = theta[:-1]
-    t = Z.dot(w, out=buf.t)
+    t = Z.dot(w)
     t += theta[-1]
-    m = np.multiply(t, y, out=buf.m)
-    st = np.multiply(s, t, out=buf.st)
-    st += half_hinge(m, +1, out=buf.hinge)
-    val = float(c.dot(st)) + 0.5 * lam * float(w.dot(w))
-    if not math.isfinite(val):
-        raise ValueError("non-finite objective value; a gradient step broke")
-    return val, m
-
-
-def _convex_subgrad(theta, m, Z, slopes, lam, buf: _Buffers) -> np.ndarray:
-    """A subgradient at theta, given the signed margins m = y*t that theta scores.
-
-    It is written to ``buf.g``, which the next call overwrites.
-    """
-    active = np.less(m, 1.0, out=buf.active)
-    dt = buf.dt
-    np.copyto(dt, slopes[1])
-    np.copyto(dt, slopes[0], where=active)
-    g, lam_w = buf.g, buf.step[:-1]
-    Z.T.dot(dt, out=g[:-1])
-    g[:-1] += np.multiply(theta[:-1], lam, out=lam_w)
-    g[-1] = np.add.reduce(dt)
-    return g
-
-
-def _calibrate_step(theta0, f0, g0, Z, y, c, s, lam, buf: _Buffers) -> float:
-    """Pick the base step by backtracking (with greedy expansion) at step one."""
-    gnorm = float(np.linalg.norm(g0))
-    if gnorm < 1e-15:
-        return 0.0
-
-    def value_at(scale: float) -> float:
-        # theta0 - scale*g0, built in the iterate buffer before the solve uses it
-        probe = np.multiply(g0, scale, out=buf.theta)
-        np.subtract(theta0, probe, out=probe)
-        return _convex_value(probe, Z, y, c, s, lam, buf)[0]
-
-    step = max(1.0, float(np.linalg.norm(theta0))) / gnorm
-    f_try = value_at(step)
-    if f_try < f0:
-        for _ in range(20):
-            f_next = value_at(2.0 * step)
-            if f_next < f_try:
-                step *= 2.0
-                f_try = f_next
-            else:
-                break
-        return step
-    for _ in range(60):
-        step *= 0.5
-        if value_at(step) < f0:
-            return step
-    return 0.0
-
-
-def _solve_subgradient(theta0, Z, y, c, s, lam, config: TrainConfig, buf: _Buffers):
-    """Subgradient descent on the linearized subproblem; never worse than start.
-
-    Returns a fresh (theta, value) pair; nothing returned aliases ``buf``.
-    """
-    # Per-row derivative in t of c*(hinge + s*t): the hinge adds -y/2 where
-    # it is active (y*t < 1) and nothing where it is flat.
-    slopes = (c * (s - 0.5 * y), c * s)
-    f0, m = _convex_value(theta0, Z, y, c, s, lam, buf)
-    g = _convex_subgrad(theta0, m, Z, slopes, lam, buf)
-    step = _calibrate_step(theta0, f0, g, Z, y, c, s, lam, buf)
-    if step == 0.0:
-        return theta0, f0
-
-    theta, best_theta = buf.theta, buf.best
-    theta[:] = theta0
-    best_theta[:] = theta0
-    best_f = prev_f = window_best = f0
-    increase_streak = 0
-    recent = deque([f0], maxlen=_DIVERGENCE_STREAK + 2)
-    for k in range(1, config.inner_max_iter + 1):
-        if k > 1:
-            g = _convex_subgrad(theta, m, Z, slopes, lam, buf)
-        theta -= np.multiply(g, step / math.sqrt(k), out=buf.step)
-        f, m = _convex_value(theta, Z, y, c, s, lam, buf)
-        recent.append(f)
-        if f > prev_f:
-            increase_streak += 1
-            if increase_streak >= _DIVERGENCE_STREAK:
-                raise DivergenceError(
-                    f"inner objective rose for {increase_streak} consecutive steps", recent
-                )
-        else:
-            increase_streak = 0
-        if f < best_f:
-            best_f = f
-            best_theta[:] = theta
-        prev_f = f
-        if k % _STALL_WINDOW == 0:
-            if window_best - best_f < config.inner_tol * max(1.0, abs(best_f)):
-                break
-            window_best = best_f
-    return best_theta.copy(), best_f
+    st = s * t
+    st += half_hinge(t * y, +1)
+    return float(c.dot(st)) + 0.5 * lam * float(w.dot(w))
 
 
 def _row_slopes(y, c, s) -> tuple[np.ndarray, np.ndarray]:
@@ -475,12 +339,12 @@ def _solve_active_set(theta0, Z, y, c, s, lam, max_iter: int):
     at 1 + _KINK_OFFSET*(i+1)/n while pivoting, so no two rows reach theirs
     together: at pi = 0.05 the optimum w = 0, b = -1 puts every negative
     row on its kink, and duplicate rows share one.  The final point moves
-    the working rows onto margin 1; when that point does not certify, one
-    more KKT solve at the final working set refines it.
+    the working rows onto margin 1.
 
     Returns (theta, beta), row slopes that ``_kkt_residual`` certifies
     within _KKT_TOL for the unperturbed subproblem, or None when that takes
-    more than ``max_iter`` pivots or the certificate fails.
+    more than ``max_iter`` pivots, the line search runs down an unbounded
+    ray, or the certificate fails.
     """
     n, dim = Z.shape[0], Z.shape[1] + 1
     A = np.empty((n, dim))
@@ -523,7 +387,9 @@ def _solve_active_set(theta0, Z, y, c, s, lam, max_iter: int):
             j = int(turn[0]) if turn.size else rows.size  # the first kink past which f rises
             block = None
             if curv > 0.0:
-                step = -(after[j - 1] if j else slope) / curv
+                # A Newton step that meets no kink is taken whole: its slope
+                # is -curv, and for a rounding-sized p their ratio is noise.
+                step = 1.0 if newton and not j else -(after[j - 1] if j else slope) / curv
                 if j < rows.size and step >= tau[j]:
                     step, block = tau[j], int(rows[j])
             elif j < rows.size:
@@ -553,38 +419,26 @@ def _solve_active_set(theta0, Z, y, c, s, lam, max_iter: int):
             beta[work] = mult
             kinked = A[work]
             theta += kinked.T.dot(np.linalg.solve(kinked.dot(kinked.T), 1.0 - kink[work]))
-        residual = _kkt_residual(theta, beta, Z, y, c, s, lam)
-        if residual > _KKT_TOL and work and lam > 0:
-            # A rounding-sized last Newton step makes the line search's
-            # -slope/curv a ratio of rounding errors, which can leave theta
-            # off the cell's minimum; one more KKT solve at the same working
-            # set, taken whole, refines it.
-            beta[work] = 0.0
-            grad = A.T.dot(beta)
-            grad[:-1] += lam * theta[:-1]
-            p, beta[work], _ = _cell_step(grad, A[work], lam)
-            theta += p
-            residual = _kkt_residual(theta, beta, Z, y, c, s, lam)
-        return (theta, beta) if residual <= _KKT_TOL else None
+        return (theta, beta) if _kkt_residual(theta, beta, Z, y, c, s, lam) <= _KKT_TOL else None
     return None
 
 
-def _solve(theta0, Z, y, c, s, lam, config: TrainConfig, buf: _Buffers):
+def _solve(theta0, Z, y, c, s, lam, max_iter: int):
     """One CCCP subproblem, of a linear or a kernel fit: the exact active-set solve.
 
-    A solve that does not certify within ``config.inner_max_iter`` pivots
-    falls back to ``_solve_subgradient`` for this subproblem.  Never worse
-    than the start.
+    Returns the certified point when it is strictly lower than the start,
+    and the start otherwise: a solve that does not certify within
+    ``max_iter`` pivots or meets a singular system keeps its start.
     """
     try:
-        solved = _solve_active_set(theta0, Z, y, c, s, lam, config.inner_max_iter)
+        solved = _solve_active_set(theta0, Z, y, c, s, lam, max_iter)
     except np.linalg.LinAlgError:  # a singular system: no certificate
         solved = None
     if solved is None:
-        return _solve_subgradient(theta0, Z, y, c, s, lam, config, buf)
-    f0 = _convex_value(theta0, Z, y, c, s, lam, buf)[0]
-    f = _convex_value(solved[0], Z, y, c, s, lam, buf)[0]
-    return (solved[0], f) if f < f0 else (theta0, f0)
+        return theta0
+    theta = solved[0]
+    lower = _convex_value(theta, Z, y, c, s, lam) < _convex_value(theta0, Z, y, c, s, lam)
+    return theta if lower else theta0
 
 
 _RUN_STATS = {"runs": 0, "outer_steps": 0, "monotonicity_violations": 0}
@@ -624,7 +478,6 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
     obj = build_objective(mode, triple, fmap, config.lam)
     rng = np.random.default_rng(config.seed)
     dim = obj.features.shape[1]
-    buf = _Buffers(obj.features.shape[0], dim)
 
     _RUN_STATS["runs"] += 1
     best = None
@@ -642,8 +495,8 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
             # Majorize: replace the concave part of each ramp by its tangent
             # at the current margins (slope y/2 below margin -1, else 0).
             s = np.where(obj.margins(w, b) * obj.labels < -1.0, 0.5 * obj.labels, 0.0)
-            theta, _ = _solve(np.append(w, b), obj.features, obj.labels, obj.coeffs,
-                              s, obj.lam, config, buf)
+            theta = _solve(np.append(w, b), obj.features, obj.labels, obj.coeffs, s, obj.lam,
+                           config.inner_max_iter)
             w_new, b_new = theta[:-1], float(theta[-1])
             value = obj.value(w_new, b_new)
             _RUN_STATS["outer_steps"] += 1

@@ -105,6 +105,7 @@ class TestSweepCommands:
         ("--train-config", {"lam": "x"}, "'lam'"),
         ("--cv-config", {"lambda_grid": 0.1}, "'lambda_grid'"),
         ("--cv-config", {"folds": 2.5, "lambda_grid": [0.1]}, "'folds'"),
+        ("--train-config", {"inner_tol": 1e-8}, "'inner_tol'"),
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, flag, doc, fragment):
         cfg = tmp_path / "config.json"
@@ -117,21 +118,18 @@ class TestSweepCommands:
         self._assert_one_line_error(capsys.readouterr().err, fragment)
 
     def test_solver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
-        """A trial whose subgradient fallback diverges aborts the sweep with its context."""
+        """A trial whose CCCP step raises the objective aborts the sweep with its context."""
         path = tmp_path / "pool.csv"
         path.write_text("f1,f2,y\n" + "".join(f"{i % 7}.5,{i % 5}.0,{i % 2}\n" for i in range(60)),
                         encoding="utf-8")
-        monkeypatch.setattr(training, "_solve_active_set", lambda *a: None)
-        monkeypatch.setattr(training, "_calibrate_step", lambda *a: 1.0)
-        real_grad = training._convex_subgrad
-        monkeypatch.setattr(training, "_convex_subgrad", lambda *a: -real_grad(*a))
+        monkeypatch.setattr(training, "_solve", lambda theta0, *args: theta0 + 1e4)
         code = main([
             "sweep-nu", "--n-unl", "5", "--pi", "0.5", "--n-pos", "6", "--n-neg", "6",
             "--trials", "1", "--data", str(path), "--label-col", "y",
         ])
         assert code == 3
         self._assert_one_line_error(capsys.readouterr().err, "sweep point nu=5, trial 0: ",
-                                    "inner objective rose")
+                                    "objective increased")
 
     @staticmethod
     def _assert_one_line_error(err, *fragments):

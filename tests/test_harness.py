@@ -174,11 +174,18 @@ class TestGoldenSweep:
                                             (KERNEL_GOLDEN_GRID, "kernel")],
                              ids=["linear", "kernel"])
     def test_sweep_never_falls_back(self, grid, kind, monkeypatch):
-        """Every inner solve of a golden sweep certifies without the subgradient."""
-        def no_fallback(*args):
-            raise AssertionError(f"a {kind} subproblem fell back to the subgradient")
+        """Every inner solve of a golden sweep certifies."""
+        real = training._solve_active_set
 
-        monkeypatch.setattr(training, "_solve_subgradient", no_fallback)
+        def certified(*args):
+            try:
+                solved = real(*args)
+            except np.linalg.LinAlgError:
+                solved = None
+            assert solved is not None, f"a {kind} subproblem went uncertified"
+            return solved
+
+        monkeypatch.setattr(training, "_solve_active_set", certified)
         run_sweep(grid, TrainConfig(seed=0), template=ModelTemplate(kind=kind))
 
     def test_kernel_pi_sweep(self):
@@ -198,7 +205,7 @@ class TestGoldenSweep:
         triple = gen_gaussian_artificial(12, 4, 30, 0.5, 5)
         want = {
             "PN": ([5.122053766552068, 0.8070011246123702], 0.4245937810665256),
-            "PU": ([5.456656903545105, 0.29170639917432034], 1.697481969530991),
+            "PU": ([5.456656903545105, 0.2917063991743204], 1.6974819695309908),
             "NU": ([0.9184058776375759, -0.06193877952546087], 0.7911049864476506),
         }
         for mode, (weights, bias) in want.items():
@@ -207,11 +214,11 @@ class TestGoldenSweep:
         model = train("PU", gen_gaussian_artificial(4, 3, 4, 0.5, 6),
                       ModelTemplate(kind="kernel"), TrainConfig(seed=0))
         assert model.weights.tolist() == [
-            -1.963855073750958, -0.23356256098156267, -2.8431130031999783,
-            -4.14749439030859, -6.432724465998217, -8.723560649364302,
-            -7.713116534233161, -7.379795979231887,
+            -1.9638550737509781, -0.23356256098156827, -2.843113003199976,
+            -4.147494390308598, -6.432724465998184, -8.723560649364332,
+            -7.713116534233189, -7.379795979231848,
         ]
-        assert model.bias == 28.231964324444967
+        assert model.bias == 28.23196432444498
 
 
 class TestEmit:

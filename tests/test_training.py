@@ -9,8 +9,8 @@ from pnu.models import DecisionModel
 from pnu.risk import risk_nu, risk_pn, risk_pu, risk_true_mc
 from pnu import training
 from pnu.training import (
+    CccpMonotonicityError,
     CvConfig,
-    DivergenceError,
     ModelTemplate,
     TrainConfig,
     build_objective,
@@ -187,16 +187,14 @@ class TestTrain:
         constant_sign = DecisionModel(weights=np.zeros(2), bias=2.0)
         assert risk_true_mc(constant_sign, (feats, labels), ZERO_ONE) == 0.5  # min(pi, 1-pi)
 
-    def test_divergence_guard(self, monkeypatch):
-        """A broken gradient in the subgradient fallback is caught, with a trace."""
-        monkeypatch.setattr(training, "_solve_active_set", lambda *a: None)
-        monkeypatch.setattr(training, "_calibrate_step", lambda *a: 1.0)
-        real_grad = training._convex_subgrad
-        monkeypatch.setattr(training, "_convex_subgrad", lambda *a: -real_grad(*a))
-        with pytest.raises(DivergenceError) as err:
+    def test_monotonicity_guard(self, monkeypatch):
+        """An inner solve that returns a worse point is a hard error, and counted."""
+        monkeypatch.setattr(training, "_solve", lambda theta0, *args: theta0 + 1e4)
+        training.reset_run_stats()
+        with pytest.raises(CccpMonotonicityError, match="objective increased"):
             train("PN", _toy_triple(), ModelTemplate(kind="kernel", width=1.0),
                   TrainConfig(seed=0))
-        assert len(err.value.trace) >= 10
+        assert training.run_stats()["monotonicity_violations"] == 1
 
     def test_models_do_not_alias_solver_buffers(self):
         """Later fits, linear and kernel, leave an earlier model's parameters alone."""
@@ -230,8 +228,22 @@ def _subproblem(triple, mode, start, lam=1e-3, seed=0, feature_map=None):
     return theta0, obj.features, obj.labels, obj.coeffs, s, lam
 
 
+def _dual_value(beta, Z, y, c, s, lam):
+    """The subproblem's dual objective at row slopes beta, clipped to their boxes.
+
+    Row i's term is max over beta_i in [lo_i, hi_i] of beta_i*m_i + hi_i - beta_i
+    (``_row_slopes``), so minimizing over theta gives D(beta) = sum_i (hi_i -
+    beta_i) - ||sum_i beta_i*y_i*z_i||^2/(2*lam) wherever sum_i beta_i*y_i = 0.
+    Every theta scores at least D(beta): weak duality, whatever solver found it.
+    """
+    lo, hi = training._row_slopes(y, c, s)
+    beta = np.clip(beta, lo, hi)
+    v = Z.T.dot(beta * y)
+    return float(np.sum(hi - beta)) - float(v.dot(v)) / (2.0 * lam)
+
+
 def _certify(sub, max_iter=TrainConfig().inner_max_iter):
-    """Solve a subproblem by the active set; check its certificate and the subgradient bound.
+    """Solve a subproblem by the active set; check its certificate and its duality gap.
 
     Returns the certified (theta, beta).
     """
@@ -240,11 +252,25 @@ def _certify(sub, max_iter=TrainConfig().inner_max_iter):
     theta, beta = solved
     _, Z, y, c, s, lam = sub
     assert training._kkt_residual(theta, beta, Z, y, c, s, lam) <= training._KKT_TOL
-    buf = training._Buffers(*Z.shape)
-    exact = training._convex_value(theta, Z, y, c, s, lam, buf)[0]
-    subgradient = training._solve_subgradient(*sub, TrainConfig(), buf)[1]
-    assert exact <= subgradient + 1e-12
+    if lam > 0:
+        primal = training._convex_value(theta, Z, y, c, s, lam)
+        assert abs(primal - _dual_value(beta, Z, y, c, s, lam)) <= 1e-9
     return solved
+
+
+def _never_uncertified(monkeypatch):
+    """Make a subproblem that the active set does not certify fail the test."""
+    real = training._solve_active_set
+
+    def certified(*args):
+        try:
+            solved = real(*args)
+        except np.linalg.LinAlgError:
+            solved = None
+        assert solved is not None, "a subproblem went uncertified"
+        return solved
+
+    monkeypatch.setattr(training, "_solve_active_set", certified)
 
 
 def _kernel_map(mode, triple, width=None):
@@ -296,11 +322,7 @@ class TestLinearActiveSet:
         )
         for start in ("zero", "random"):
             _certify(_subproblem(triple, mode, start, seed=42))
-
-        def no_fallback(*args):
-            raise AssertionError("a linear subproblem fell back to the subgradient")
-
-        monkeypatch.setattr(training, "_solve_subgradient", no_fallback)
+        _never_uncertified(monkeypatch)
         train(mode, triple, config=TrainConfig(seed=43))
 
     @pytest.mark.parametrize("mode", ["PN", "PU", "NU"])
@@ -310,22 +332,13 @@ class TestLinearActiveSet:
         for start in ("zero", "random"):
             _certify(_subproblem(triple, mode, start, lam=0.0, seed=45))
 
-    def test_fallback_at_a_cap_of_one_pivot(self, monkeypatch):
-        """Without a certificate the subgradient solves the subproblem, never worse than start."""
+    def test_uncertified_solve_keeps_its_start(self):
+        """A solve cut off by a cap of one pivot returns its start bit for bit."""
         triple = gen_gaussian_artificial(45, 5, 50, 0.5, 46)
         sub = _subproblem(triple, "PU", "random", seed=47)
         assert training._solve_active_set(*sub, 1) is None
-        config = TrainConfig(inner_max_iter=1)
-        buf = training._Buffers(*sub[1].shape)
-        start = training._convex_value(*sub, buf)[0]
-        fallbacks = []
-        real = training._solve_subgradient
-        monkeypatch.setattr(training, "_solve_subgradient",
-                            lambda *args: fallbacks.append(1) or real(*args))
-        theta, value = training._solve(*sub, config, buf)
-        assert fallbacks == [1]
-        assert value <= start
-        assert training._convex_value(theta, *sub[1:], buf)[0] == value
+        assert training._solve(*sub, 1).tobytes() == sub[0].tobytes()
+        assert training._solve(*sub, TrainConfig().inner_max_iter).tobytes() != sub[0].tobytes()
 
 
 class TestKernelActiveSet:
@@ -335,22 +348,35 @@ class TestKernelActiveSet:
     def test_certifies_a_corpus_of_subproblems(self, mode):
         _certify_corpus(mode, "kernel")
 
-    def test_refinement_certifies_a_rounding_sized_last_step(self, monkeypatch):
-        """A rounding-sized last Newton step leaves the pivots uncertified; a refinement certifies.
+    @pytest.mark.parametrize("seed", [43, 401])
+    def test_rounding_sized_newton_step_certifies_at_once(self, seed, monkeypatch):
+        """A last Newton step of rounding size is taken whole and certifies on the first check.
 
-        Here the line search stretches a last step of about 2e-16 by about 2e11.
+        Scaling it by -slope/curv, a ratio of rounding errors, once stretched
+        it by about 2e11 (seed 43) and 1.3e13 (seed 401), off the cell's minimum.
         """
-        triple = gen_gaussian_artificial(6, 6, 25, 0.3, 43)
+        triple = gen_gaussian_artificial(6, 6, 25, 0.3, seed)
         sub = _subproblem(triple, "PN", "zero", lam=1e-2,
                           feature_map=_kernel_map("PN", triple, width=0.5))
-        _certify(sub)
         residuals = []
         real = training._kkt_residual
         monkeypatch.setattr(training, "_kkt_residual",
                             lambda *args: residuals.append(real(*args)) or residuals[-1])
-        assert training._solve_active_set(*sub, TrainConfig().inner_max_iter) is not None
-        assert len(residuals) == 2
-        assert residuals[0] > training._KKT_TOL >= residuals[1]
+        _certify(sub)
+        assert len(residuals) == 2  # the solve's own check, then _certify's
+        assert residuals[0] <= training._KKT_TOL
+
+    def test_small_fits_never_go_uncertified(self, monkeypatch):
+        """240 small kernel fits: every mode, two priors, lambdas and widths, seeds 0-9."""
+        _never_uncertified(monkeypatch)
+        for seed in range(10):
+            for pi in (0.3, 0.7):
+                triple = gen_gaussian_artificial(6, 6, 25, pi, seed)
+                for lam in (1e-2, 1e-3):
+                    for width in (0.5, 1.0):
+                        for mode in ("PN", "PU", "NU"):
+                            train(mode, triple, ModelTemplate(kind="kernel", width=width),
+                                  TrainConfig(lam=lam))
 
 
 class TestKernelTraining:
