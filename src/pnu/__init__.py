@@ -6,7 +6,6 @@ from .bounds import (
     AlphaStarResult,
     BoundParams,
     ComparatorInput,
-    RademacherCheck,
     alpha_nu_pn,
     alpha_nu_pn_from_ratios,
     alpha_nu_pn_matched_prior,

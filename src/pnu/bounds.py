@@ -32,28 +32,35 @@ stays below C_w*C_phi/sqrt(n).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Literal, Optional
 
 import numpy as np
 
-from .risk import MODE_TABLE, _check_pi
+from .datasets import _check_pi
+from .risk import MODE_TABLE
 
 
-def _check_count(n, name: str) -> int:
-    if n is None or not n >= 1:
-        raise ValueError(f"{name} must be a positive count, got {n!r}")
-    return int(n)
+def _check_count(n, name: str):
+    """n itself if it is a positive integer (numpy integers pass, bools do not)."""
+    # The exact-int test spares the common case the slower ABC check.
+    integral = type(n) is int or isinstance(n, numbers.Integral) and not isinstance(n, bool)
+    if not integral or n < 1:
+        raise ValueError(f"{name} must be a positive integer count, got {n!r}")
+    return n
 
 
 @dataclass(frozen=True)
 class ComparatorInput:
     """Sample-size configuration feeding the bound comparators.
 
-    ``n_unl=None`` denotes an unbounded unlabeled sample (used only by the
-    asymptotic comparator and by limiting bound values); it is kept
-    symbolic rather than as a floating-point infinity.  ``rho_pn`` is the
-    limiting ratio n_pos/n_neg that ``alpha_star(case="b")`` needs.
+    Counts must be positive integers and are stored as given, so the
+    comparators and the bound values read the same numbers.  ``n_unl=None``
+    denotes an unbounded unlabeled sample (used only by the asymptotic
+    comparator and by limiting bound values); it is kept symbolic rather
+    than as a floating-point infinity.  ``rho_pn`` is the limiting ratio
+    n_pos/n_neg that ``alpha_star(case="b")`` needs.
     """
 
     pi: float
@@ -91,10 +98,6 @@ class BoundParams:
             raise ValueError(f"lipschitz must be positive, got {self.lipschitz}")
         if not self.complexity_const > 0:
             raise ValueError(f"complexity_const must be positive, got {self.complexity_const}")
-
-    @classmethod
-    def for_hyperplane_class(cls, delta: float, lipschitz: float, c_w: float, c_phi: float):
-        return cls(delta=delta, lipschitz=lipschitz, complexity_const=c_w * c_phi)
 
 
 def f_delta(params: BoundParams) -> float:

@@ -34,6 +34,12 @@ class InsufficientDataError(ValueError):
     """A resampling request exhausted one class of the labeled pool."""
 
 
+def _check_pi(pi: float) -> float:
+    if not 0.0 < pi < 1.0:
+        raise ValueError(f"class prior pi must be strictly inside (0, 1), got {pi}")
+    return float(pi)
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=float)
     arr.setflags(write=False)
@@ -60,8 +66,7 @@ class SampleTriple:
         dims = {a.shape[1] for a in sets.values() if a.shape[0] > 0}
         if len(dims) > 1:
             raise ValueError(f"sample sets disagree on feature dimension: {sorted(dims)}")
-        if not 0.0 < self.pi < 1.0:
-            raise ValueError(f"class prior pi must be strictly inside (0, 1), got {self.pi}")
+        _check_pi(self.pi)
 
     @property
     def d(self) -> int:
@@ -148,8 +153,7 @@ def gen_gaussian_artificial(n_pos: int, n_neg: int, n_unl: int, pi: float, seed)
     mean, and each unlabeled point from the pi-mixture of the two (latent
     label discarded).  Bit-identical output for a fixed seed.
     """
-    if not 0.0 < pi < 1.0:
-        raise ValueError(f"class prior pi must be strictly inside (0, 1), got {pi}")
+    _check_pi(pi)
     for name, n in (("n_pos", n_pos), ("n_neg", n_neg), ("n_unl", n_unl)):
         if n < 0:
             raise ValueError(f"{name} must be non-negative, got {n}")
@@ -162,8 +166,7 @@ def gen_gaussian_artificial(n_pos: int, n_neg: int, n_unl: int, pi: float, seed)
 
 def gen_gaussian_labeled(n: int, pi: float, seed):
     """n labeled mixture draws, returned as (features, labels in {+1,-1})."""
-    if not 0.0 < pi < 1.0:
-        raise ValueError(f"class prior pi must be strictly inside (0, 1), got {pi}")
+    _check_pi(pi)
     rng = np.random.default_rng(seed)
     return _mixture_draw(rng, n, pi)
 
@@ -254,21 +257,18 @@ def load_csv(path, label_column) -> LabeledPool:
     return pool
 
 
-@dataclass(frozen=True)
-class _DrawInfo:
-    """Bookkeeping for one pool resampling (index-level, test support)."""
+def sample_triple_from_pool(pool: LabeledPool, n_pos: int, n_neg: int, n_unl: int,
+                            pi: float, seed) -> tuple[SampleTriple, LabeledPool]:
+    """Resample a disjoint training triple plus holdout from a labeled pool.
 
-    pos_idx: np.ndarray
-    neg_idx: np.ndarray
-    unl_idx: np.ndarray
-    unl_latent: np.ndarray
-    holdout_idx: np.ndarray
-
-
-def _sample_triple_with_info(pool: LabeledPool, n_pos: int, n_neg: int, n_unl: int,
-                             pi: float, seed):
-    if not 0.0 < pi < 1.0:
-        raise ValueError(f"class prior pi must be strictly inside (0, 1), got {pi}")
+    Positives and negatives are drawn without replacement from their
+    classes; each unlabeled row is drawn by flipping a pi-coin and taking
+    the next unused row of the matching class (the flip is then
+    discarded).  The holdout is everything left over, uniformly subsampled
+    to at most 10^4 rows.  Raises InsufficientDataError naming the
+    exhausted class when the pool cannot satisfy the draw.
+    """
+    _check_pi(pi)
     rng = np.random.default_rng(seed)
     pos_stream = rng.permutation(pool.pos_indices())
     neg_stream = rng.permutation(pool.neg_indices())
@@ -304,21 +304,4 @@ def _sample_triple_with_info(pool: LabeledPool, n_pos: int, n_neg: int, n_unl: i
         pi=pi,
     )
     holdout = LabeledPool(features=pool.features[holdout_idx], labels=pool.labels[holdout_idx])
-    info = _DrawInfo(pos_idx=pos_idx, neg_idx=neg_idx, unl_idx=unl_idx,
-                     unl_latent=flips, holdout_idx=holdout_idx)
-    return triple, holdout, info
-
-
-def sample_triple_from_pool(pool: LabeledPool, n_pos: int, n_neg: int, n_unl: int,
-                            pi: float, seed) -> tuple[SampleTriple, LabeledPool]:
-    """Resample a disjoint training triple plus holdout from a labeled pool.
-
-    Positives and negatives are drawn without replacement from their
-    classes; each unlabeled row is drawn by flipping a pi-coin and taking
-    the next unused row of the matching class (the flip is then
-    discarded).  The holdout is everything left over, uniformly subsampled
-    to at most 10^4 rows.  Raises InsufficientDataError naming the
-    exhausted class when the pool cannot satisfy the draw.
-    """
-    triple, holdout, _ = _sample_triple_with_info(pool, n_pos, n_neg, n_unl, pi, seed)
     return triple, holdout

@@ -71,24 +71,17 @@ class ExperimentGrid:
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("sweep values must be strictly increasing")
         if self.sweep == "nu":
-            values = tuple(int(v) for v in values)
-            if values[0] < 1:
-                raise ValueError("unlabeled sizes must be positive")
+            values = tuple(int(bounds._check_count(v, "unlabeled size")) for v in values)
             if self.pi is None or not 0.0 < self.pi < 1.0:
                 raise ValueError("a nu sweep needs a fixed pi in (0, 1)")
         else:
             values = tuple(float(v) for v in values)
             if values[0] <= 0.0 or values[-1] >= 1.0:
                 raise ValueError("pi sweep values must lie strictly inside (0, 1)")
-            if self.n_unl is None or self.n_unl < 1:
-                raise ValueError("a pi sweep needs a fixed positive n_unl")
+            bounds._check_count(self.n_unl, "n_unl")
         object.__setattr__(self, "values", values)
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if self.n_pos < 1 or self.n_neg < 1:
-            raise ValueError("n_pos and n_neg must be positive")
-        if self.test_size < 1:
-            raise ValueError("test_size must be positive")
+        for name in ("n_pos", "n_neg", "trials", "test_size"):
+            bounds._check_count(getattr(self, name), name)
 
     def point(self, value) -> tuple[float, int]:
         """Resolve a sweep value into the (pi, n_unl) pair for that point."""
@@ -113,9 +106,6 @@ class ResultTable:
 
     rows: list = field(default_factory=list)
     trial_errors: dict = field(default_factory=dict)  # (sweep_value, mode) -> np.ndarray
-
-    def modes(self) -> set:
-        return {row.mode for row in self.rows}
 
     def series(self, mode: str):
         """(sweep values, mean errors) for one mode, in sweep order."""
@@ -331,8 +321,7 @@ def advise(pi: float, n_pos: int, n_neg: int, n_unl: Optional[int],
 
 
 def _verify_calibration() -> tuple[bool, str]:
-    ok = losses.verify_calibration(losses.default_pi_grid(0.05), losses.default_g_grid(0.01))
-    return ok, "conditional-risk grid 0.05 x 0.01 over [-2, 2]"
+    return losses.verify_calibration(), "conditional-risk grid 0.05 x 0.01 over [-2, 2]"
 
 
 def _verify_comparator_equivalence(seed: int, cases: int = 10_000) -> tuple[bool, str]:

@@ -105,28 +105,19 @@ def dc_split(t, y):
 
 @dataclass(frozen=True)
 class LossDescriptor:
-    """A margin loss with the constants the risk and bound machinery needs.
+    """A margin loss and whether the PU and NU estimators may use it.
 
     ``value(t, y)`` maps a real margin score and a label in {+1, -1} to a
-    loss in [0, 1].  ``lipschitz`` is a Lipschitz constant in the first
-    argument, and ``is_symmetric`` asserts value(t,+1) + value(t,-1) = 1.
+    loss in [0, 1], and ``is_symmetric`` asserts value(t,+1) + value(t,-1) = 1.
     """
 
     value: Callable = field(repr=False)
-    lipschitz: float
     is_symmetric: bool
     name: str = "loss"
 
-    def __post_init__(self) -> None:
-        if not self.lipschitz > 0:
-            raise ValueError("lipschitz constant must be positive")
 
-
-SCALED_RAMP = LossDescriptor(value=scaled_ramp, lipschitz=0.5, is_symmetric=True, name="scaled_ramp")
-
-#: Lipschitz in the distributional sense only; kept for misclassification
-#: reporting, never for gradient-based training.
-ZERO_ONE = LossDescriptor(value=zero_one, lipschitz=np.inf, is_symmetric=True, name="zero_one")
+SCALED_RAMP = LossDescriptor(value=scaled_ramp, is_symmetric=True, name="scaled_ramp")
+ZERO_ONE = LossDescriptor(value=zero_one, is_symmetric=True, name="zero_one")
 
 
 def conditional_risk(pi_plus: float, g_val):
@@ -157,22 +148,22 @@ def default_g_grid(step: float = 0.01, span: float = 2.0) -> np.ndarray:
     return np.linspace(-span, span, 2 * round(span / step) + 1)
 
 
-def calibration_failures(pi_plus_grid, g_grid) -> list[dict]:
-    """Scan the conditional-risk surface for calibration violations.
+def verify_calibration(pi_plus_grid=None, g_grid=None) -> bool:
+    """True iff a grid search certifies classification calibration.
 
-    For every pi_plus != 1/2 in the grid, the grid minimizer of the
-    conditional risk must have the same sign as (pi_plus - pi_minus) and
-    must achieve min(pi_plus, pi_minus) within CALIBRATION_TOL.  Returns
-    one record per violated pair; empty means calibrated on the grid.
+    For every pi_plus != 1/2 in ``pi_plus_grid`` (default
+    ``default_pi_grid()``), the minimizer of the conditional risk over
+    ``g_grid`` (default ``default_g_grid()``, which must span [-2, 2]) must
+    have the sign of pi_plus - pi_minus and achieve min(pi_plus, pi_minus)
+    within CALIBRATION_TOL.  The first failing (pi_plus, g) pair is logged.
     """
-    pi_plus_grid = np.asarray(pi_plus_grid, dtype=float)
-    g_grid = np.asarray(g_grid, dtype=float)
+    pi_plus_grid = default_pi_grid() if pi_plus_grid is None else np.asarray(pi_plus_grid, float)
+    g_grid = default_g_grid() if g_grid is None else np.asarray(g_grid, float)
     if pi_plus_grid.size == 0 or g_grid.size == 0:
         raise ValueError("grids must be non-empty")
     if g_grid.min() > -2.0 + 1e-9 or g_grid.max() < 2.0 - 1e-9:
         raise ValueError("g_grid must span at least [-2, 2]")
 
-    failures = []
     for p in pi_plus_grid:
         if abs(p - 0.5) < 1e-15:
             continue  # any g in [-1, 1] ties at 1/2; nothing to falsify
@@ -182,28 +173,9 @@ def calibration_failures(pi_plus_grid, g_grid) -> list[dict]:
         target = min(p, 1.0 - p)
         want_sign = 1.0 if p > 0.5 else -1.0
         if np.sign(g_star) != want_sign or abs(achieved - target) > CALIBRATION_TOL:
-            failures.append(
-                {"pi_plus": float(p), "g": g_star, "achieved": achieved, "target": target}
+            log.warning(
+                "calibration violated at pi_plus=%.6g: minimizer g=%.6g achieved %.17g, want %.17g",
+                p, g_star, achieved, target,
             )
-    return failures
-
-
-def verify_calibration(pi_plus_grid=None, g_grid=None) -> bool:
-    """True iff the grid search certifies classification calibration.
-
-    The failing (pi_plus, g) pair is logged on falsification; use
-    ``calibration_failures`` to retrieve all of them programmatically.
-    """
-    if pi_plus_grid is None:
-        pi_plus_grid = default_pi_grid()
-    if g_grid is None:
-        g_grid = default_g_grid()
-    failures = calibration_failures(pi_plus_grid, g_grid)
-    if failures:
-        f = failures[0]
-        log.warning(
-            "calibration violated at pi_plus=%.6g: minimizer g=%.6g achieved %.17g, want %.17g",
-            f["pi_plus"], f["g"], f["achieved"], f["target"],
-        )
-        return False
+            return False
     return True

@@ -13,7 +13,6 @@ however many rows are scored.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -140,33 +139,3 @@ class DecisionModel:
             scores[start : start + len(rows)] = self.feature_map(rows) @ self.weights
         scores += self.bias
         return scores
-
-    def to_dict(self) -> dict:
-        doc = {"weights": self.weights.tolist(), "bias": self.bias, "map": None}
-        if self.feature_map is not None:
-            doc["map"] = {
-                "kind": "gaussian_ekm",
-                "width": self.feature_map.width,
-                "anchors": self.feature_map.anchors.tolist(),
-            }
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DecisionModel":
-        fmap = None
-        if doc.get("map") is not None:
-            m = doc["map"]
-            if m.get("kind") != "gaussian_ekm":
-                raise ValueError(f"unknown feature map kind {m.get('kind')!r}")
-            fmap = EmpiricalKernelMap(np.asarray(m["anchors"], dtype=float), float(m["width"]))
-        return cls(np.asarray(doc["weights"], dtype=float), float(doc["bias"]), fmap)
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load(cls, path) -> "DecisionModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-

@@ -25,7 +25,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .datasets import LabeledPool
+from .datasets import LabeledPool, _check_pi
 from .losses import LossDescriptor
 from .models import DecisionModel
 
@@ -38,12 +38,6 @@ def _fmean(values: np.ndarray):
     if values.size == 0:
         raise ValueError("cannot average an empty sample set")
     return np.add.reduce(values, axis=-1) / values.shape[-1]
-
-
-def _check_pi(pi: float) -> float:
-    if not 0.0 < pi < 1.0:
-        raise ValueError(f"class prior pi must be strictly inside (0, 1), got {pi}")
-    return float(pi)
 
 
 @dataclass(frozen=True)

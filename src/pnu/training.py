@@ -64,17 +64,18 @@ class CccpMonotonicityError(RuntimeError):
 
 
 def _is_number(value, kind: str) -> bool:
-    """An integer (for kind "int") or a real number, never a bool; numpy scalars count."""
-    return not isinstance(value, bool) and isinstance(
-        value, numbers.Integral if kind == "int" else numbers.Real
-    )
+    """An integer (for kind "int") or a finite real number, never a bool; numpy scalars count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return isinstance(value, numbers.Integral) or (kind != "int" and math.isfinite(value))
 
 
 def _check_field_types(config) -> None:
     """Raise ValueError naming the first field of the wrong type.
 
-    Int fields need integers, float fields numbers, and grids a list, tuple
-    or array of numbers.
+    Int fields need integers, float fields finite numbers, and grids a list,
+    tuple or array of finite numbers.  (JSON config files may carry NaN and
+    Infinity.)
     """
     for f in fields(config):
         value = getattr(config, f.name)
@@ -84,7 +85,8 @@ def _check_field_types(config) -> None:
         else:
             ok = _is_number(value, f.type)
         if not ok:
-            want = {"int": "an integer", "float": "a number", "tuple": "a list of numbers"}[f.type]
+            want = {"int": "an integer", "float": "a finite number",
+                    "tuple": "a list of finite numbers"}[f.type]
             raise ValueError(f"{type(config).__name__} {f.name!r} must be {want}, got {value!r}")
 
 
@@ -456,8 +458,8 @@ def reset_run_stats() -> None:
 
 def _build_feature_map(template: ModelTemplate, mode: Mode,
                        triple: SampleTriple) -> Optional[EmpiricalKernelMap]:
-    if template.kind == "linear":
-        return None
+    if template.kind == "linear" or mode not in MODE_SETS:
+        return None  # build_objective rejects an unknown mode
     first, second = MODE_SETS[mode]
     anchors = np.vstack([getattr(triple, first), getattr(triple, second)])
     width = template.width if template.width is not None else median_heuristic_width(anchors)
@@ -473,7 +475,6 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
     raises it by more than MONOTONICITY_SLACK raises CccpMonotonicityError.
     Pass a list as ``trace`` to capture the per-restart objective sequences.
     """
-    _require_mode_sets(mode, triple)
     fmap = _build_feature_map(template, mode, triple)
     obj = build_objective(mode, triple, fmap, config.lam)
     rng = np.random.default_rng(config.seed)

@@ -51,10 +51,6 @@ class TestFDelta:
         p2 = BoundParams(delta=0.1, lipschitz=0.5, complexity_const=2.0)
         assert f_delta(p2) - f_delta(p1) == pytest.approx(4.0 * 0.5 * 1.0, abs=1e-12)
 
-    def test_hyperplane_class_constructor(self):
-        p = BoundParams.for_hyperplane_class(delta=0.05, lipschitz=0.5, c_w=3.0, c_phi=2.0)
-        assert p.complexity_const == 6.0
-
 
 class TestBoundValues:
     def test_symmetric_hundreds(self):
@@ -107,6 +103,37 @@ class TestFiniteSampleComparators:
         inp = ComparatorInput(pi=0.5, n_pos=10, n_neg=10, n_unl=None)
         with pytest.raises(ValueError):
             alpha_pu_pn(inp)
+
+
+class TestCounts:
+    @pytest.mark.parametrize("field", ["n_pos", "n_neg", "n_unl"])
+    @pytest.mark.parametrize("value", [42.98, 43.0, True, 0])
+    def test_rejects_non_integral_and_non_positive(self, field, value):
+        counts = dict(n_pos=45, n_neg=5, n_unl=100)
+        counts[field] = value
+        with pytest.raises(ValueError, match=field):
+            ComparatorInput(pi=0.5, **counts)
+
+    def test_numpy_integers_are_stored_as_given(self):
+        inp = ComparatorInput(pi=0.3, n_pos=np.int64(45), n_neg=np.int32(5), n_unl=np.int64(100))
+        ref = ComparatorInput(pi=0.3, n_pos=45, n_neg=5, n_unl=100)
+        assert (inp.n_pos, inp.n_neg, inp.n_unl) == (45, 5, 100)
+        assert (alpha_pu_pn(inp), alpha_nu_pn(inp)) == (alpha_pu_pn(ref), alpha_nu_pn(ref))
+        assert bound_values(inp, BoundParams()) == bound_values(ref, BoundParams())
+
+    def test_alpha_and_bounds_agree_around_a_non_integer_count(self):
+        """At this n_unl, alpha on int(n_unl) and the bounds on the float
+        disagree on whether NU beats PN; the float is rejected, and both
+        integer neighbours agree.
+        """
+        base = dict(pi=0.6817145794281033, n_pos=102, n_neg=3930)
+        with pytest.raises(ValueError, match="n_unl"):
+            ComparatorInput(**base, n_unl=256.74474299572785)
+        for n_unl in (256, 257):
+            inp = ComparatorInput(**base, n_unl=n_unl)
+            v_pn, v_pu, v_nu = bound_values(inp, BoundParams())
+            assert (alpha_pu_pn(inp) < 1.0) == (v_pu < v_pn)
+            assert (alpha_nu_pn(inp) < 1.0) == (v_nu < v_pn)
 
 
 class TestRatioForms:

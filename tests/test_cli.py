@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from pnu import harness, training
+from pnu import harness, losses, training
 from pnu.cli import main
 from pnu.datasets import gen_gaussian_artificial
 
@@ -106,6 +106,10 @@ class TestSweepCommands:
         ("--cv-config", {"lambda_grid": 0.1}, "'lambda_grid'"),
         ("--cv-config", {"folds": 2.5, "lambda_grid": [0.1]}, "'folds'"),
         ("--train-config", {"inner_tol": 1e-8}, "'inner_tol'"),
+        ("--train-config", {"lambda": float("nan")}, "'lam'"),
+        ("--train-config", {"outer_tol": float("inf")}, "'outer_tol'"),
+        ("--cv-config", {"width_grid": [float("inf")], "lambda_grid": [0.1]}, "'width_grid'"),
+        ("--cv-config", {"lambda_grid": [0.1, float("nan")]}, "'lambda_grid'"),
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, flag, doc, fragment):
         cfg = tmp_path / "config.json"
@@ -178,6 +182,18 @@ class TestVerifyCommand:
         assert code == 0
         assert out.count("[PASS]") == 5
         assert "[FAIL]" not in out
+
+    def test_failed_suite_exits_1(self, monkeypatch, capsys):
+        """A conditional risk mirrored in g fails calibration, and only calibration."""
+        true_risk = losses.conditional_risk
+        monkeypatch.setattr(losses, "conditional_risk", lambda p, g: true_risk(p, -g))
+        code = main(["verify", "--fast"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert [line for line in lines if line.startswith("[FAIL]")] == [
+            "[FAIL] calibration: conditional-risk grid 0.05 x 0.01 over [-2, 2]"
+        ]
+        assert sum(line.startswith("[PASS]") for line in lines) == 4
 
     def test_short_resample_draw_exits_2(self, monkeypatch, capsys):
         """A draw one resample short of the others reaches the estimator's shape check."""

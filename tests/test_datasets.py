@@ -8,7 +8,6 @@ from pnu.datasets import (
     InsufficientDataError,
     LabeledPool,
     SampleTriple,
-    _sample_triple_with_info,
     gen_gaussian_artificial,
     gen_gaussian_labeled,
     load_csv,
@@ -159,6 +158,11 @@ def _toy_pool(m=200, p_ratio=0.5, seed=0):
     return LabeledPool(features=feats, labels=labels)
 
 
+def _row_ids(triple):
+    """Pool row indices of a triple's positive, negative and unlabeled rows."""
+    return np.concatenate([triple.x_pos[:, 1], triple.x_neg[:, 1], triple.x_unl[:, 1]]).astype(int)
+
+
 class TestPoolSampling:
     def test_shapes_and_holdout_size(self):
         pool = _toy_pool(m=5300, seed=3)
@@ -175,35 +179,43 @@ class TestPoolSampling:
 
     def test_disjoint_from_holdout(self):
         pool = _toy_pool(m=500, seed=5)
-        triple, holdout, info = _sample_triple_with_info(pool, 20, 20, 50, 0.5, 1)
-        drawn = set(np.concatenate([info.pos_idx, info.neg_idx, info.unl_idx]).tolist())
-        assert drawn.isdisjoint(set(info.holdout_idx.tolist()))
-        # and fully, via the unique row-id feature
-        train_ids = set(np.concatenate(
-            [triple.x_pos[:, 1], triple.x_neg[:, 1], triple.x_unl[:, 1]]
-        ).tolist())
-        assert train_ids.isdisjoint(set(holdout.features[:, 1].tolist()))
+        triple, holdout = sample_triple_from_pool(pool, 20, 20, 50, 0.5, 1)
+        assert set(_row_ids(triple).tolist()).isdisjoint(holdout.features[:, 1].tolist())
+        assert holdout.size == 500 - 90
 
     def test_draws_without_replacement(self):
         pool = _toy_pool(m=400, seed=6)
-        _, _, info = _sample_triple_with_info(pool, 30, 30, 100, 0.5, 2)
-        drawn = np.concatenate([info.pos_idx, info.neg_idx, info.unl_idx])
-        assert len(set(drawn.tolist())) == drawn.size
+        triple, _ = sample_triple_from_pool(pool, 30, 30, 100, 0.5, 2)
+        drawn = _row_ids(triple)
+        assert len(set(drawn.tolist())) == drawn.size == 160
 
     def test_unlabeled_latent_frequency(self):
         """pi-coin flips behind the unlabeled draw have frequency pi."""
         pool = _toy_pool(m=60, seed=7)
         pi, hits = 0.5, 0
         for seed in range(10_000):
-            _, _, info = _sample_triple_with_info(pool, 1, 1, 1, pi, seed)
-            hits += int(info.unl_latent[0] == 1)
+            triple, _ = sample_triple_from_pool(pool, 1, 1, 1, pi, seed)
+            hits += int(triple.x_unl[0, 0] == 1)  # the drawn row's label
         freq = hits / 10_000
         assert abs(freq - pi) <= 4.0 * np.sqrt(pi * (1 - pi) / 10_000)
 
     def test_unlabeled_rows_match_their_latents(self):
+        """Each unlabeled row is the next unused row of its flip's class.
+
+        The class streams and flips are replayed in the sampler's RNG order:
+        positive permutation, negative permutation, then one coin per row.
+        """
         pool = _toy_pool(m=300, seed=8)
-        triple, _, info = _sample_triple_with_info(pool, 10, 10, 80, 0.7, 3)
-        np.testing.assert_array_equal(np.sign(triple.x_unl[:, 0]), info.unl_latent)
+        triple, _ = sample_triple_from_pool(pool, 10, 10, 80, 0.7, 3)
+        rng = np.random.default_rng(3)
+        pos_stream = rng.permutation(pool.pos_indices())
+        neg_stream = rng.permutation(pool.neg_indices())
+        latent = np.where(rng.random(80) < 0.7, 1, -1)
+        ids = triple.x_unl[:, 1].astype(int)
+        np.testing.assert_array_equal(pool.labels[ids], latent)
+        n_flip_pos = int(np.sum(latent == 1))
+        np.testing.assert_array_equal(ids[latent == 1], pos_stream[10 : 10 + n_flip_pos])
+        np.testing.assert_array_equal(ids[latent == -1], neg_stream[10 : 90 - n_flip_pos])
 
     def test_exhaustion_names_the_class(self):
         pool = _toy_pool(m=40, p_ratio=0.2, seed=9)

@@ -49,12 +49,29 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             ExperimentGrid(sweep="pi", values=(0.0, 0.5), n_pos=5, n_neg=5, n_unl=10)
 
+    def test_nu_values_must_be_integers(self):
+        """Truncated to 5, both points would share one trial_errors key per mode."""
+        with pytest.raises(ValueError, match="unlabeled size"):
+            _tiny_grid(values=(5.2, 5.7))
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_pos", 4.5), ("n_neg", True), ("n_unl", 10.5), ("trials", 2.5), ("test_size", 0),
+    ])
+    def test_counts_must_be_positive_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentGrid(**{**dict(sweep="pi", values=(0.2, 0.8), n_pos=5, n_neg=5, n_unl=10),
+                              field: value})
+
+    def test_numpy_integer_sizes_pass(self):
+        grid = _tiny_grid(values=(np.int64(5), np.int64(20)), n_pos=np.int32(10))
+        assert grid.values == (5, 20) and all(type(v) is int for v in grid.values)
+
 
 class TestRunSweep:
     def test_shape_and_mode_coverage(self):
         table = run_sweep(_tiny_grid(), FAST_TRAIN)
         assert len(table.rows) == 2 * 3  # points x modes
-        assert table.modes() == {"PN", "PU", "NU"}
+        assert {row.mode for row in table.rows} == {"PN", "PU", "NU"}
         for row in table.rows:
             assert 0.0 <= row.mean_error <= 1.0
             assert row.alpha_pu_pn > 0 and row.alpha_nu_pn > 0

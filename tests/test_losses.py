@@ -1,11 +1,13 @@
 """Loss values, the symmetric condition, the DC split, and calibration."""
 
+import logging
+
 import numpy as np
 import pytest
 
+from pnu import losses
 from pnu.losses import (
     SCALED_RAMP,
-    calibration_failures,
     conditional_risk,
     dc_split,
     default_g_grid,
@@ -54,7 +56,6 @@ class TestScaledRamp:
             assert np.all((0.0 <= vals) & (vals <= 1.0))
 
     def test_descriptor_constants(self):
-        assert SCALED_RAMP.lipschitz == 0.5
         assert SCALED_RAMP.is_symmetric
         assert SCALED_RAMP.value(0.4, -1) == scaled_ramp(0.4, -1)
 
@@ -154,12 +155,22 @@ class TestCalibration:
 
     def test_coarse_spanning_grid_still_calibrates(self):
         """Any grid reaching the saturated branches attains the exact minimum."""
-        assert calibration_failures([0.9], [-2.0, -0.25, 0.25, 2.0]) == []
+        assert verify_calibration([0.9], [-2.0, -0.25, 0.25, 2.0])
 
     def test_rejects_grid_not_spanning(self):
         with pytest.raises(ValueError):
-            calibration_failures([0.9], [-0.5, 0.0, 0.5])
+            verify_calibration([0.9], [-0.5, 0.0, 0.5])
 
     def test_rejects_empty_grids(self):
         with pytest.raises(ValueError):
-            calibration_failures([], default_g_grid())
+            verify_calibration([], default_g_grid())
+
+    def test_mirrored_surface_fails_and_logs_the_first_pi(self, monkeypatch, caplog):
+        """Risk mirrored in g puts every minimizer on the wrong side of zero."""
+        true_risk = losses.conditional_risk
+        monkeypatch.setattr(losses, "conditional_risk", lambda p, g: true_risk(p, -g))
+        with caplog.at_level(logging.WARNING, logger="pnu.losses"):
+            assert not verify_calibration([0.5, 0.3, 0.9], default_g_grid())
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            "calibration violated at pi_plus=0.3"
+        ]

@@ -152,27 +152,3 @@ class TestKernelModel:
             tracemalloc.stop()
         assert scores.shape == (200_000,)
         assert peak < 64 * 2**20
-
-
-class TestSerialization:
-    def test_linear_roundtrip(self, tmp_path):
-        model = DecisionModel(weights=[0.5, -2.0], bias=1.25)
-        path = tmp_path / "model.json"
-        model.save(path)
-        loaded = DecisionModel.load(path)
-        assert np.array_equal(loaded.weights, model.weights)
-        assert loaded.bias == model.bias
-        assert loaded.feature_map is None
-
-    def test_kernel_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        fmap = EmpiricalKernelMap(anchors=rng.normal(size=(3, 2)), width=0.7)
-        model = DecisionModel(weights=rng.normal(size=3), bias=-0.1, feature_map=fmap)
-        path = tmp_path / "model.json"
-        model.save(path)
-        loaded = DecisionModel.load(path)
-        x = rng.normal(size=(10, 2))
-        np.testing.assert_allclose(
-            loaded.decision_values(x), model.decision_values(x), atol=1e-15
-        )
-        assert loaded.feature_map.width == 0.7

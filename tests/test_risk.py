@@ -18,7 +18,6 @@ BAYES_ERROR = 0.5 * (1.0 + math.erf(-1.0 / math.sqrt(2.0)))
 
 HINGE = LossDescriptor(
     value=lambda t, y: np.maximum(0.0, 1.0 - np.asarray(t, dtype=float) * y),
-    lipschitz=1.0,
     is_symmetric=False,
     name="hinge",
 )

@@ -142,6 +142,10 @@ class TestTrain:
         with pytest.raises(ValueError, match="unknown mode"):
             train("XX", gen_gaussian_artificial(2, 2, 2, 0.5, 0))
 
+    def test_kernel_template_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode"):
+            train("XX", gen_gaussian_artificial(2, 2, 2, 0.5, 0), ModelTemplate(kind="kernel"))
+
     def test_non_finite_data_flagged(self):
         bad = SampleTriple(
             x_pos=np.array([[np.nan, 0.0]]), x_neg=-TOY_NEG, x_unl=np.empty((0, 2)), pi=0.5
