@@ -34,7 +34,7 @@ from .datasets import (
     sample_triple_from_pool,
 )
 from .risk import MODE_TABLE, risk_true_mc
-from .training import CvConfig, ModelTemplate, TrainConfig, cross_validate, train
+from .training import CvConfig, ModelTemplate, TrainConfig, _is_number, cross_validate, train
 
 MODES = tuple(MODE_TABLE)
 
@@ -82,6 +82,9 @@ class ExperimentGrid:
         object.__setattr__(self, "values", values)
         for name in ("n_pos", "n_neg", "trials", "test_size"):
             bounds._check_count(getattr(self, name), name)
+        if not _is_number(self.seed, "int") or self.seed < 0:
+            raise ValueError(
+                f"ExperimentGrid 'seed' must be a non-negative integer, got {self.seed!r}")
 
     def point(self, value) -> tuple[float, int]:
         """Resolve a sweep value into the (pi, n_unl) pair for that point."""

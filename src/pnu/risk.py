@@ -134,8 +134,7 @@ def risk_nu(model: DecisionModel, x_unl, x_neg, pi: float,
 def risk_true_mc(model: DecisionModel, source, loss: LossDescriptor) -> float:
     """Mean loss over a labeled evaluation source.
 
-    ``source`` is a LabeledPool, a (features, labels) pair, or a zero-arg
-    callable producing such a pair (a Monte-Carlo generator).  With the
+    ``source`` is a LabeledPool or a (features, labels) pair.  With the
     zero-one loss this is the misclassification rate, with ties at the
     decision boundary counted as half an error.
 
@@ -143,8 +142,6 @@ def risk_true_mc(model: DecisionModel, source, loss: LossDescriptor) -> float:
     kept.  The mean is summed pairwise, as in the estimators (see the module
     docstring).
     """
-    if callable(source) and not isinstance(source, LabeledPool):
-        source = source()
     if isinstance(source, LabeledPool):
         feats, labels = source.features, source.labels
     else:

@@ -15,15 +15,14 @@ is linear in its features, raw or pushed through the kernel map, so its
 unknowns are theta = (w, b), d + 1 of them for a linear fit and one per
 anchor plus the bias for a kernel fit, and its subproblem is piecewise
 quadratic in them.  A primal active-set method (Scheinberg, JMLR 2006)
-solves it exactly, warm-started from the rows the previous outer step
-left on the hinge's kink, and stops only on a KKT certificate: per-row
-slopes, each allowed at its row's margin, whose gradient vanishes to 1e-9
-(``_kkt_residual``).  The solve returns its start unless it certified a
-strictly lower subproblem value; one that does not certify within
-``inner_max_iter`` pivots, or meets a singular system, keeps its start.
-So the true regularized objective is non-increasing across outer
-iterations; ``train`` asserts that on every step with a 1e-12 slack, and
-a violation is a hard error, not a warning.
+solves it exactly from the previous outer step's point, and stops only
+on a KKT certificate: per-row slopes, each allowed at its row's margin,
+whose gradient vanishes to 1e-9 (``_kkt_residual``).  The solve returns
+its start unless it certified a strictly lower subproblem value; one that
+does not certify within _MAX_PIVOTS pivots, or meets a singular system,
+keeps its start.  So the true regularized objective is non-increasing
+across outer iterations; ``train`` asserts that on every step with a
+1e-12 slack, and a violation is a hard error, not a warning.
 
 Multiple restarts (zero init plus random Gaussian inits of scale 0.1)
 hedge against bad local minima; the restart with the lowest final
@@ -53,10 +52,12 @@ MONOTONICITY_SLACK = 1e-12
 # while pivoting; its certificate accepts any slope between the two sides of
 # a kink within _KINK_BAND of the margin, and a gradient residual up to
 # _KKT_TOL.  Gaps, multiplier excesses and slopes below _ZERO count as zero.
+# A solve that does not certify within _MAX_PIVOTS pivots keeps its start.
 _KINK_OFFSET = 1e-9
 _KINK_BAND = 1e-8
 _KKT_TOL = 1e-9
 _ZERO = 1e-12
+_MAX_PIVOTS = 300
 
 
 class CccpMonotonicityError(RuntimeError):
@@ -107,13 +108,10 @@ def _checked_doc(cls, doc) -> dict:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Solver knobs: regularization, iteration caps, the outer tolerance, restarts."""
+    """Solver knobs: regularization, the outer iteration cap and tolerance, restarts."""
 
     lam: float = 1e-3
     cccp_max_outer: int = 30
-    #: Cap on the pivots of each subproblem's active-set solve; a solve that
-    #: does not certify within it keeps its start.
-    inner_max_iter: int = 300
     #: CCCP stops once an outer step lowers the objective by less than this.
     outer_tol: float = 1e-6
     restarts: int = 2
@@ -121,14 +119,16 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         _check_field_types(self)
-        if self.lam < 0:
-            raise ValueError(f"lam must be non-negative, got {self.lam}")
-        if self.cccp_max_outer < 1 or self.inner_max_iter < 1:
-            raise ValueError("iteration caps must be at least 1")
+        if not self.lam > 0:
+            raise ValueError(f"TrainConfig 'lam' must be positive, got {self.lam}")
+        if self.cccp_max_outer < 1:
+            raise ValueError("cccp_max_outer must be at least 1")
         if not self.outer_tol > 0:
             raise ValueError(f"outer_tol must be positive, got {self.outer_tol}")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"TrainConfig 'seed' must be non-negative, got {self.seed}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
@@ -285,67 +285,53 @@ def _kkt_residual(theta, beta, Z, y, c, s, lam) -> float:
     return max(float(np.abs(grad).max(initial=0.0)), abs(float(yb.sum())))
 
 
-def _independent(rows: np.ndarray, a: np.ndarray) -> bool:
-    """Whether a is linearly independent of the (independent) rows."""
-    rest = a - rows.T.dot(np.linalg.solve(rows.dot(rows.T), rows.dot(a))) if len(rows) else a
-    return float(np.linalg.norm(rest)) > 1e-9 * float(np.linalg.norm(a))
-
-
 def _cell_step(grad, kinked, lam: float):
     """The step toward the minimum of a cell's quadratic with the working rows on their kinks.
 
     ``grad`` is the quadratic's gradient at the current point and
     ``kinked`` holds the working rows' margin coefficients.  Returns
-    (p, mult, newton).  When the quadratic is strictly convex on the step's
-    subspace (lam > 0 and a working row fixes the bias), p is the Newton
-    step to the minimum and ``mult`` the working rows' slopes there, both
-    from one KKT solve.  Where it is flat, p is a unit ray: along the bias
-    with no working rows, or the projected gradient with lam = 0, where
-    ``mult`` are least-squares slopes at the current point.  p is None when
-    the projected gradient vanishes.
+    (p, mult).  When a working row fixes the bias, the quadratic is
+    strictly convex on the step's subspace: p is the Newton step to its
+    minimum and ``mult`` the working rows' slopes there, both from one KKT
+    solve.  With no working rows, p is the Newton step in w alone when the
+    bias slope vanishes, and otherwise a unit ray along the bias, where the
+    quadratic is flat.
     """
     k, dim = kinked.shape
-    if lam > 0 and k:
+    if k:
         kkt = np.zeros((dim + k, dim + k))
         kkt[np.arange(dim - 1), np.arange(dim - 1)] = lam
         kkt[:dim, dim:] = kinked.T
         kkt[dim:, :dim] = kinked
         sol = np.linalg.solve(kkt, np.concatenate((-grad, np.zeros(k))))
-        return sol[:dim], sol[dim:], True
-    if lam > 0:
-        if abs(grad[-1]) > _ZERO:
-            p = np.zeros(dim)
-            p[-1] = -math.copysign(1.0, grad[-1])
-            return p, np.empty(0), False
-        return np.append(-grad[:-1] / lam, 0.0), np.empty(0), True
-    mult = (-np.linalg.solve(kinked.dot(kinked.T), kinked.dot(grad)) if k else np.empty(0))
-    reduced = grad + kinked.T.dot(mult)
-    if np.abs(reduced).max() <= _ZERO:
-        return None, mult, False
-    return reduced / -np.abs(reduced).max(), mult, False
+        return sol[:dim], sol[dim:]
+    if abs(grad[-1]) > _ZERO:
+        p = np.zeros(dim)
+        p[-1] = -math.copysign(1.0, grad[-1])
+        return p, np.empty(0)
+    return np.append(-grad[:-1] / lam, 0.0), np.empty(0)
 
 
-def _solve_active_set(theta0, Z, y, c, s, lam, max_iter: int):
+def _solve_active_set(theta0, Z, y, c, s, lam):
     """Exact primal active-set solve of a CCCP subproblem (Scheinberg, JMLR 2006).
 
     The subproblem is piecewise quadratic in theta = (w, b): row i's term is
     linear in its margin m_i on either side of its kink (``_row_slopes``).
-    The working set holds rows kept exactly on their kink, seeded with the
-    rows on it at theta0 (the previous outer step's); every other row sits on
-    a known side.  Each pivot steps toward the minimum of the current cell's
-    quadratic subject to those equalities (``_cell_step``), by an exact line
-    search that crosses any kinks on the way and adds the row it stops on to
-    the working set.  At the cell's minimum it releases the working row
-    whose slope lies furthest outside [slope below, slope above], to the
-    side the slope points to, or stops when none does.  Row i's kink sits
-    at 1 + _KINK_OFFSET*(i+1)/n while pivoting, so no two rows reach theirs
-    together: at pi = 0.05 the optimum w = 0, b = -1 puts every negative
-    row on its kink, and duplicate rows share one.  The final point moves
-    the working rows onto margin 1.
+    The working set, empty at theta0, holds rows kept exactly on their kink;
+    every other row sits on a known side.  Each pivot steps toward the
+    minimum of the current cell's quadratic subject to those equalities
+    (``_cell_step``), by an exact line search that crosses any kinks on the
+    way and adds the row it stops on to the working set.  At the cell's
+    minimum it releases the working row whose slope lies furthest outside
+    [slope below, slope above], to the side the slope points to, or stops
+    when none does.  Row i's kink sits at 1 + _KINK_OFFSET*(i+1)/n while
+    pivoting, so no two rows reach theirs together: at pi = 0.05 the optimum
+    w = 0, b = -1 puts every negative row on its kink, and duplicate rows
+    share one.  The final point moves the working rows onto margin 1.
 
     Returns (theta, beta), row slopes that ``_kkt_residual`` certifies
     within _KKT_TOL for the unperturbed subproblem, or None when that takes
-    more than ``max_iter`` pivots, the line search runs down an unbounded
+    more than _MAX_PIVOTS pivots, the line search runs down an unbounded
     ray, or the certificate fails.
     """
     n, dim = Z.shape[0], Z.shape[1] + 1
@@ -361,17 +347,13 @@ def _solve_active_set(theta0, Z, y, c, s, lam, max_iter: int):
     right = m > kink
     free = np.ones(n, dtype=bool)
     work: list[int] = []
-    for i in np.flatnonzero(np.abs(m - kink) <= _ZERO):
-        if len(work) < dim and _independent(A[work], A[i]):
-            work.append(int(i))
-            free[i] = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_PIVOTS):
         beta = np.where(right, hi, lo)
         beta[work] = 0.0
         grad = A.T.dot(beta)
         grad[:-1] += lam * theta[:-1]
-        p, mult, newton = _cell_step(grad, A[work], lam)
-        slope = float(grad.dot(p)) if p is not None else 0.0
+        p, mult = _cell_step(grad, A[work], lam)
+        slope = float(grad.dot(p))
         if slope < 0.0:
             # Exact line search on theta + tau*p.  Free rows moving toward
             # their kink cross it at tau_i; each crossing raises the slope in
@@ -391,7 +373,7 @@ def _solve_active_set(theta0, Z, y, c, s, lam, max_iter: int):
             if curv > 0.0:
                 # A Newton step that meets no kink is taken whole: its slope
                 # is -curv, and for a rounding-sized p their ratio is noise.
-                step = 1.0 if newton and not j else -(after[j - 1] if j else slope) / curv
+                step = -after[j - 1] / curv if j else 1.0
                 if j < rows.size and step >= tau[j]:
                     step, block = tau[j], int(rows[j])
             elif j < rows.size:
@@ -407,7 +389,7 @@ def _solve_active_set(theta0, Z, y, c, s, lam, max_iter: int):
             if block is not None:
                 work.append(block)
                 free[block] = False
-            if not (newton and j == 0 and block is None):
+            if j or block is not None:
                 continue
         # At the cell's minimum, where mult are the working rows' slopes.
         if work:
@@ -425,15 +407,15 @@ def _solve_active_set(theta0, Z, y, c, s, lam, max_iter: int):
     return None
 
 
-def _solve(theta0, Z, y, c, s, lam, max_iter: int):
+def _solve(theta0, Z, y, c, s, lam):
     """One CCCP subproblem, of a linear or a kernel fit: the exact active-set solve.
 
     Returns the certified point when it is strictly lower than the start,
     and the start otherwise: a solve that does not certify within
-    ``max_iter`` pivots or meets a singular system keeps its start.
+    _MAX_PIVOTS pivots or meets a singular system keeps its start.
     """
     try:
-        solved = _solve_active_set(theta0, Z, y, c, s, lam, max_iter)
+        solved = _solve_active_set(theta0, Z, y, c, s, lam)
     except np.linalg.LinAlgError:  # a singular system: no certificate
         solved = None
     if solved is None:
@@ -496,8 +478,7 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
             # Majorize: replace the concave part of each ramp by its tangent
             # at the current margins (slope y/2 below margin -1, else 0).
             s = np.where(obj.margins(w, b) * obj.labels < -1.0, 0.5 * obj.labels, 0.0)
-            theta = _solve(np.append(w, b), obj.features, obj.labels, obj.coeffs, s, obj.lam,
-                           config.inner_max_iter)
+            theta = _solve(np.append(w, b), obj.features, obj.labels, obj.coeffs, s, obj.lam)
             w_new, b_new = theta[:-1], float(theta[-1])
             value = obj.value(w_new, b_new)
             _RUN_STATS["outer_steps"] += 1

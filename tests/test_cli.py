@@ -1,13 +1,16 @@
 """End-to-end CLI coverage over the documented subcommands and flags."""
 
 import json
-from dataclasses import replace
+import pathlib
+import re
+from dataclasses import fields, replace
 
 import pytest
 
 from pnu import harness, losses, training
 from pnu.cli import main
 from pnu.datasets import gen_gaussian_artificial
+from pnu.training import CvConfig, TrainConfig
 
 
 class TestAdviseCommand:
@@ -81,8 +84,7 @@ class TestSweepCommands:
 
     def test_train_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "train.json"
-        cfg.write_text(json.dumps({"lambda": 0.01, "inner_max_iter": 30,
-                                   "cccp_max_outer": 3}), encoding="utf-8")
+        cfg.write_text(json.dumps({"lambda": 0.01, "cccp_max_outer": 3}), encoding="utf-8")
         code = main([
             "sweep-nu", "--n-unl", "5", "--pi", "0.5", "--n-pos", "6", "--n-neg", "6",
             "--trials", "1", "--test-size", "400", "--seed", "5",
@@ -110,6 +112,9 @@ class TestSweepCommands:
         ("--train-config", {"outer_tol": float("inf")}, "'outer_tol'"),
         ("--cv-config", {"width_grid": [float("inf")], "lambda_grid": [0.1]}, "'width_grid'"),
         ("--cv-config", {"lambda_grid": [0.1, float("nan")]}, "'lambda_grid'"),
+        ("--train-config", {"seed": -1}, "'seed'"),
+        ("--train-config", {"lambda": 0}, "'lam'"),
+        ("--train-config", {"inner_max_iter": 300}, "'inner_max_iter'"),
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, flag, doc, fragment):
         cfg = tmp_path / "config.json"
@@ -206,3 +211,16 @@ class TestVerifyCommand:
         assert code == 2
         TestSweepCommands._assert_one_line_error(
             capsys.readouterr().err, "resample axis", "(2000, 50, 2) and (1999, 50, 2)")
+
+
+def test_readme_config_examples_load():
+    """The two JSON blocks under README's "### Config files" load, with every key documented."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config files", 1)[1].split("\n## ", 1)[0]
+    train_doc, cv_doc = (json.loads(block)
+                         for block in re.findall(r"```json\n(.*?)```", section, re.S))
+    TrainConfig.from_dict(train_doc)
+    CvConfig.from_dict(cv_doc)
+    assert {"lam" if key == "lambda" else key for key in train_doc} == \
+        {f.name for f in fields(TrainConfig)}
+    assert set(cv_doc) == {f.name for f in fields(CvConfig)}

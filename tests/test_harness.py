@@ -20,7 +20,7 @@ from pnu.harness import (
 from pnu.losses import SCALED_RAMP
 from pnu.training import CvConfig, ModelTemplate, TrainConfig, train
 
-FAST_TRAIN = TrainConfig(inner_max_iter=40, cccp_max_outer=4, seed=0)
+FAST_TRAIN = TrainConfig(cccp_max_outer=4, seed=0)
 
 
 def _tiny_grid(**overrides):
@@ -48,6 +48,11 @@ class TestGridValidation:
     def test_pi_values_inside_unit_interval(self):
         with pytest.raises(ValueError):
             ExperimentGrid(sweep="pi", values=(0.0, 0.5), n_pos=5, n_neg=5, n_unl=10)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="'seed'"):
+            _tiny_grid(seed=seed)
 
     def test_nu_values_must_be_integers(self):
         """Truncated to 5, both points would share one trial_errors key per mode."""

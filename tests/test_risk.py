@@ -125,11 +125,6 @@ class TestRiskTrue:
         zo = risk_true_mc(model, (feats, labels), ZERO_ONE)
         assert ramp != zo
 
-    def test_callable_source(self):
-        model = DecisionModel(weights=[0.0, 0.0], bias=0.0)
-        value = risk_true_mc(model, lambda: gen_gaussian_labeled(100, 0.5, 0), SCALED_RAMP)
-        assert value == 0.5
-
     def test_empty_rejected(self):
         model = DecisionModel(weights=[0.0, 0.0], bias=0.0)
         with pytest.raises(ValueError):

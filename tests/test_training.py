@@ -52,7 +52,7 @@ class TestObjective:
     def test_objective_is_the_unbiased_ramp_risk(self, mode, kind):
         """Objective minus (lam/2)||w||^2 is the mode's estimator under the scaled ramp."""
         triple = gen_gaussian_artificial(20, 15, 30, 0.4, 21)
-        config = TrainConfig(lam=1e-2, seed=22, inner_max_iter=60, cccp_max_outer=5)
+        config = TrainConfig(lam=1e-2, seed=22, cccp_max_outer=5)
         model = train(mode, triple, ModelTemplate(kind=kind), config)
         obj = build_objective(mode, triple, model.feature_map, config.lam)
         w, b = model.weights, model.bias
@@ -202,7 +202,7 @@ class TestTrain:
 
     def test_models_do_not_alias_solver_buffers(self):
         """Later fits, linear and kernel, leave an earlier model's parameters alone."""
-        config = TrainConfig(seed=11, inner_max_iter=60, cccp_max_outer=4)
+        config = TrainConfig(seed=11, cccp_max_outer=4)
         templates = (ModelTemplate(), ModelTemplate(kind="kernel", width=1.0))
         first_data = gen_gaussian_artificial(15, 15, 20, 0.5, 21)
         other_data = gen_gaussian_artificial(12, 18, 25, 0.4, 22)
@@ -246,19 +246,19 @@ def _dual_value(beta, Z, y, c, s, lam):
     return float(np.sum(hi - beta)) - float(v.dot(v)) / (2.0 * lam)
 
 
-def _certify(sub, max_iter=TrainConfig().inner_max_iter):
-    """Solve a subproblem by the active set; check its certificate and its duality gap.
+def _certify(sub):
+    """Solve a subproblem by the active set, capped at training._MAX_PIVOTS pivots.
 
-    Returns the certified (theta, beta).
+    Checks its certificate and its duality gap, and returns the certified
+    (theta, beta).
     """
-    solved = training._solve_active_set(*sub, max_iter)
+    solved = training._solve_active_set(*sub)
     assert solved is not None, "the active set did not certify"
     theta, beta = solved
     _, Z, y, c, s, lam = sub
     assert training._kkt_residual(theta, beta, Z, y, c, s, lam) <= training._KKT_TOL
-    if lam > 0:
-        primal = training._convex_value(theta, Z, y, c, s, lam)
-        assert abs(primal - _dual_value(beta, Z, y, c, s, lam)) <= 1e-9
+    primal = training._convex_value(theta, Z, y, c, s, lam)
+    assert abs(primal - _dual_value(beta, Z, y, c, s, lam)) <= 1e-9
     return solved
 
 
@@ -329,20 +329,28 @@ class TestLinearActiveSet:
         _never_uncertified(monkeypatch)
         train(mode, triple, config=TrainConfig(seed=43))
 
-    @pytest.mark.parametrize("mode", ["PN", "PU", "NU"])
-    def test_zero_lambda_certifies(self, mode):
-        """lam = 0 makes each subproblem a linear program; the active set still certifies."""
-        triple = gen_gaussian_artificial(12, 4, 30, 0.5, 44)
-        for start in ("zero", "random"):
-            _certify(_subproblem(triple, mode, start, lam=0.0, seed=45))
-
-    def test_uncertified_solve_keeps_its_start(self):
+    def test_uncertified_solve_keeps_its_start(self, monkeypatch):
         """A solve cut off by a cap of one pivot returns its start bit for bit."""
         triple = gen_gaussian_artificial(45, 5, 50, 0.5, 46)
         sub = _subproblem(triple, "PU", "random", seed=47)
-        assert training._solve_active_set(*sub, 1) is None
-        assert training._solve(*sub, 1).tobytes() == sub[0].tobytes()
-        assert training._solve(*sub, TrainConfig().inner_max_iter).tobytes() != sub[0].tobytes()
+        assert training._solve(*sub).tobytes() != sub[0].tobytes()
+        monkeypatch.setattr(training, "_MAX_PIVOTS", 1)
+        assert training._solve_active_set(*sub) is None
+        assert training._solve(*sub).tobytes() == sub[0].tobytes()
+
+    def test_singular_system_keeps_its_start(self, monkeypatch):
+        """A solve that meets a singular system returns its start bit for bit."""
+        triple = gen_gaussian_artificial(45, 5, 50, 0.5, 46)
+        sub = _subproblem(triple, "PU", "random", seed=47)
+        calls = []
+
+        def singular(*args):
+            calls.append(args)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(training.np.linalg, "solve", singular)
+        assert training._solve(*sub).tobytes() == sub[0].tobytes()
+        assert calls  # the solve reached a KKT system
 
 
 class TestKernelActiveSet:
@@ -386,7 +394,7 @@ class TestKernelActiveSet:
 class TestKernelTraining:
     def test_anchor_sets_mirror_the_mode(self):
         triple = gen_gaussian_artificial(8, 6, 10, 0.5, 12)
-        config = TrainConfig(seed=13, inner_max_iter=50, cccp_max_outer=5)
+        config = TrainConfig(seed=13, cccp_max_outer=5)
         template = ModelTemplate(kind="kernel", width=1.0)
         expected = {"PN": 14, "PU": 18, "NU": 16}
         for mode, n_anchors in expected.items():
@@ -421,7 +429,7 @@ class TestCrossValidation:
         cv = CvConfig(folds=5, width_grid=(1.0,), lambda_grid=(1e-3,))
         width, lam, table = cross_validate(
             "PU", triple, ModelTemplate(kind="kernel"), cv,
-            TrainConfig(seed=19, inner_max_iter=60, cccp_max_outer=4),
+            TrainConfig(seed=19, cccp_max_outer=4),
         )
         assert (width, lam) == (1.0, 1e-3)
         assert len(table) == 1
@@ -429,7 +437,7 @@ class TestCrossValidation:
     def test_duplicates_deduplicated_and_argmin_consistent(self):
         triple = gen_gaussian_artificial(15, 10, 20, 0.5, 20)
         cv = CvConfig(folds=5, width_grid=(1.0, 1.0, 2.0), lambda_grid=(1e-3, 1e-3, 1e-1))
-        config = TrainConfig(seed=21, inner_max_iter=60, cccp_max_outer=4)
+        config = TrainConfig(seed=21, cccp_max_outer=4)
         width, lam, table = cross_validate("PU", triple, ModelTemplate(kind="kernel"), cv, config)
         assert len(table) == 4  # 2 widths x 2 lambdas after dedup
         best_risk = min(risk for _, _, risk in table)
@@ -457,7 +465,7 @@ class TestCrossValidation:
         triple = gen_gaussian_artificial(15, 15, 1, 0.5, 25)
         cv = CvConfig(folds=3, width_grid=(), lambda_grid=(1e-4, 1e-2))
         width, lam, table = cross_validate("PN", triple, ModelTemplate(kind="linear"), cv,
-                                           TrainConfig(seed=26, inner_max_iter=60))
+                                           TrainConfig(seed=26))
         assert width is None
         assert len(table) == 2
 
@@ -469,7 +477,7 @@ class TestCrossValidation:
         """
         triple = gen_gaussian_artificial(10, 10, 15, 0.4, 31)
         cv = CvConfig(folds=3, width_grid=(0.7, 1.5), lambda_grid=(1e-3, 1e-1))
-        config = TrainConfig(seed=32, inner_max_iter=80, cccp_max_outer=5)
+        config = TrainConfig(seed=32, cccp_max_outer=5)
         want = {
             "PU": (1.5, 0.1, [
                 (1.5, 0.1, 0.04444444444444442), (1.5, 0.001, 0.11111111111111109),
@@ -493,10 +501,10 @@ class TestConfigs:
 
     def test_train_config_json_roundtrip(self, tmp_path):
         path = tmp_path / "train.json"
-        path.write_text('{"lambda": 0.01, "inner_max_iter": 100}', encoding="utf-8")
+        path.write_text('{"lambda": 0.01, "cccp_max_outer": 7}', encoding="utf-8")
         cfg = TrainConfig.from_json(path)
         assert cfg.lam == 0.01
-        assert cfg.inner_max_iter == 100
+        assert cfg.cccp_max_outer == 7
 
     @pytest.mark.parametrize("doc, fragment", [
         ({"bogus": 1}, "'bogus'"),
@@ -537,6 +545,10 @@ class TestConfigs:
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(lam=-1.0)
+        with pytest.raises(ValueError, match="'lam'"):
+            TrainConfig(lam=0.0)
+        with pytest.raises(ValueError, match="'seed'"):
+            TrainConfig(seed=-1)
         with pytest.raises(ValueError):
             TrainConfig(restarts=0)
         with pytest.raises(ValueError):
