@@ -35,7 +35,6 @@ from .losses import (
     ZERO_ONE,
     LossDescriptor,
     conditional_risk,
-    dc_split,
     scaled_ramp,
     verify_calibration,
     zero_one,

@@ -23,6 +23,17 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
+def _n_unl(text: str):
+    """An unlabeled size, or None for 'inf'/'unbounded' (the unbounded limit)."""
+    if text.lower() in ("inf", "unbounded"):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, 'inf' or 'unbounded', got {text!r}") from None
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-pos", type=int, default=45, help="positive sample size")
     parser.add_argument("--n-neg", type=int, default=5, help="negative sample size")
@@ -106,7 +117,7 @@ def main(argv=None) -> int:
     p_adv.add_argument("--pi", type=float, required=True)
     p_adv.add_argument("--n-pos", type=int, required=True)
     p_adv.add_argument("--n-neg", type=int, required=True)
-    p_adv.add_argument("--n-unl", default=None,
+    p_adv.add_argument("--n-unl", type=_n_unl, default=None,
                        help="unlabeled size; omit or pass 'inf' for the unbounded limit")
     p_adv.add_argument("--out", default=None)
 
@@ -123,12 +134,7 @@ def main(argv=None) -> int:
             values = args.pi or (PAPER_PI_VALUES if args.paper_scale else DESK_PI_VALUES)
             return _run_sweep(args, "pi", values)
         if args.command == "advise":
-            n_unl = args.n_unl
-            if n_unl is None or str(n_unl).lower() in ("inf", "unbounded"):
-                n_unl = None
-            else:
-                n_unl = int(n_unl)
-            doc = harness.advise(args.pi, args.n_pos, args.n_neg, n_unl)
+            doc = harness.advise(args.pi, args.n_pos, args.n_neg, args.n_unl)
             text = json.dumps(doc, indent=1)
             if args.out:
                 with open(args.out, "w", encoding="utf-8") as fh:

@@ -34,7 +34,7 @@ from .datasets import (
     sample_triple_from_pool,
 )
 from .risk import MODE_TABLE, risk_true_mc
-from .training import CvConfig, ModelTemplate, TrainConfig, _is_number, cross_validate, train
+from .training import CvConfig, ModelTemplate, TrainConfig, _check_seed, cross_validate, train
 
 MODES = tuple(MODE_TABLE)
 
@@ -82,9 +82,7 @@ class ExperimentGrid:
         object.__setattr__(self, "values", values)
         for name in ("n_pos", "n_neg", "trials", "test_size"):
             bounds._check_count(getattr(self, name), name)
-        if not _is_number(self.seed, "int") or self.seed < 0:
-            raise ValueError(
-                f"ExperimentGrid 'seed' must be a non-negative integer, got {self.seed!r}")
+        _check_seed("ExperimentGrid", self.seed)
 
     def point(self, value) -> tuple[float, int]:
         """Resolve a sweep value into the (pi, n_unl) pair for that point."""
@@ -416,6 +414,7 @@ def _verify_rademacher(seed: int) -> tuple[bool, str]:
 
 def verify(seed: int = 0, fast: bool = False) -> list[tuple[str, bool, str]]:
     """Run the invariant suites and return (name, passed, detail) triples."""
+    _check_seed("verify", seed)
     resamples = 2_000 if fast else 10_000
     cases = 2_000 if fast else 10_000
     return [

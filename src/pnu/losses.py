@@ -6,10 +6,10 @@ Two losses live here: the zero-one loss and the scaled ramp surrogate
     loss(t, +1) + loss(t, -1) = 1
 
 which is what makes risk estimation from positive-plus-unlabeled (or
-negative-plus-unlabeled) samples unbiased.  The module also provides the
-difference-of-convex split of the ramp, whose convex part (``half_hinge``)
-the CCCP trainer evaluates, and a numeric certificate that minimizing the
-ramp's conditional risk recovers the Bayes classifier sign.
+negative-plus-unlabeled) samples unbiased.  The module also provides a
+numeric certificate that minimizing the ramp's conditional risk recovers
+the Bayes classifier sign.  The ramp's difference-of-convex split, which
+CCCP training minimizes, lives with the trainer in ``training``.
 
 All functions are pure and accept scalars or numpy arrays in the margin
 argument; the label argument is a scalar in {+1, -1}.
@@ -62,45 +62,6 @@ def zero_one(t, y):
     _check_label(y)
     out = (1.0 - np.sign(np.asarray(t, dtype=float) * y)) * 0.5
     return float(out) if np.ndim(t) == 0 else out
-
-
-def half_hinge(t, y):
-    """The half-scaled hinge ``max(0, (1 - t*y)/2)``, the convex part of ``dc_split``."""
-    _check_label(y)
-    m = np.asarray(t, dtype=float)
-    out = np.empty_like(m)
-    # 1 + t is exactly 1 - (-t), so both labels give the bits of (1 - t*y)/2.
-    if y == +1:
-        np.subtract(1.0, m, out=out)
-    else:
-        np.add(1.0, m, out=out)
-    out *= 0.5
-    np.maximum(0.0, out, out=out)
-    return float(out) if np.ndim(t) == 0 else out
-
-
-def dc_split(t, y):
-    """Difference-of-convex decomposition of the scaled ramp.
-
-    Returns ``(convex_part, concave_part)`` with
-
-        convex_part  = max(0, (1 - t*y)/2)
-        concave_part = -max(0, (-1 - t*y)/2)
-
-    i.e. the ramp as a half-scaled hinge (``half_hinge``) minus a second
-    hinge shifted to margin -1.  The parts sum to ``scaled_ramp(t, y)`` (up
-    to float rounding) and this is the tightest piecewise-linear split.  The
-    CCCP trainer takes its convex subproblem's hinge from ``half_hinge`` and
-    linearizes ``concave_part``, whose slope in t is y/2 below margin -1.
-    """
-    convex = half_hinge(t, y)
-    m = np.asarray(t, dtype=float)
-    if y == -1:
-        m = -m
-    concave = -np.maximum(0.0, (-1.0 - m) * 0.5)
-    if np.ndim(t) == 0:
-        return convex, float(concave)
-    return convex, concave
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,7 @@ class DecisionModel:
     feature_map: Optional[EmpiricalKernelMap] = None
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float).ravel()
+        w = np.array(self.weights, dtype=float).ravel()  # a copy: never the caller's array
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", float(self.bias))

@@ -3,12 +3,14 @@
 The objective of a mode is its unbiased empirical risk under
 ``losses.scaled_ramp`` (the value ``risk_pn``/``risk_pu``/``risk_nu``
 returns with ``SCALED_RAMP``) plus (lambda/2)*||w||^2.  It is non-convex;
-training majorize-minimizes the difference-of-convex split of the ramp
-given by ``losses.dc_split`` (the ramp-loss CCCP of Collobert et al.,
-"Trading Convexity for Scalability", ICML 2006).  Each outer iteration
-of ``train`` linearizes the concave part at the current margins and
-solves the resulting convex hinge-plus-linear-plus-quadratic subproblem,
-whose hinge is ``losses.half_hinge``, the convex part of ``dc_split``.
+training majorize-minimizes the difference-of-convex split of the ramp in
+the margin m = y*t, max(0, (1 - m)/2) - max(0, (-1 - m)/2) (the ramp-loss
+CCCP of Collobert et al., "Trading Convexity for Scalability", ICML
+2006).  Each outer iteration of ``train`` replaces the concave part by its
+tangent at the current margins and solves the resulting convex
+hinge-plus-linear-plus-quadratic subproblem (``_convex_value``).  CCCP
+stops once an outer step lowers the objective by less than _OUTER_TOL, or
+after _MAX_OUTER steps.
 
 Every subproblem, linear or kernel, goes through one inner solve.  A fit
 is linear in its features, raw or pushed through the kernel map, so its
@@ -42,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .datasets import SampleTriple
-from .losses import ZERO_ONE, half_hinge, scaled_ramp
+from .losses import ZERO_ONE, scaled_ramp
 from .models import DecisionModel, EmpiricalKernelMap
 from .risk import MODE_SETS, MODE_TABLE, Mode
 from .risk import risk_nu, risk_pn, risk_pu  # noqa: F401 (called by name in _validation_risk)
@@ -58,6 +60,9 @@ _KINK_BAND = 1e-8
 _KKT_TOL = 1e-9
 _ZERO = 1e-12
 _MAX_PIVOTS = 300
+_MAX_OUTER = 30
+_OUTER_TOL = 1e-6
+_MEDIAN_ROWS = 512
 
 
 class CccpMonotonicityError(RuntimeError):
@@ -69,6 +74,12 @@ def _is_number(value, kind: str) -> bool:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
     return isinstance(value, numbers.Integral) or (kind != "int" and math.isfinite(value))
+
+
+def _check_seed(owner: str, seed) -> None:
+    """Raise ValueError naming ``owner``'s 'seed' unless it is a non-negative integer."""
+    if not _is_number(seed, "int") or seed < 0:
+        raise ValueError(f"{owner} 'seed' must be a non-negative integer, got {seed!r}")
 
 
 def _check_field_types(config) -> None:
@@ -91,29 +102,34 @@ def _check_field_types(config) -> None:
             raise ValueError(f"{type(config).__name__} {f.name!r} must be {want}, got {value!r}")
 
 
-def _checked_doc(cls, doc) -> dict:
-    """A config document as keyword arguments of ``cls``.
+class _JsonConfig:
+    """A config that also loads from a JSON object keyed by its field names."""
 
-    A document must be an object whose keys are field names; anything else
-    raises ValueError.  The constructor checks the value types.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError(f"{cls.__name__} must be a JSON object, got {type(doc).__name__}")
-    known = {f.name for f in fields(cls)}
-    for key in doc:
-        if key not in known:
-            raise ValueError(f"unknown {cls.__name__} key {key!r}; known keys: {sorted(known)}")
-    return doc
+    @classmethod
+    def from_dict(cls, doc: dict):
+        """The config a JSON object of field names gives; any other document raises ValueError.
+
+        The constructor checks the value types.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError(f"{cls.__name__} must be a JSON object, got {type(doc).__name__}")
+        known = {f.name for f in fields(cls)}
+        for key in doc:
+            if key not in known:
+                raise ValueError(f"unknown {cls.__name__} key {key!r}; known keys: {sorted(known)}")
+        return cls(**doc)
+
+    @classmethod
+    def from_json(cls, path):
+        with open(path, "r", encoding="utf-8") as fh:
+            return cls.from_dict(json.load(fh))
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Solver knobs: regularization, the outer iteration cap and tolerance, restarts."""
+class TrainConfig(_JsonConfig):
+    """Solver knobs: regularization, restarts and the seed of the random restarts."""
 
     lam: float = 1e-3
-    cccp_max_outer: int = 30
-    #: CCCP stops once an outer step lowers the objective by less than this.
-    outer_tol: float = 1e-6
     restarts: int = 2
     seed: int = 0
 
@@ -121,30 +137,21 @@ class TrainConfig:
         _check_field_types(self)
         if not self.lam > 0:
             raise ValueError(f"TrainConfig 'lam' must be positive, got {self.lam}")
-        if self.cccp_max_outer < 1:
-            raise ValueError("cccp_max_outer must be at least 1")
-        if not self.outer_tol > 0:
-            raise ValueError(f"outer_tol must be positive, got {self.outer_tol}")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"TrainConfig 'seed' must be non-negative, got {self.seed}")
+        _check_seed("TrainConfig", self.seed)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
+        """As for any config, with ``lambda`` accepted for ``lam``."""
         if isinstance(doc, dict) and "lambda" in doc:
             doc = dict(doc)
             doc["lam"] = doc.pop("lambda")
-        return cls(**_checked_doc(cls, doc))
-
-    @classmethod
-    def from_json(cls, path) -> "TrainConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return super().from_dict(doc)
 
 
 @dataclass(frozen=True)
-class CvConfig:
+class CvConfig(_JsonConfig):
     """Cross-validation folds and hyperparameter grids."""
 
     folds: int = 5
@@ -161,15 +168,6 @@ class CvConfig:
             raise ValueError("lambda_grid must be non-empty")
         if any(w <= 0 for w in self.width_grid) or any(l <= 0 for l in self.lambda_grid):
             raise ValueError("grid entries must be positive")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CvConfig":
-        return cls(**_checked_doc(cls, doc))
-
-    @classmethod
-    def from_json(cls, path) -> "CvConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -244,13 +242,19 @@ def build_objective(mode: Mode, triple: SampleTriple,
 
 
 def _convex_value(theta, Z, y, c, s, lam) -> float:
-    """Subproblem value at theta = (w, b): sum_i c_i*(hinge_i + s_i*t_i) + (lam/2)*||w||^2."""
+    """Subproblem value at theta = (w, b): sum_i c_i*(hinge_i + s_i*t_i) + (lam/2)*||w||^2.
+
+    hinge_i = max(0, (1 - y_i*t_i)/2) is the ramp's convex part; s_i*t_i is
+    the concave part's tangent, less a constant.
+    """
     w = theta[:-1]
     t = Z.dot(w)
     t += theta[-1]
-    st = s * t
-    st += half_hinge(t * y, +1)
-    return float(c.dot(st)) + 0.5 * lam * float(w.dot(w))
+    h = 1.0 - t * y
+    h *= 0.5
+    np.maximum(0.0, h, out=h)
+    h += s * t
+    return float(c.dot(h)) + 0.5 * lam * float(w.dot(w))
 
 
 def _row_slopes(y, c, s) -> tuple[np.ndarray, np.ndarray]:
@@ -474,7 +478,7 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
         if not math.isfinite(current):
             raise ValueError("non-finite objective at initialization")
         objectives = [current]
-        for _ in range(config.cccp_max_outer):
+        for _ in range(_MAX_OUTER):
             # Majorize: replace the concave part of each ramp by its tangent
             # at the current margins (slope y/2 below margin -1, else 0).
             s = np.where(obj.margins(w, b) * obj.labels < -1.0, 0.5 * obj.labels, 0.0)
@@ -490,7 +494,7 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
             decrease = current - value
             w, b, current = w_new, b_new, value
             objectives.append(current)
-            if decrease < config.outer_tol:
+            if decrease < _OUTER_TOL:
                 break
         if trace is not None:
             trace.append({"restart": restart, "objectives": objectives})
@@ -500,11 +504,11 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
     return DecisionModel(weights=best[1], bias=best[2], feature_map=fmap)
 
 
-def median_heuristic_width(x, max_rows: int = 512) -> float:
-    """Median pairwise distance over (a deterministic subset of) the rows."""
+def median_heuristic_width(x) -> float:
+    """Median pairwise distance over the rows, or over _MEDIAN_ROWS evenly spaced ones."""
     x = np.asarray(x, dtype=float)
-    if x.shape[0] > max_rows:
-        x = x[np.linspace(0, x.shape[0] - 1, max_rows).astype(int)]
+    if x.shape[0] > _MEDIAN_ROWS:
+        x = x[np.linspace(0, x.shape[0] - 1, _MEDIAN_ROWS).astype(int)]
     sq = np.sum(x * x, axis=1)
     d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
     iu = np.triu_indices(x.shape[0], k=1)

@@ -42,6 +42,14 @@ class TestAdviseCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_unl", ["abc", "2.5"])
+    def test_bad_n_unl_names_the_flag(self, capsys, n_unl):
+        with pytest.raises(SystemExit) as exc:
+            main(["advise", "--pi", "0.5", "--n-pos", "5", "--n-neg", "5", "--n-unl", n_unl])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "--n-unl" in last and repr(n_unl) in last
+
 
 class TestSweepCommands:
     def test_sweep_nu_to_csv(self, tmp_path):
@@ -84,7 +92,7 @@ class TestSweepCommands:
 
     def test_train_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "train.json"
-        cfg.write_text(json.dumps({"lambda": 0.01, "cccp_max_outer": 3}), encoding="utf-8")
+        cfg.write_text(json.dumps({"lambda": 0.01, "restarts": 1}), encoding="utf-8")
         code = main([
             "sweep-nu", "--n-unl", "5", "--pi", "0.5", "--n-pos", "6", "--n-neg", "6",
             "--trials", "1", "--test-size", "400", "--seed", "5",
@@ -115,6 +123,7 @@ class TestSweepCommands:
         ("--train-config", {"seed": -1}, "'seed'"),
         ("--train-config", {"lambda": 0}, "'lam'"),
         ("--train-config", {"inner_max_iter": 300}, "'inner_max_iter'"),
+        ("--train-config", {"cccp_max_outer": 30}, "'cccp_max_outer'"),
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, flag, doc, fragment):
         cfg = tmp_path / "config.json"
@@ -188,6 +197,13 @@ class TestVerifyCommand:
         assert out.count("[PASS]") == 5
         assert "[FAIL]" not in out
 
+    def test_negative_seed_exits_2_before_any_suite(self, capsys):
+        code = main(["verify", "--seed", "-3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        TestSweepCommands._assert_one_line_error(captured.err, "'seed'")
+
     def test_failed_suite_exits_1(self, monkeypatch, capsys):
         """A conditional risk mirrored in g fails calibration, and only calibration."""
         true_risk = losses.conditional_risk
@@ -224,3 +240,14 @@ def test_readme_config_examples_load():
     assert {"lam" if key == "lambda" else key for key in train_doc} == \
         {f.name for f in fields(TrainConfig)}
     assert set(cv_doc) == {f.name for f in fields(CvConfig)}
+
+
+def test_readme_quick_start_runs(capsys):
+    """README's Python quick-start block runs as printed, so a renamed name cannot break it."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert 0.0 <= float(lines[1]) <= 0.5

@@ -20,7 +20,7 @@ from pnu.harness import (
 from pnu.losses import SCALED_RAMP
 from pnu.training import CvConfig, ModelTemplate, TrainConfig, train
 
-FAST_TRAIN = TrainConfig(cccp_max_outer=4, seed=0)
+FAST_TRAIN = TrainConfig(seed=0)
 
 
 def _tiny_grid(**overrides):

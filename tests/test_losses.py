@@ -1,4 +1,4 @@
-"""Loss values, the symmetric condition, the DC split, and calibration."""
+"""Loss values, the symmetric condition, and calibration."""
 
 import logging
 
@@ -9,10 +9,8 @@ from pnu import losses
 from pnu.losses import (
     SCALED_RAMP,
     conditional_risk,
-    dc_split,
     default_g_grid,
     default_pi_grid,
-    half_hinge,
     scaled_ramp,
     verify_calibration,
     zero_one,
@@ -75,38 +73,6 @@ class TestZeroOne:
     def test_symmetry_exact(self):
         t = np.concatenate([np.random.default_rng(3).uniform(-5, 5, 10_000), [0.0]])
         assert np.all(zero_one(t, +1) + zero_one(t, -1) == 1.0)
-
-
-class TestDcSplit:
-    def test_interior(self):
-        assert dc_split(0.0, +1) == (0.5, 0.0)
-
-    def test_both_hinges_active(self):
-        # convex hinge (1+3)/2 = 2, concave hinge -(−1+3)/2 = -1, sum 1
-        convex, concave = dc_split(-3.0, +1)
-        assert (convex, concave) == (2.0, -1.0)
-        assert convex + concave == scaled_ramp(-3.0, +1)
-
-    def test_both_inactive(self):
-        assert dc_split(3.0, +1) == (0.0, 0.0)
-
-    def test_parts_sum_to_ramp(self):
-        rng = np.random.default_rng(4)
-        t = rng.uniform(-10, 10, 200_000)
-        edges = np.array([-np.inf, -1.0, 1.0, np.inf])
-        for y in (+1, -1):
-            convex, concave = dc_split(t, y)
-            np.testing.assert_allclose(convex + concave, scaled_ramp(t, y), atol=1e-15)
-            # The trainer's hinge is the convex part bit for bit.
-            for margins in (t, edges):
-                assert half_hinge(margins, y).tobytes() == dc_split(margins, y)[0].tobytes()
-
-    def test_convexity_roles(self):
-        """The convex part is a hinge (nonnegative), the concave part nonpositive."""
-        t = np.random.default_rng(5).uniform(-10, 10, 10_000)
-        convex, concave = dc_split(t, -1)
-        assert np.all(convex >= 0.0)
-        assert np.all(concave <= 0.0)
 
 
 class TestConditionalRisk:

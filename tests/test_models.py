@@ -41,6 +41,13 @@ class TestPredict:
         )
         np.testing.assert_allclose(combo.decision_values(x), parts, atol=1e-12)
 
+    def test_later_writes_to_the_callers_weights_leave_the_scores_alone(self):
+        w = np.array([1.0, 2.0])
+        model = DecisionModel(weights=w, bias=0.0)
+        w[0] = 100.0
+        assert model.decision_values([[1.0, 1.0]])[0] == 3.0
+        assert not np.shares_memory(model.weights, w)
+
 
 class TestKernelMap:
     def test_anchor_maps_to_exactly_one(self):

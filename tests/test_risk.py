@@ -10,6 +10,7 @@ from pnu.datasets import gen_gaussian_artificial, gen_gaussian_labeled
 from pnu.losses import SCALED_RAMP, ZERO_ONE, LossDescriptor
 from pnu.models import DecisionModel, EmpiricalKernelMap
 from pnu.risk import MODE_TABLE, risk_nu, risk_pn, risk_pu, risk_true_mc
+from pnu.training import TrainConfig, train
 
 # Bayes error of the synthetic task at pi = 1/2: the class means sit at
 # distance 2 with unit covariance, so the optimal rule errs with
@@ -129,6 +130,48 @@ class TestRiskTrue:
         model = DecisionModel(weights=[0.0, 0.0], bias=0.0)
         with pytest.raises(ValueError):
             risk_true_mc(model, (np.empty((0, 2)), np.empty(0)), ZERO_ONE)
+
+
+def _exact_linear_error(w, b, pi):
+    """Misclassification rate of the score w.x + b on the synthetic source.
+
+    The classes are unit-variance Gaussians at +-mu, mu = (1, 1)/sqrt(2),
+    so the score of a class is Gaussian with mean +-w.mu + b and standard
+    deviation ||w||.  A constant score (w = 0) errs on the whole class its
+    sign rejects, or on half of everything when it is 0.
+    """
+    phi = lambda z: 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    norm = math.hypot(*w)
+    if norm == 0.0:
+        return pi if b < 0 else 1.0 - pi if b > 0 else 0.5
+    w_mu = (w[0] + w[1]) / math.sqrt(2.0)
+    return pi * phi(-(w_mu + b) / norm) + (1.0 - pi) * phi((b - w_mu) / norm)
+
+
+class TestExactLinearError:
+    """Monte-Carlo holdout error of linear models against the closed form."""
+
+    N = 100_000
+
+    def _check(self, model, pi, seed):
+        got = risk_true_mc(model, gen_gaussian_labeled(self.N, pi, seed), ZERO_ONE)
+        want = _exact_linear_error(model.weights, model.bias, pi)
+        se = math.sqrt(want * (1.0 - want) / self.N)
+        assert abs(got - want) <= 5.0 * se, (got, want, se)
+
+    def test_trained_pu_models(self):
+        for seed in range(10):
+            pi = (0.3, 0.5, 0.7)[seed % 3]
+            triple = gen_gaussian_artificial(45, 5, 100, pi, seed)
+            model = train("PU", triple, config=TrainConfig(seed=seed))
+            assert np.linalg.norm(model.weights) > 0.0
+            self._check(model, pi, 1000 + seed)
+
+    @pytest.mark.parametrize("bias, want", [(-1.0, 0.3), (2.0, 0.7), (0.0, 0.5)])
+    def test_constant_scores(self, bias, want):
+        model = DecisionModel(weights=[0.0, 0.0], bias=bias)
+        assert _exact_linear_error(model.weights, model.bias, 0.3) == want
+        self._check(model, 0.3, 2000)
 
 
 class TestUnbiasedness:

@@ -52,7 +52,7 @@ class TestObjective:
     def test_objective_is_the_unbiased_ramp_risk(self, mode, kind):
         """Objective minus (lam/2)||w||^2 is the mode's estimator under the scaled ramp."""
         triple = gen_gaussian_artificial(20, 15, 30, 0.4, 21)
-        config = TrainConfig(lam=1e-2, seed=22, cccp_max_outer=5)
+        config = TrainConfig(lam=1e-2, seed=22)
         model = train(mode, triple, ModelTemplate(kind=kind), config)
         obj = build_objective(mode, triple, model.feature_map, config.lam)
         w, b = model.weights, model.bias
@@ -65,16 +65,16 @@ class TestObjective:
 
 
 class TestOuterStep:
-    def test_first_step_from_zero_strictly_decreases(self):
+    def test_first_step_from_zero_strictly_decreases(self, monkeypatch):
         """Checked against the brute-force grid oracle on the toy set."""
         triple = _toy_triple()
         obj = build_objective("PN", triple, None, 1e-3)
         oracle_min = _grid_oracle(TOY_POS, TOY_NEG)
         assert oracle_min == pytest.approx(6.85e-4, rel=1e-6)  # frozen from the oracle
 
+        monkeypatch.setattr(training, "_MAX_OUTER", 1)
         trace = []
-        stepped = train("PN", triple, config=TrainConfig(cccp_max_outer=1, restarts=1),
-                        trace=trace)
+        stepped = train("PN", triple, config=TrainConfig(restarts=1), trace=trace)
         assert len(trace[0]["objectives"]) == 2  # zero init, then one outer step
         before = trace[0]["objectives"][0]
         assert before == pytest.approx(0.5, abs=1e-12)
@@ -91,15 +91,47 @@ class TestOuterStep:
         assert obj.value(model.weights, model.bias) <= _grid_oracle(TOY_POS, TOY_NEG) + 1e-9
 
     def test_stationary_point_is_a_fixed_point(self):
-        """Every restart stops on outer_tol, before the outer-step cap."""
-        config = TrainConfig(seed=0)
+        """Every restart stops on _OUTER_TOL, before the outer-step cap."""
         trace = []
-        train("PN", _toy_triple(), config=config, trace=trace)
+        train("PN", _toy_triple(), config=TrainConfig(seed=0), trace=trace)
         for record in trace:
             steps = np.diff(record["objectives"])
-            assert len(steps) < config.cccp_max_outer
-            assert -steps[-1] < config.outer_tol
+            assert len(steps) < training._MAX_OUTER
+            assert -steps[-1] < training._OUTER_TOL
             assert np.all(steps <= training.MONOTONICITY_SLACK)
+
+    @pytest.mark.parametrize("kind", ["linear", "kernel"])
+    def test_subproblems_majorize_the_objective(self, kind, monkeypatch):
+        """Each subproblem train solves, plus a constant, majorizes the objective.
+
+        The ramp in the margin m is max(0, (1 - m)/2) - max(0, (-1 - m)/2); the
+        subproblem keeps the convex hinge and replaces the concave part by s*t,
+        its tangent at the start theta0 less a constant.  With that constant
+        fixed at theta0, the subproblem lies above the objective at random
+        points and touches it at theta0.
+        """
+        calls = []
+        real = training._solve
+        monkeypatch.setattr(training, "_solve", lambda *args: calls.append(args) or real(*args))
+        triple = gen_gaussian_artificial(20, 15, 30, 0.4, 23)
+        template = ModelTemplate(kind=kind, width=1.0 if kind == "kernel" else None)
+        model = train("PU", triple, template, TrainConfig(seed=24))
+        obj = build_objective("PU", triple, model.feature_map, 1e-3)
+        rng = np.random.default_rng(25)
+        linearized = 0
+        for theta0, Z, y, c, s, lam in calls:
+            t0 = Z @ theta0[:-1] + theta0[-1]
+            concave0 = -np.maximum(0.0, (-1.0 - y * t0) * 0.5)
+            const = obj.constant + float(c @ (concave0 - s * t0))
+            value0 = obj.value(theta0[:-1], theta0[-1])
+            assert training._convex_value(theta0, Z, y, c, s, lam) + const == \
+                pytest.approx(value0, abs=1e-12)
+            for scale in (0.1, 1.0, 10.0):
+                theta = theta0 + rng.normal(0.0, scale, theta0.size)
+                upper = training._convex_value(theta, Z, y, c, s, lam) + const
+                assert obj.value(theta[:-1], theta[-1]) <= upper + 1e-12
+            linearized += int(np.count_nonzero(s))
+        assert len(calls) > 2 and linearized > 0  # some steps linearize rows below margin -1
 
     def test_pure_hinge_when_concave_inactive(self):
         """Margins inside the hinge region make the split a plain hinge problem."""
@@ -202,7 +234,7 @@ class TestTrain:
 
     def test_models_do_not_alias_solver_buffers(self):
         """Later fits, linear and kernel, leave an earlier model's parameters alone."""
-        config = TrainConfig(seed=11, cccp_max_outer=4)
+        config = TrainConfig(seed=11)
         templates = (ModelTemplate(), ModelTemplate(kind="kernel", width=1.0))
         first_data = gen_gaussian_artificial(15, 15, 20, 0.5, 21)
         other_data = gen_gaussian_artificial(12, 18, 25, 0.4, 22)
@@ -394,7 +426,7 @@ class TestKernelActiveSet:
 class TestKernelTraining:
     def test_anchor_sets_mirror_the_mode(self):
         triple = gen_gaussian_artificial(8, 6, 10, 0.5, 12)
-        config = TrainConfig(seed=13, cccp_max_outer=5)
+        config = TrainConfig(seed=13)
         template = ModelTemplate(kind="kernel", width=1.0)
         expected = {"PN": 14, "PU": 18, "NU": 16}
         for mode, n_anchors in expected.items():
@@ -422,6 +454,12 @@ class TestMedianHeuristic:
     def test_degenerate_rows_fall_back(self):
         assert median_heuristic_width(np.zeros((5, 2))) == 1.0
 
+    def test_many_rows_use_an_evenly_spaced_subset(self):
+        x = np.random.default_rng(27).normal(size=(1500, 3))
+        rows = np.linspace(0, 1499, training._MEDIAN_ROWS).astype(int)
+        assert np.unique(rows).size == training._MEDIAN_ROWS < 1500
+        assert median_heuristic_width(x) == median_heuristic_width(x[rows])
+
 
 class TestCrossValidation:
     def test_single_cell_grid(self):
@@ -429,7 +467,7 @@ class TestCrossValidation:
         cv = CvConfig(folds=5, width_grid=(1.0,), lambda_grid=(1e-3,))
         width, lam, table = cross_validate(
             "PU", triple, ModelTemplate(kind="kernel"), cv,
-            TrainConfig(seed=19, cccp_max_outer=4),
+            TrainConfig(seed=19),
         )
         assert (width, lam) == (1.0, 1e-3)
         assert len(table) == 1
@@ -437,7 +475,7 @@ class TestCrossValidation:
     def test_duplicates_deduplicated_and_argmin_consistent(self):
         triple = gen_gaussian_artificial(15, 10, 20, 0.5, 20)
         cv = CvConfig(folds=5, width_grid=(1.0, 1.0, 2.0), lambda_grid=(1e-3, 1e-3, 1e-1))
-        config = TrainConfig(seed=21, cccp_max_outer=4)
+        config = TrainConfig(seed=21)
         width, lam, table = cross_validate("PU", triple, ModelTemplate(kind="kernel"), cv, config)
         assert len(table) == 4  # 2 widths x 2 lambdas after dedup
         best_risk = min(risk for _, _, risk in table)
@@ -477,7 +515,7 @@ class TestCrossValidation:
         """
         triple = gen_gaussian_artificial(10, 10, 15, 0.4, 31)
         cv = CvConfig(folds=3, width_grid=(0.7, 1.5), lambda_grid=(1e-3, 1e-1))
-        config = TrainConfig(seed=32, cccp_max_outer=5)
+        config = TrainConfig(seed=32)
         want = {
             "PU": (1.5, 0.1, [
                 (1.5, 0.1, 0.04444444444444442), (1.5, 0.001, 0.11111111111111109),
@@ -501,10 +539,10 @@ class TestConfigs:
 
     def test_train_config_json_roundtrip(self, tmp_path):
         path = tmp_path / "train.json"
-        path.write_text('{"lambda": 0.01, "cccp_max_outer": 7}', encoding="utf-8")
+        path.write_text('{"lambda": 0.01, "restarts": 7}', encoding="utf-8")
         cfg = TrainConfig.from_json(path)
         assert cfg.lam == 0.01
-        assert cfg.cccp_max_outer == 7
+        assert cfg.restarts == 7
 
     @pytest.mark.parametrize("doc, fragment", [
         ({"bogus": 1}, "'bogus'"),
