@@ -15,12 +15,23 @@ DESK_PI_VALUES = (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95)
 PAPER_PI_VALUES = tuple(round(0.05 * k, 2) for k in range(1, 20))
 
 
+def _comma_list(text: str, convert, expected: str) -> tuple:
+    """A non-empty sweep list; an empty one would silently run the default grid."""
+    try:
+        values = tuple(convert(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        values = ()
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated {expected}, got {text!r}")
+    return values
+
+
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
+    return _comma_list(text, int, "integers")
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
+    return _comma_list(text, float, "numbers")
 
 
 def _n_unl(text: str):

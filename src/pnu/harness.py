@@ -6,8 +6,13 @@ mode minimizers on it, so the modes are compared on identical data.  Each
 trial's misclassification rate comes from that trial's holdout: a fresh
 labeled draw for the synthetic source, the leftover rows for a CSV pool.
 Per-trial seeds are spawned from (master seed, sweep value, trial index),
-so results do not depend on execution order and trials are safe to farm
-out to parallel workers.
+so results do not depend on execution order.
+
+Training runs trial by trial on the calling thread.  One background
+thread draws each trial's holdout and scores its three models, so that
+holdout work, a few large numpy calls that release the interpreter lock,
+overlaps the next trial's training.  Every seed and call is the same as
+in a serial loop, so tables are bit-identical to one.
 
 Desk-scale defaults (50 trials, 1e5 test points) keep a full sweep in the
 minutes range; ``paper_scale=True`` restores 100 trials and 1e6 test
@@ -21,6 +26,7 @@ import io
 import json
 import math
 import sys
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -129,6 +135,33 @@ def _stderr(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1)) / math.sqrt(values.size)
 
 
+def _train_modes(triple, template: ModelTemplate, train_config: TrainConfig,
+                 cv_config: Optional[CvConfig]) -> list:
+    """The PN, PU and NU models of one trial, trained in MODES order on one triple."""
+    stamp = triple.fingerprint()
+    models = []
+    for mode in MODES:
+        if triple.fingerprint() != stamp:
+            raise RuntimeError("sample triple mutated between modes")
+        if cv_config is not None:
+            width, lam, _ = cross_validate(mode, triple, template, cv_config, train_config)
+            mode_template = (
+                template if width is None else ModelTemplate(kind="kernel", width=width)
+            )
+            cfg = replace(train_config, lam=lam)
+        else:
+            mode_template, cfg = template, train_config
+        models.append(train(mode, triple, mode_template, cfg))
+    return models
+
+
+def _holdout_errors(models: list, holdout) -> list:
+    """Zero-one holdout error of each model; ``holdout`` may be a pending draw."""
+    if isinstance(holdout, Future):
+        holdout = holdout.result()
+    return [risk_true_mc(model, holdout, losses.ZERO_ONE) for model in models]
+
+
 def run_sweep(grid: ExperimentGrid, train_config: Optional[TrainConfig] = None,
               cv_config: Optional[CvConfig] = None,
               template: Optional[ModelTemplate] = None) -> ResultTable:
@@ -138,9 +171,13 @@ def run_sweep(grid: ExperimentGrid, train_config: Optional[TrainConfig] = None,
     the kernel model.  Whenever ``cv_config`` is given, each trial
     cross-validates each mode, whatever the source: a kernel template
     searches (width, lambda), a linear one lambda only.  Without it, every
-    fit uses the train config's lambda.  An exception
-    raised inside a trial propagates with its type unchanged and a note
-    naming the sweep point and trial.
+    fit uses the train config's lambda.
+
+    An exception raised inside a trial, in training or in its holdout
+    work, propagates with its type unchanged and a note naming the sweep
+    point and trial.  A training error is raised at once, before the
+    holdout errors of its sweep point, which are read after the point's
+    last trial.  No thread is left running when the call returns or raises.
     """
     train_config = train_config or TrainConfig()
     pool = None
@@ -150,58 +187,63 @@ def run_sweep(grid: ExperimentGrid, train_config: Optional[TrainConfig] = None,
         template = ModelTemplate(kind="linear" if pool is None else "kernel")
 
     table = ResultTable()
-    for sweep_index, value in enumerate(grid.values):
-        pi, n_unl = grid.point(value)
-        errors = {mode: np.empty(grid.trials) for mode in MODES}
-        for trial in range(grid.trials):
-            seed = _trial_seed(grid.seed, value, trial)
-            triple_seed, eval_seed = seed.spawn(2)
-            try:
-                if pool is None:
-                    triple = gen_gaussian_artificial(
-                        grid.n_pos, grid.n_neg, n_unl, pi, triple_seed
-                    )
-                    holdout = gen_gaussian_labeled(grid.test_size, pi, eval_seed)
-                else:
-                    triple, holdout = sample_triple_from_pool(
-                        pool, grid.n_pos, grid.n_neg, n_unl, pi, triple_seed
-                    )
-                stamp = triple.fingerprint()
-                for mode in MODES:
-                    if triple.fingerprint() != stamp:
-                        raise RuntimeError("sample triple mutated between modes")
-                    if cv_config is not None:
-                        width, lam, _ = cross_validate(
-                            mode, triple, template, cv_config, train_config
+    # One worker, so its jobs run in submission order: trial t's scoring
+    # job finishes, and drops trial t's holdout, before trial t+1's draw runs.
+    holdout_worker = ThreadPoolExecutor(max_workers=1)
+    try:
+        for value in grid.values:
+            pi, n_unl = grid.point(value)
+            scored = []
+            for trial in range(grid.trials):
+                seed = _trial_seed(grid.seed, value, trial)
+                triple_seed, eval_seed = seed.spawn(2)
+                try:
+                    if pool is None:
+                        triple = gen_gaussian_artificial(
+                            grid.n_pos, grid.n_neg, n_unl, pi, triple_seed
                         )
-                        mode_template = (
-                            template if width is None
-                            else ModelTemplate(kind="kernel", width=width)
+                        holdout = holdout_worker.submit(
+                            gen_gaussian_labeled, grid.test_size, pi, eval_seed
                         )
-                        cfg = replace(train_config, lam=lam)
                     else:
-                        mode_template, cfg = template, train_config
-                    model = train(mode, triple, mode_template, cfg)
-                    errors[mode][trial] = risk_true_mc(model, holdout, losses.ZERO_ONE)
-            except Exception as exc:
-                exc.add_note(f"sweep point {grid.sweep}={value}, trial {trial}")
-                raise
+                        triple, holdout = sample_triple_from_pool(
+                            pool, grid.n_pos, grid.n_neg, n_unl, pi, triple_seed
+                        )
+                    models = _train_modes(triple, template, train_config, cv_config)
+                except Exception as exc:
+                    exc.add_note(f"sweep point {grid.sweep}={value}, trial {trial}")
+                    raise
+                scored.append(holdout_worker.submit(_holdout_errors, models, holdout))
+                del holdout  # the scoring job now holds the only reference
 
-        comp = bounds.ComparatorInput(pi=pi, n_pos=grid.n_pos, n_neg=grid.n_neg, n_unl=n_unl)
-        a_pu, a_nu = bounds.alpha_pu_pn(comp), bounds.alpha_nu_pn(comp)
-        for mode in MODES:
-            vals = errors[mode]
-            table.rows.append(
-                SweepRow(
-                    sweep_value=float(value),
-                    mode=mode,
-                    mean_error=float(np.mean(vals)),
-                    std_error=_stderr(vals),
-                    alpha_pu_pn=a_pu,
-                    alpha_nu_pn=a_nu,
+            errors = {mode: np.empty(grid.trials) for mode in MODES}
+            for trial, future in enumerate(scored):
+                try:
+                    trial_errors = future.result()
+                except Exception as exc:
+                    exc.add_note(f"sweep point {grid.sweep}={value}, trial {trial}")
+                    raise
+                for mode, error in zip(MODES, trial_errors):
+                    errors[mode][trial] = error
+            comp = bounds.ComparatorInput(pi=pi, n_pos=grid.n_pos, n_neg=grid.n_neg, n_unl=n_unl)
+            a_pu, a_nu = bounds.alpha_pu_pn(comp), bounds.alpha_nu_pn(comp)
+            for mode in MODES:
+                vals = errors[mode]
+                table.rows.append(
+                    SweepRow(
+                        sweep_value=float(value),
+                        mode=mode,
+                        mean_error=float(np.mean(vals)),
+                        std_error=_stderr(vals),
+                        alpha_pu_pn=a_pu,
+                        alpha_nu_pn=a_nu,
+                    )
                 )
-            )
-            table.trial_errors[(float(value), mode)] = vals.copy()
+                table.trial_errors[(float(value), mode)] = vals.copy()
+    finally:
+        # Nothing is queued after a normal return; after an exception the
+        # queued holdout work is dropped, and the running job is waited for.
+        holdout_worker.shutdown(cancel_futures=True)
     return table
 
 

@@ -52,6 +52,21 @@ class TestAdviseCommand:
 
 
 class TestSweepCommands:
+    @pytest.mark.parametrize("command, flag, text, expected", [
+        ("sweep-nu", "--n-unl", "5,abc", "integers"),
+        ("sweep-nu", "--n-unl", "5,2.5", "integers"),
+        ("sweep-nu", "--n-unl", ",", "integers"),
+        ("sweep-pi", "--pi", "0.3,x", "numbers"),
+        ("sweep-pi", "--pi", " ", "numbers"),
+    ])
+    def test_bad_sweep_list_says_what_it_expects(self, capsys, command, flag, text, expected):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, text])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.endswith(f"argument {flag}: expected comma-separated {expected}, "
+                             f"got {text!r}")
+
     def test_sweep_nu_to_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main([

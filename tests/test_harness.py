@@ -2,12 +2,21 @@
 
 import json
 import math
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from pnu import harness, risk, training
-from pnu.datasets import InsufficientDataError, gen_gaussian_artificial
+from pnu.datasets import (
+    InsufficientDataError,
+    gen_gaussian_artificial,
+    gen_gaussian_labeled,
+    load_csv,
+    sample_triple_from_pool,
+)
 from pnu.harness import (
     ExperimentGrid,
     ResultTable,
@@ -17,8 +26,8 @@ from pnu.harness import (
     estimate_pu_pn_crossing,
     run_sweep,
 )
-from pnu.losses import SCALED_RAMP
-from pnu.training import CvConfig, ModelTemplate, TrainConfig, train
+from pnu.losses import SCALED_RAMP, ZERO_ONE
+from pnu.training import CccpMonotonicityError, CvConfig, ModelTemplate, TrainConfig, train
 
 FAST_TRAIN = TrainConfig(seed=0)
 
@@ -30,6 +39,16 @@ def _tiny_grid(**overrides):
     )
     base.update(overrides)
     return ExperimentGrid(**base)
+
+
+def _write_toy_csv(path):
+    rng = np.random.default_rng(0)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("f1,f2,y\n")
+        for _ in range(400):
+            label = 1 if rng.random() < 0.5 else -1
+            x = rng.normal(size=2) + label * 0.8
+            fh.write(f"{x[0]},{x[1]},{label}\n")
 
 
 class TestGridValidation:
@@ -118,14 +137,8 @@ class TestRunSweep:
         assert {row.sweep_value for row in table.rows} == {0.3, 0.7}
 
     def test_csv_source_with_cv(self, tmp_path):
-        rng = np.random.default_rng(0)
         path = tmp_path / "toy.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("f1,f2,y\n")
-            for _ in range(400):
-                label = 1 if rng.random() < 0.5 else -1
-                x = rng.normal(size=2) + label * 0.8
-                fh.write(f"{x[0]},{x[1]},{label}\n")
+        _write_toy_csv(path)
         grid = ExperimentGrid(
             sweep="nu", values=(12,), n_pos=10, n_neg=10, pi=0.5,
             trials=1, data_source=str(path), label_column="y", seed=7,
@@ -165,6 +178,113 @@ class TestRunSweep:
         with pytest.raises(InsufficientDataError, match="exhausted") as info:
             run_sweep(grid, FAST_TRAIN)
         assert info.value.__notes__ == ["sweep point nu=5, trial 0"]
+
+
+def _recording(calls, fn):
+    """``fn`` appending the calling thread's id to ``calls`` on every call."""
+    def call(*args):
+        calls.append(threading.get_ident())
+        return fn(*args)
+    return call
+
+
+class TestHoldoutThread:
+    """Training runs on the caller's thread, holdout work on one background thread."""
+
+    def test_fits_run_on_the_caller_and_holdout_work_on_one_other_thread(self, monkeypatch):
+        fits, draws, scores = [], [], []
+        monkeypatch.setattr(harness, "train", _recording(fits, harness.train))
+        monkeypatch.setattr(harness, "gen_gaussian_labeled",
+                            _recording(draws, harness.gen_gaussian_labeled))
+        monkeypatch.setattr(harness, "risk_true_mc", _recording(scores, harness.risk_true_mc))
+        run_sweep(_tiny_grid(trials=3), FAST_TRAIN)
+        assert set(fits) == {threading.get_ident()} and len(fits) == 2 * 3 * 3
+        assert len(draws) == 2 * 3 and len(scores) == 2 * 3 * 3
+        (worker,) = set(draws + scores)
+        assert worker != threading.get_ident()
+
+    @pytest.mark.parametrize("source", ["synthetic", "csv"])
+    def test_trial_errors_equal_a_serial_loop(self, source, tmp_path):
+        if source == "synthetic":
+            grid, pool = _tiny_grid(trials=3), None
+            template = ModelTemplate(kind="linear")
+        else:
+            path = tmp_path / "toy.csv"
+            _write_toy_csv(path)
+            grid = _tiny_grid(values=(12,), trials=2, data_source=str(path), label_column="y")
+            pool, template = load_csv(path, "y"), ModelTemplate(kind="kernel")
+        table = run_sweep(grid, FAST_TRAIN)
+        for value in grid.values:
+            serial = {mode: [] for mode in harness.MODES}
+            for trial in range(grid.trials):
+                triple_seed, eval_seed = harness._trial_seed(grid.seed, value, trial).spawn(2)
+                sizes = (grid.n_pos, grid.n_neg, value, grid.pi, triple_seed)
+                if pool is None:
+                    triple = gen_gaussian_artificial(*sizes)
+                    holdout = gen_gaussian_labeled(grid.test_size, grid.pi, eval_seed)
+                else:
+                    triple, holdout = sample_triple_from_pool(pool, *sizes)
+                for mode in harness.MODES:
+                    model = train(mode, triple, template, FAST_TRAIN)
+                    serial[mode].append(risk.risk_true_mc(model, holdout, ZERO_ONE))
+            for mode, errors in serial.items():
+                assert table.trial_errors[(float(value), mode)].tolist() == errors
+
+    def test_a_scoring_error_keeps_its_type_and_names_its_trial(self, monkeypatch):
+        class ScoringFailure(Exception):
+            pass
+
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if (len(calls) - 1) // 3 == 2:  # three models per trial
+                raise ScoringFailure("holdout scoring failed")
+            return risk.risk_true_mc(*args)
+
+        monkeypatch.setattr(harness, "risk_true_mc", failing)
+        threads = threading.active_count()
+        with pytest.raises(ScoringFailure) as info:
+            run_sweep(_tiny_grid(values=(5,), trials=4), FAST_TRAIN)
+        assert info.value.__notes__ == ["sweep point nu=5, trial 2"]
+        assert threading.active_count() == threads
+
+    def test_a_failing_fit_drops_the_queued_holdout_work(self, monkeypatch):
+        """Trial 1's fit fails while trial 0's scoring runs: trial 1's draw is cancelled."""
+        submitted, fits, draws, failed = [], [], [], threading.Event()
+
+        class RecordingExecutor(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                submitted.append(super().submit(fn, *args))
+                return submitted[-1]
+
+        def failing_train(*args):
+            fits.append(args)
+            if len(fits) > 3:  # three fits per trial
+                failed.set()
+                raise CccpMonotonicityError("objective increased")
+            return train(*args)
+
+        def slow_scoring(*args):
+            # Hold the worker until trial 1's fit has failed and its queued draw,
+            # the last job submitted, has been cancelled.
+            assert failed.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while not submitted[-1].cancelled() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return risk.risk_true_mc(*args)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(harness, "train", failing_train)
+        monkeypatch.setattr(harness, "gen_gaussian_labeled",
+                            _recording(draws, harness.gen_gaussian_labeled))
+        monkeypatch.setattr(harness, "risk_true_mc", slow_scoring)
+        threads = threading.active_count()
+        with pytest.raises(CccpMonotonicityError) as info:
+            run_sweep(_tiny_grid(values=(5,), trials=4), FAST_TRAIN)
+        assert info.value.__notes__ == ["sweep point nu=5, trial 1"]
+        assert len(draws) == 1
+        assert threading.active_count() == threads
 
 
 LINEAR_GOLDEN_GRID = ExperimentGrid(sweep="nu", values=(5, 30), n_pos=12, n_neg=4, pi=0.5,
