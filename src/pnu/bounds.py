@@ -107,14 +107,13 @@ def f_delta(params: BoundParams) -> float:
     )
 
 
-def bound_terms(inp: ComparatorInput, *, allow_unbounded_unl: bool = False):
+def bound_terms(inp: ComparatorInput):
     """The three sample terms multiplying f(delta), as (pn, pu, nu).
 
     Each is the sum over the mode's two sample sets of the set's estimator
-    weight over sqrt(n); an unbounded unlabeled set contributes weight/inf = 0.
+    weight over sqrt(n); an unbounded unlabeled set (``n_unl=None``)
+    contributes weight/inf = 0, so the terms are the limits.
     """
-    if inp.n_unl is None and not allow_unbounded_unl:
-        raise ValueError("n_unl is unbounded; pass allow_unbounded_unl=True for limit values")
     roots = {"x_pos": math.sqrt(inp.n_pos), "x_neg": math.sqrt(inp.n_neg),
              "x_unl": math.inf if inp.n_unl is None else math.sqrt(inp.n_unl)}
     terms = []
@@ -124,11 +123,10 @@ def bound_terms(inp: ComparatorInput, *, allow_unbounded_unl: bool = False):
     return tuple(terms)
 
 
-def bound_values(inp: ComparatorInput, params: BoundParams, *,
-                 allow_unbounded_unl: bool = False):
-    """Estimation error bound values (V_pn, V_pu, V_nu)."""
+def bound_values(inp: ComparatorInput, params: BoundParams):
+    """Estimation error bound values (V_pn, V_pu, V_nu); limits for ``n_unl=None``."""
     f = f_delta(params)
-    t_pn, t_pu, t_nu = bound_terms(inp, allow_unbounded_unl=allow_unbounded_unl)
+    t_pn, t_pu, t_nu = bound_terms(inp)
     return f * t_pn, f * t_pu, f * t_nu
 
 

@@ -69,13 +69,6 @@ class SampleTriple:
         _check_pi(self.pi)
 
     @property
-    def d(self) -> int:
-        for arr in (self.x_pos, self.x_neg, self.x_unl):
-            if arr.shape[0] > 0:
-                return arr.shape[1]
-        return self.x_pos.shape[1]
-
-    @property
     def n_pos(self) -> int:
         return self.x_pos.shape[0]
 

@@ -15,8 +15,8 @@ overlaps the next trial's training.  Every seed and call is the same as
 in a serial loop, so tables are bit-identical to one.
 
 Desk-scale defaults (50 trials, 1e5 test points) keep a full sweep in the
-minutes range; ``paper_scale=True`` restores 100 trials and 1e6 test
-points.
+minutes range; the CLI's ``--paper-scale`` restores 100 trials and 1e6
+test points.
 """
 
 from __future__ import annotations
@@ -313,18 +313,17 @@ def recommendation_text(result: bounds.AlphaStarResult) -> str:
     )
 
 
-def advise(pi: float, n_pos: int, n_neg: int, n_unl: Optional[int],
-           params: Optional[bounds.BoundParams] = None) -> dict:
+def advise(pi: float, n_pos: int, n_neg: int, n_unl: Optional[int]) -> dict:
     """Comparator values, bound values at defaults, and a recommendation.
 
     ``n_unl=None`` means the unlabeled budget is unbounded; finite-sample
     comparators are then omitted and bound values are reported in the
     limit.
     """
-    params = params or bounds.BoundParams()
+    params = bounds.BoundParams()
     comp = bounds.ComparatorInput(pi=pi, n_pos=n_pos, n_neg=n_neg, n_unl=n_unl)
     star = bounds.alpha_star(comp, case="a")
-    v_pn, v_pu, v_nu = bounds.bound_values(comp, params, allow_unbounded_unl=True)
+    v_pn, v_pu, v_nu = bounds.bound_values(comp, params)
     doc = {
         "pi": pi,
         "n_pos": n_pos,

@@ -101,36 +101,26 @@ def conditional_risk(pi_plus: float, g_val):
     return float(out) if np.ndim(g_val) == 0 else out
 
 
-def default_pi_grid(step: float = 0.05) -> np.ndarray:
-    return np.linspace(0.0, 1.0, round(1.0 / step) + 1)
+#: The certificate's grids: posteriors in steps of 0.05 over [0, 1], and
+#: scores in steps of 0.01 over [-2, 2], which reaches both saturated branches.
+_PI_GRID = np.linspace(0.0, 1.0, 21)
+_G_GRID = np.linspace(-2.0, 2.0, 401)
 
 
-def default_g_grid(step: float = 0.01, span: float = 2.0) -> np.ndarray:
-    return np.linspace(-span, span, 2 * round(span / step) + 1)
-
-
-def verify_calibration(pi_plus_grid=None, g_grid=None) -> bool:
+def verify_calibration() -> bool:
     """True iff a grid search certifies classification calibration.
 
-    For every pi_plus != 1/2 in ``pi_plus_grid`` (default
-    ``default_pi_grid()``), the minimizer of the conditional risk over
-    ``g_grid`` (default ``default_g_grid()``, which must span [-2, 2]) must
-    have the sign of pi_plus - pi_minus and achieve min(pi_plus, pi_minus)
-    within CALIBRATION_TOL.  The first failing (pi_plus, g) pair is logged.
+    For every pi_plus != 1/2 on the posterior grid, the minimizer of the
+    conditional risk over the score grid must have the sign of
+    pi_plus - pi_minus and achieve min(pi_plus, pi_minus) within
+    CALIBRATION_TOL.  The first failing (pi_plus, g) pair is logged.
     """
-    pi_plus_grid = default_pi_grid() if pi_plus_grid is None else np.asarray(pi_plus_grid, float)
-    g_grid = default_g_grid() if g_grid is None else np.asarray(g_grid, float)
-    if pi_plus_grid.size == 0 or g_grid.size == 0:
-        raise ValueError("grids must be non-empty")
-    if g_grid.min() > -2.0 + 1e-9 or g_grid.max() < 2.0 - 1e-9:
-        raise ValueError("g_grid must span at least [-2, 2]")
-
-    for p in pi_plus_grid:
+    for p in _PI_GRID:
         if abs(p - 0.5) < 1e-15:
             continue  # any g in [-1, 1] ties at 1/2; nothing to falsify
-        risks = conditional_risk(p, g_grid)
+        risks = conditional_risk(p, _G_GRID)
         idx = int(np.argmin(risks))
-        g_star, achieved = float(g_grid[idx]), float(risks[idx])
+        g_star, achieved = float(_G_GRID[idx]), float(risks[idx])
         target = min(p, 1.0 - p)
         want_sign = 1.0 if p > 0.5 else -1.0
         if np.sign(g_star) != want_sign or abs(achieved - target) > CALIBRATION_TOL:

@@ -30,27 +30,23 @@ def _rows_per_block(n_anchors: int) -> int:
 
 def _as_matrix(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
     if arr.ndim != 2:
-        raise ValueError(f"expected a vector or matrix of features, got ndim={arr.ndim}")
+        raise ValueError(f"expected a matrix of feature rows, got ndim={arr.ndim}")
     return arr
 
 
 def kernel_map(anchors, width: float, x) -> np.ndarray:
     """Gaussian kernel values of x against each anchor.
 
-    Coordinate j is ``exp(-||x - anchor_j||^2 / (2 * width^2))``.  Accepts a
-    single feature vector (returns a 1-D vector) or a matrix of rows
-    (returns one mapped row per input row).  Squared distances are
-    accumulated one coordinate at a time from explicit differences, left to
-    right, so an input equal to an anchor maps to exactly 1.0 at that
-    coordinate in any dimension.
+    Coordinate j is ``exp(-||x - anchor_j||^2 / (2 * width^2))``.  Takes a
+    matrix of rows and returns one mapped row per input row.  Squared
+    distances are accumulated one coordinate at a time from explicit
+    differences, left to right, so an input equal to an anchor maps to
+    exactly 1.0 at that coordinate in any dimension.
     """
     if not width > 0:
         raise ValueError(f"kernel width must be positive, got {width}")
     anchors = _as_matrix(anchors)
-    single = np.ndim(x) == 1
     xm = _as_matrix(x)
     if xm.shape[1] != anchors.shape[1]:
         raise ValueError(
@@ -67,7 +63,7 @@ def kernel_map(anchors, width: float, x) -> np.ndarray:
             sq += np.square(chunk[:, j, None] - anchors[None, :, j])
         sq /= -denom
         np.exp(sq, out=out[start : start + len(chunk)])
-    return out[0] if single else out
+    return out
 
 
 @dataclass(frozen=True)
@@ -120,7 +116,7 @@ class DecisionModel:
         return self.feature_map.input_dim if self.feature_map else self.weights.size
 
     def decision_values(self, x) -> np.ndarray:
-        """Scores for a feature vector or a matrix of input rows.
+        """Scores for a matrix of input rows, one per row.
 
         A kernel model maps and scores one block of rows at a time, so the
         full (rows x anchors) feature matrix is never formed.

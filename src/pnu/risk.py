@@ -63,11 +63,8 @@ MODE_SETS = {mode: spec.sets for mode, spec in MODE_TABLE.items()}
 
 
 def _mean_loss(model: DecisionModel, x: np.ndarray, loss: LossDescriptor, label: int):
-    """Mean loss of one sample set, or of each resample of a (B, n, d) set."""
-    if x.ndim == 3:
-        scores = model.decision_values(x.reshape(-1, x.shape[2])).reshape(x.shape[:2])
-    else:
-        scores = model.decision_values(x)
+    """Mean loss of an (n, d) sample set, or of each resample of a (B, n, d) set."""
+    scores = model.decision_values(x.reshape(-1, x.shape[-1])).reshape(x.shape[:-1])
     return _fmean(loss.value(scores, label))
 
 
@@ -83,10 +80,11 @@ def _risk(mode: str, model: DecisionModel, x_plus, x_minus, pi: float,
     x_plus = np.asarray(x_plus, dtype=float)
     x_minus = np.asarray(x_minus, dtype=float)
     batched = x_plus.ndim == 3
-    if batched != (x_minus.ndim == 3) or (batched and x_plus.shape[0] != x_minus.shape[0]):
+    if (x_plus.ndim not in (2, 3) or x_minus.ndim != x_plus.ndim
+            or (batched and x_plus.shape[0] != x_minus.shape[0])):
         raise ValueError(
-            f"{mode} sample sets must share their leading resample axis or both have "
-            f"none; got shapes {x_plus.shape} and {x_minus.shape}"
+            f"{mode} sample sets must both be (n, d), or both (B, n, d) sharing their "
+            f"leading resample axis; got shapes {x_plus.shape} and {x_minus.shape}"
         )
     w_plus, w_minus = spec.weights(pi)
     plus = w_plus * _mean_loss(model, x_plus, loss, +1)

@@ -143,8 +143,10 @@ class TrainConfig(_JsonConfig):
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        """As for any config, with ``lambda`` accepted for ``lam``."""
+        """As for any config, with ``lambda`` accepted for ``lam`` (but not both)."""
         if isinstance(doc, dict) and "lambda" in doc:
+            if "lam" in doc:
+                raise ValueError("TrainConfig keys 'lambda' and 'lam' name one field; give one")
             doc = dict(doc)
             doc["lam"] = doc.pop("lambda")
         return super().from_dict(doc)
@@ -561,10 +563,10 @@ def cross_validate(mode: Mode, triple: SampleTriple, template: ModelTemplate,
             )
         folds[name] = np.array_split(rng.permutation(n), cv_config.folds)
     # One (training sub-triple, validation sets) pair per fold; the sets the
-    # mode does not use stay empty in the sub-triple.
+    # mode does not use are zero-row slices in the sub-triple.
     splits = []
     for f in range(cv_config.folds):
-        train_sets = dict.fromkeys(("x_pos", "x_neg", "x_unl"), np.empty((0, triple.d)))
+        train_sets = {name: getattr(triple, name)[:0] for name in ("x_pos", "x_neg", "x_unl")}
         val_sets = {}
         for name in used:
             full, parts = getattr(triple, name), folds[name]

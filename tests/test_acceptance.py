@@ -34,7 +34,7 @@ from pnu.bounds import (
 )
 from pnu.datasets import gen_gaussian_artificial, gen_gaussian_labeled
 from pnu.harness import ExperimentGrid, estimate_pu_pn_crossing, run_sweep
-from pnu.losses import SCALED_RAMP, ZERO_ONE, default_g_grid, default_pi_grid, verify_calibration
+from pnu.losses import SCALED_RAMP, ZERO_ONE, verify_calibration
 from pnu.models import DecisionModel
 from pnu.risk import risk_nu, risk_pn, risk_pu, risk_true_mc
 from pnu.training import TrainConfig, train
@@ -230,7 +230,7 @@ def test_criterion_04_monotonicity_suite():
 
 
 def test_criterion_05_calibration_certificate():
-    ok = verify_calibration(default_pi_grid(0.05), default_g_grid(0.01))
+    ok = verify_calibration()
     _check("5 (calibration certificate)", ok,
            "posterior grid step 0.05, score grid step 0.01 on [-2, 2], tolerance 1e-12")
 

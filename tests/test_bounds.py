@@ -62,9 +62,7 @@ class TestBoundValues:
 
     def test_unbounded_unlabeled_drops_term(self):
         inp = ComparatorInput(pi=0.5, n_pos=45, n_neg=5, n_unl=None)
-        with pytest.raises(ValueError):
-            bound_terms(inp)
-        _, t_pu, _ = bound_terms(inp, allow_unbounded_unl=True)
+        _, t_pu, _ = bound_terms(inp)
         assert t_pu == pytest.approx(2.0 * 0.5 / math.sqrt(45.0), abs=1e-15)
 
     def test_scales_linearly_in_f(self):
@@ -103,6 +101,8 @@ class TestFiniteSampleComparators:
         inp = ComparatorInput(pi=0.5, n_pos=10, n_neg=10, n_unl=None)
         with pytest.raises(ValueError):
             alpha_pu_pn(inp)
+        with pytest.raises(ValueError):
+            alpha_nu_pn(inp)
 
 
 class TestCounts:

@@ -1,8 +1,11 @@
 """End-to-end CLI coverage over the documented subcommands and flags."""
 
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import pytest
@@ -139,6 +142,7 @@ class TestSweepCommands:
         ("--train-config", {"lambda": 0}, "'lam'"),
         ("--train-config", {"inner_max_iter": 300}, "'inner_max_iter'"),
         ("--train-config", {"cccp_max_outer": 30}, "'cccp_max_outer'"),
+        ("--train-config", {"lambda": 1e-3, "lam": 0.5}, "'lambda' and 'lam'"),
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, flag, doc, fragment):
         cfg = tmp_path / "config.json"
@@ -266,3 +270,18 @@ def test_readme_quick_start_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
     assert 0.0 <= float(lines[1]) <= 0.5
+
+
+def test_runtime_imports_only_numpy():
+    """Importing the package and its CLI loads no third-party module but numpy."""
+    src = pathlib.Path(__file__).parents[1] / "src"
+    code = (
+        "import sys; before = set(sys.modules); import pnu, pnu.cli; "
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+        " - set(sys.stdlib_module_names))))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["numpy", "pnu"]

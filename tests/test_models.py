@@ -1,4 +1,4 @@
-"""Decision models: linear scores, the Gaussian kernel map, serialization."""
+"""Decision models: linear scores and the Gaussian kernel map."""
 
 import math
 import tracemalloc
@@ -18,16 +18,16 @@ def _explicit_kernel_map(anchors, width, x):
 class TestPredict:
     def test_dot_product(self):
         model = DecisionModel(weights=[1.0, 0.0], bias=0.0)
-        assert model.decision_values([2.0, 5.0])[0] == 2.0
+        assert model.decision_values([[2.0, 5.0]])[0] == 2.0
 
     def test_constant_model(self):
         model = DecisionModel(weights=[0.0, 0.0], bias=0.3)
-        assert model.decision_values([17.0, -4.0])[0] == 0.3
+        assert model.decision_values([[17.0, -4.0]])[0] == 0.3
 
     def test_dimension_mismatch(self):
         model = DecisionModel(weights=[1.0, 2.0], bias=0.0)
         with pytest.raises(ValueError):
-            model.decision_values([1.0, 2.0, 3.0])
+            model.decision_values([[1.0, 2.0, 3.0]])
 
     def test_linear_in_weights(self):
         rng = np.random.default_rng(0)
@@ -54,16 +54,16 @@ class TestKernelMap:
         rng = np.random.default_rng(1)
         for dim in (4, 13):
             anchors = rng.normal(size=(6, dim))
-            mapped = kernel_map(anchors, 0.8, anchors[3])
-            assert mapped[3] == 1.0
-            assert mapped.shape == (6,)
+            mapped = kernel_map(anchors, 0.8, anchors[3:4])
+            assert mapped[0, 3] == 1.0
+            assert mapped.shape == (1, 6)
 
     def test_half_value_distance(self):
         """k = 1/2 at distance width * sqrt(2 ln 2), by inverting the kernel."""
         width = 1.7
-        x = np.zeros(3)
-        anchor = np.array([width * math.sqrt(2.0 * math.log(2.0)), 0.0, 0.0])
-        assert kernel_map(anchor[None, :], width, x)[0] == pytest.approx(0.5, abs=1e-12)
+        x = np.zeros((1, 3))
+        anchor = np.array([[width * math.sqrt(2.0 * math.log(2.0)), 0.0, 0.0]])
+        assert kernel_map(anchor, width, x)[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_range(self):
         rng = np.random.default_rng(2)
@@ -72,12 +72,12 @@ class TestKernelMap:
 
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(3)
-        a, b = rng.normal(size=5), rng.normal(size=5)
-        assert kernel_map(a[None, :], 0.9, b)[0] == kernel_map(b[None, :], 0.9, a)[0]
+        a, b = rng.normal(size=(1, 5)), rng.normal(size=(1, 5))
+        assert kernel_map(a, 0.9, b)[0, 0] == kernel_map(b, 0.9, a)[0, 0]
 
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
-            kernel_map(np.zeros((2, 2)), 0.0, np.zeros(2))
+            kernel_map(np.zeros((2, 2)), 0.0, np.zeros((1, 2)))
 
     def test_blockwise_matches_direct(self):
         """Over several blocks, the map equals explicit differences bit for bit.
@@ -120,8 +120,8 @@ class TestKernelModel:
         fmap = EmpiricalKernelMap(anchors=anchors, width=1.1)
         w = rng.normal(size=5)
         model = DecisionModel(weights=w, bias=0.25, feature_map=fmap)
-        x = rng.normal(size=2)
-        want = float(w @ kernel_map(anchors, 1.1, x)) + 0.25
+        x = rng.normal(size=(1, 2))
+        want = float(kernel_map(anchors, 1.1, x)[0] @ w) + 0.25
         assert model.decision_values(x)[0] == pytest.approx(want, rel=1e-15)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -135,15 +135,17 @@ class TestKernelModel:
             model.decision_values(x), kernel_map(anchors, 0.9, x) @ w - 0.3, rtol=1e-13
         )
 
-    def test_single_row_scores_like_a_matrix_row(self):
+    def test_single_row_vector_rejected(self):
+        """Scoring and the kernel map take matrices of rows, not a bare row."""
         rng = np.random.default_rng(8)
         anchors = rng.normal(size=(40, 3))
         w = rng.normal(size=40)
-        model = DecisionModel(w, 0.1, EmpiricalKernelMap(anchors, 0.9))
         x = rng.normal(size=3)
-        got = model.decision_values(x)
-        assert got.shape == (1,)
-        np.testing.assert_allclose(got, kernel_map(anchors, 0.9, x) @ w + 0.1, rtol=1e-13)
+        for score in (DecisionModel(w, 0.1, EmpiricalKernelMap(anchors, 0.9)).decision_values,
+                      DecisionModel(w[:3], 0.1).decision_values,
+                      lambda rows: kernel_map(anchors, 0.9, rows)):
+            with pytest.raises(ValueError, match="ndim=1"):
+                score(x)
 
     def test_scoring_memory_is_bounded_by_a_block(self):
         """2e5 rows x 200 anchors would need 320 MB as one feature matrix."""

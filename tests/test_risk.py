@@ -306,6 +306,8 @@ class TestBatchedEstimators:
         ((4, 10, 2), (3, 10, 2)),  # resample axes differ
         ((4, 10, 2), (10, 2)),     # one set batched, the other not
         ((10, 2), (4, 10, 2)),
+        ((2,), (10, 2)),           # a single row is not a sample set
+        ((10, 2), (2, 4, 10, 2)),  # nor is a set with two leading axes
     ])
     def test_mismatched_resample_axes_rejected(self, x_plus_shape, x_minus_shape):
         model = DecisionModel(weights=[1.0, 0.0], bias=0.0)
