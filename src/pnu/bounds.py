@@ -42,13 +42,32 @@ from .datasets import _check_pi
 from .risk import MODE_TABLE
 
 
-def _check_count(n, name: str):
-    """n itself if it is a positive integer (numpy integers pass, bools do not)."""
-    # The exact-int test spares the common case the slower ABC check.
-    integral = type(n) is int or isinstance(n, numbers.Integral) and not isinstance(n, bool)
-    if not integral or n < 1:
+def _check_count(n, name: str, like=None):
+    """n itself if it is a positive integer (numpy integers pass, bools do not).
+
+    With an array ``like``, n must be an integer array of its shape, all >= 1.
+    """
+    if isinstance(like, np.ndarray):
+        ok = isinstance(n, np.ndarray) and n.dtype.kind in "iu" and n.shape == like.shape
+        ok = ok and n.min() >= 1
+    else:  # The exact-int test spares the common case the slower ABC check.
+        ok = type(n) is int or isinstance(n, numbers.Integral) and not isinstance(n, bool)
+        ok = ok and n >= 1
+    if not ok:
         raise ValueError(f"{name} must be a positive integer count, got {n!r}")
     return n
+
+
+def _check_positive(x: float, name: str) -> float:
+    """x itself if it is finite and positive (NaN fails)."""
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {x}")
+    return x
+
+
+def _plain(x):
+    """A 0-d result as a Python float or str; an array result as it is."""
+    return x if np.ndim(x) else np.asarray(x).item()
 
 
 @dataclass(frozen=True)
@@ -56,7 +75,9 @@ class ComparatorInput:
     """Sample-size configuration feeding the bound comparators.
 
     Counts must be positive integers and are stored as given, so the
-    comparators and the bound values read the same numbers.  ``n_unl=None``
+    comparators and the bound values read the same numbers.  ``pi`` and the
+    counts may instead be equal-shape numpy arrays, one case per element;
+    the comparators then return arrays.  ``n_unl=None``
     denotes an unbounded unlabeled sample (used only by the asymptotic
     comparator and by limiting bound values); it is kept symbolic rather
     than as a floating-point infinity.  ``rho_pn`` is the limiting ratio
@@ -70,13 +91,17 @@ class ComparatorInput:
     rho_pn: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _check_pi(self.pi)
-        _check_count(self.n_pos, "n_pos")
-        _check_count(self.n_neg, "n_neg")
+        pi = self.pi
+        if not isinstance(pi, np.ndarray):
+            _check_pi(pi)
+        elif not (pi.size and np.all((pi > 0.0) & (pi < 1.0))):
+            raise ValueError(f"class prior pi must be strictly inside (0, 1), got {pi!r}")
+        _check_count(self.n_pos, "n_pos", pi)
+        _check_count(self.n_neg, "n_neg", pi)
         if self.n_unl is not None:
-            _check_count(self.n_unl, "n_unl")
-        if self.rho_pn is not None and not self.rho_pn > 0:
-            raise ValueError(f"rho_pn must be positive, got {self.rho_pn}")
+            _check_count(self.n_unl, "n_unl", pi)
+        if self.rho_pn is not None:
+            _check_positive(self.rho_pn, "rho_pn")
 
 
 @dataclass(frozen=True)
@@ -94,10 +119,8 @@ class BoundParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if not self.lipschitz > 0:
-            raise ValueError(f"lipschitz must be positive, got {self.lipschitz}")
-        if not self.complexity_const > 0:
-            raise ValueError(f"complexity_const must be positive, got {self.complexity_const}")
+        _check_positive(self.lipschitz, "lipschitz")
+        _check_positive(self.complexity_const, "complexity_const")
 
 
 def f_delta(params: BoundParams) -> float:
@@ -114,12 +137,12 @@ def bound_terms(inp: ComparatorInput):
     weight over sqrt(n); an unbounded unlabeled set (``n_unl=None``)
     contributes weight/inf = 0, so the terms are the limits.
     """
-    roots = {"x_pos": math.sqrt(inp.n_pos), "x_neg": math.sqrt(inp.n_neg),
-             "x_unl": math.inf if inp.n_unl is None else math.sqrt(inp.n_unl)}
+    roots = {"x_pos": np.sqrt(inp.n_pos), "x_neg": np.sqrt(inp.n_neg),
+             "x_unl": math.inf if inp.n_unl is None else np.sqrt(inp.n_unl)}
     terms = []
     for spec in MODE_TABLE.values():
         (first, second), (w_first, w_second) = spec.sets, spec.weights(inp.pi)
-        terms.append(w_first / roots[first] + w_second / roots[second])
+        terms.append(_plain(w_first / roots[first] + w_second / roots[second]))
     return tuple(terms)
 
 
@@ -130,23 +153,27 @@ def bound_values(inp: ComparatorInput, params: BoundParams):
     return f * t_pn, f * t_pu, f * t_nu
 
 
+def _unl_root(inp: ComparatorInput):
+    if inp.n_unl is None:
+        raise ValueError("n_unl must be a positive integer count, got None")
+    return np.sqrt(inp.n_unl)
+
+
 def alpha_pu_pn(inp: ComparatorInput) -> float:
     """Finite-sample comparator of the PU bound against the PN bound.
 
     Below one iff the PU bound is the tighter of the two.
     """
-    n_unl = _check_count(inp.n_unl, "n_unl")
-    return (inp.pi / math.sqrt(inp.n_pos) + 1.0 / math.sqrt(n_unl)) / (
-        (1.0 - inp.pi) / math.sqrt(inp.n_neg)
-    )
+    return _plain((inp.pi / np.sqrt(inp.n_pos) + 1.0 / _unl_root(inp)) / (
+        (1.0 - inp.pi) / np.sqrt(inp.n_neg)
+    ))
 
 
 def alpha_nu_pn(inp: ComparatorInput) -> float:
     """Finite-sample comparator of the NU bound against the PN bound."""
-    n_unl = _check_count(inp.n_unl, "n_unl")
-    return ((1.0 - inp.pi) / math.sqrt(inp.n_neg) + 1.0 / math.sqrt(n_unl)) / (
-        inp.pi / math.sqrt(inp.n_pos)
-    )
+    return _plain(((1.0 - inp.pi) / np.sqrt(inp.n_neg) + 1.0 / _unl_root(inp)) / (
+        inp.pi / np.sqrt(inp.n_pos)
+    ))
 
 
 def alpha_pu_pn_from_ratios(pi: float, rho_pn: float, rho_pu: float) -> float:
@@ -157,16 +184,16 @@ def alpha_pu_pn_from_ratios(pi: float, rho_pn: float, rho_pu: float) -> float:
     ratios.
     """
     _check_pi(pi)
-    if not (rho_pn > 0 and rho_pu > 0):
-        raise ValueError("ratio constants must be positive")
+    _check_positive(rho_pn, "rho_pn")
+    _check_positive(rho_pu, "rho_pu")
     return (pi + math.sqrt(rho_pu)) / ((1.0 - pi) * math.sqrt(rho_pn))
 
 
 def alpha_nu_pn_from_ratios(pi: float, rho_pn: float, rho_nu: float) -> float:
     """NU/PN comparator when sample sizes grow proportionally."""
     _check_pi(pi)
-    if not (rho_pn > 0 and rho_nu > 0):
-        raise ValueError("ratio constants must be positive")
+    _check_positive(rho_pn, "rho_pn")
+    _check_positive(rho_nu, "rho_nu")
     return (1.0 - pi + math.sqrt(rho_nu)) / (pi / math.sqrt(rho_pn))
 
 
@@ -177,31 +204,27 @@ def alpha_pu_pn_matched_prior(pi: float, rho_pu: float) -> float:
     (pi + sqrt(rho_pu)) / sqrt(pi*(1-pi)).
     """
     _check_pi(pi)
-    if not rho_pu > 0:
-        raise ValueError("rho_pu must be positive")
+    _check_positive(rho_pu, "rho_pu")
     return (pi + math.sqrt(rho_pu)) / math.sqrt(pi * (1.0 - pi))
 
 
 def alpha_nu_pn_matched_prior(pi: float, rho_nu: float) -> float:
     """NU/PN comparator under the supervised sampling ratio (mirror case)."""
     _check_pi(pi)
-    if not rho_nu > 0:
-        raise ValueError("rho_nu must be positive")
+    _check_positive(rho_nu, "rho_nu")
     return (1.0 - pi + math.sqrt(rho_nu)) / math.sqrt(pi * (1.0 - pi))
 
 
 def matched_prior_argmin(rho: float) -> float:
     """Prior at which the matched-prior comparator attains its minimum."""
-    if not rho > 0:
-        raise ValueError("rho must be positive")
+    _check_positive(rho, "rho")
     r = math.sqrt(rho)
     return r / (2.0 * r + 1.0)
 
 
 def matched_prior_min(rho: float) -> float:
     """Minimum value 2*sqrt(rho + sqrt(rho)) of the matched-prior comparator."""
-    if not rho > 0:
-        raise ValueError("rho must be positive")
+    _check_positive(rho, "rho")
     return 2.0 * math.sqrt(rho + math.sqrt(rho))
 
 
@@ -231,23 +254,19 @@ def alpha_star(inp: ComparatorInput, case: Literal["a", "b"] = "a") -> AlphaStar
     """
     pi = inp.pi
     if case == "a":
-        a_pu = pi * math.sqrt(inp.n_neg) / ((1.0 - pi) * math.sqrt(inp.n_pos))
-        a_nu = (1.0 - pi) * math.sqrt(inp.n_pos) / (pi * math.sqrt(inp.n_neg))
+        a_pu = pi * np.sqrt(inp.n_neg) / ((1.0 - pi) * np.sqrt(inp.n_pos))
+        a_nu = (1.0 - pi) * np.sqrt(inp.n_pos) / (pi * np.sqrt(inp.n_neg))
     elif case == "b":
         if inp.rho_pn is None:
             raise ValueError("case 'b' needs the limiting ratio rho_pn")
-        a_pu = pi / ((1.0 - pi) * math.sqrt(inp.rho_pn))
-        a_nu = (1.0 - pi) * math.sqrt(inp.rho_pn) / pi
+        a_pu = pi / ((1.0 - pi) * np.sqrt(inp.rho_pn))
+        a_nu = (1.0 - pi) * np.sqrt(inp.rho_pn) / pi
     else:
         raise ValueError(f"case must be 'a' or 'b', got {case!r}")
 
-    if a_pu < 1.0:
-        verdict = VERDICT_PU
-    elif a_pu > 1.0:
-        verdict = VERDICT_NU
-    else:
-        verdict = VERDICT_TIE
-    return AlphaStarResult(alpha_star_pu=a_pu, alpha_star_nu=a_nu, verdict=verdict)
+    verdict = np.where(a_pu < 1.0, VERDICT_PU, np.where(a_pu > 1.0, VERDICT_NU, VERDICT_TIE))
+    return AlphaStarResult(alpha_star_pu=_plain(a_pu), alpha_star_nu=_plain(a_nu),
+                           verdict=_plain(verdict))
 
 
 @dataclass(frozen=True)
@@ -275,8 +294,8 @@ def rademacher_mc_check(sample, c_w: float, c_phi: float, num_sigma_draws: int,
     x = np.asarray(sample, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("sample must be a non-empty matrix of feature rows")
-    if not (c_w > 0 and c_phi > 0):
-        raise ValueError("c_w and c_phi must be positive")
+    _check_positive(c_w, "c_w")
+    _check_positive(c_phi, "c_phi")
     if num_sigma_draws < 1_000:
         raise ValueError(f"num_sigma_draws must be at least 1000, got {num_sigma_draws}")
     n = x.shape[0]

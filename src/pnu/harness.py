@@ -368,34 +368,20 @@ def _verify_calibration() -> tuple[bool, str]:
 
 def _verify_comparator_equivalence(seed: int, cases: int = 10_000) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
-    params = bounds.BoundParams()
-    bad = 0
-    for _ in range(cases):
-        comp = bounds.ComparatorInput(
-            pi=rng.uniform(0.02, 0.98),
-            n_pos=int(rng.integers(1, 10_000)),
-            n_neg=int(rng.integers(1, 10_000)),
-            n_unl=int(rng.integers(1, 10_000)),
-        )
-        v_pn, v_pu, v_nu = bounds.bound_values(comp, params)
-        if (bounds.alpha_pu_pn(comp) < 1.0) != (v_pu < v_pn):
-            bad += 1
-        if (bounds.alpha_nu_pn(comp) < 1.0) != (v_nu < v_pn):
-            bad += 1
+    pi = rng.uniform(0.02, 0.98, cases)
+    comp = bounds.ComparatorInput(pi, *(rng.integers(1, 10_000, cases) for _ in range(3)))
+    v_pn, v_pu, v_nu = bounds.bound_values(comp, bounds.BoundParams())
+    bad = int(np.count_nonzero((bounds.alpha_pu_pn(comp) < 1.0) != (v_pu < v_pn))
+              + np.count_nonzero((bounds.alpha_nu_pn(comp) < 1.0) != (v_nu < v_pn)))
     return bad == 0, f"{cases} random inputs, {bad} violations"
 
 
 def _verify_reciprocity(seed: int, cases: int = 10_000) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(cases):
-        comp = bounds.ComparatorInput(
-            pi=rng.uniform(0.02, 0.98),
-            n_pos=int(rng.integers(1, 10_000)),
-            n_neg=int(rng.integers(1, 10_000)),
-        )
-        res = bounds.alpha_star(comp, case="a")
-        worst = max(worst, abs(res.alpha_star_pu * res.alpha_star_nu - 1.0))
+    pi = rng.uniform(0.02, 0.98, cases)
+    comp = bounds.ComparatorInput(pi, *(rng.integers(1, 10_000, cases) for _ in range(2)))
+    res = bounds.alpha_star(comp, case="a")
+    worst = float(np.max(np.abs(res.alpha_star_pu * res.alpha_star_nu - 1.0)))
     return worst <= 1e-12, f"{cases} random inputs, worst product error {worst:.2e}"
 
 

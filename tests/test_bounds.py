@@ -136,6 +136,109 @@ class TestCounts:
             assert (alpha_nu_pn(inp) < 1.0) == (v_nu < v_pn)
 
 
+class TestArrayInputs:
+    """Array fields: one case per element, checked once, equal to scalar calls bit for bit."""
+
+    @staticmethod
+    def _arrays(cases=1_000):
+        rng = np.random.default_rng(12)
+        pi = rng.uniform(0.02, 0.98, cases)
+        n_pos, n_neg, n_unl = (rng.integers(1, 10_000, cases) for _ in range(3))
+        # Ties n_pos/n_neg = pi^2/(1-pi)^2: pi = 1/2 with n_neg = n_pos, pi = 1/5
+        # with n_neg = 16 n_pos.
+        pi[:10], n_neg[:10] = 0.5, n_pos[:10]
+        pi[10:20], n_pos[10:20] = 0.2, rng.integers(1, 600, 10)
+        n_neg[10:20] = 16 * n_pos[10:20]
+        return pi, n_pos, n_neg, n_unl
+
+    @staticmethod
+    def _scalars(pi, n_pos, n_neg, n_unl):
+        """The same cases as scalar inputs, with Python floats and ints."""
+        n_unl = [None] * len(pi) if n_unl is None else n_unl.tolist()
+        return [ComparatorInput(*case)
+                for case in zip(pi.tolist(), n_pos.tolist(), n_neg.tolist(), n_unl)]
+
+    def test_comparators_match_scalar_calls(self):
+        arrays = self._arrays()
+        inp, scalars = ComparatorInput(*arrays), self._scalars(*arrays)
+        assert alpha_pu_pn(inp).tolist() == [alpha_pu_pn(s) for s in scalars]
+        assert alpha_nu_pn(inp).tolist() == [alpha_nu_pn(s) for s in scalars]
+        star = alpha_star(inp)
+        scalar_stars = [alpha_star(s) for s in scalars]
+        assert star.alpha_star_pu.tolist() == [r.alpha_star_pu for r in scalar_stars]
+        assert star.alpha_star_nu.tolist() == [r.alpha_star_nu for r in scalar_stars]
+        assert star.verdict.tolist() == [r.verdict for r in scalar_stars]
+        assert set(star.verdict.tolist()) == {VERDICT_PU, VERDICT_NU, VERDICT_TIE}
+
+    @pytest.mark.parametrize("unbounded", [False, True])
+    def test_bound_values_match_scalar_calls(self, unbounded):
+        pi, n_pos, n_neg, n_unl = self._arrays()
+        n_unl = None if unbounded else n_unl
+        params = BoundParams(delta=0.37, lipschitz=0.5, complexity_const=2.5)
+        values = bound_values(ComparatorInput(pi, n_pos, n_neg, n_unl), params)
+        scalar_values = [bound_values(s, params) for s in self._scalars(pi, n_pos, n_neg, n_unl)]
+        assert [v.tolist() for v in values] == [list(v) for v in zip(*scalar_values)]
+
+    def test_scalar_inputs_give_plain_results(self):
+        for inp in (ComparatorInput(pi=0.5, n_pos=45, n_neg=5, n_unl=100),
+                    ComparatorInput(pi=0.3, n_pos=np.int64(45), n_neg=np.int32(5),
+                                    n_unl=np.int64(100))):
+            assert type(alpha_pu_pn(inp)) is float and type(alpha_nu_pn(inp)) is float
+            assert all(type(v) is float for v in bound_values(inp, BoundParams()))
+            star = alpha_star(inp)
+            assert type(star.alpha_star_pu) is float and type(star.alpha_star_nu) is float
+            assert type(star.verdict) is str
+        star_b = alpha_star(ComparatorInput(pi=0.5, n_pos=3, n_neg=3, rho_pn=4.0), case="b")
+        assert type(star_b.alpha_star_pu) is float and type(star_b.verdict) is str
+
+    @pytest.mark.parametrize("field", ["n_pos", "n_neg", "n_unl"])
+    @pytest.mark.parametrize("bad", [
+        np.array([True, True, True]), np.array([45.0, 5.0, 100.0]), np.array([45, 0, 100]),
+        np.array([45, 5]), 45,
+    ], ids=["bool", "float", "zero", "short", "scalar"])
+    def test_rejects_bad_count_arrays(self, field, bad):
+        counts = dict(n_pos=np.array([45, 5, 100]), n_neg=np.array([5, 45, 100]),
+                      n_unl=np.array([100, 100, 100]))
+        counts[field] = bad
+        with pytest.raises(ValueError, match=field):
+            ComparatorInput(pi=np.array([0.5, 0.3, 0.7]), **counts)
+
+    @pytest.mark.parametrize("pi", [[0.5, 0.0], [0.5, 1.0], [0.5, math.nan], []],
+                             ids=["zero", "one", "nan", "empty"])
+    def test_rejects_bad_pi_arrays(self, pi):
+        pi = np.array(pi)
+        counts = np.ones(pi.shape, dtype=np.int64)
+        with pytest.raises(ValueError, match="pi"):
+            ComparatorInput(pi=pi, n_pos=counts, n_neg=counts, n_unl=counts)
+
+
+class TestFiniteConstants:
+    """Ratio constants, bound constants and class-size constants must be finite and positive."""
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    @pytest.mark.parametrize("name, call", [
+        ("rho_pn", lambda v: ComparatorInput(pi=0.5, n_pos=3, n_neg=3, rho_pn=v)),
+        ("rho_pn", lambda v: alpha_pu_pn_from_ratios(0.5, v, 1.0)),
+        ("rho_pn", lambda v: alpha_nu_pn_from_ratios(0.5, v, 1.0)),
+        ("rho_pu", lambda v: alpha_pu_pn_from_ratios(0.5, 1.0, v)),
+        ("rho_pu", lambda v: alpha_pu_pn_matched_prior(0.5, v)),
+        ("rho_nu", lambda v: alpha_nu_pn_from_ratios(0.5, 1.0, v)),
+        ("rho_nu", lambda v: alpha_nu_pn_matched_prior(0.5, v)),
+        ("rho", matched_prior_argmin),
+        ("rho", matched_prior_min),
+        ("lipschitz", lambda v: BoundParams(lipschitz=v)),
+        ("complexity_const", lambda v: BoundParams(complexity_const=v)),
+        ("c_w", lambda v: rademacher_mc_check(np.eye(2), v, 1.0, 1_000, 0)),
+        ("c_phi", lambda v: rademacher_mc_check(np.eye(2), 1.0, v, 1_000, 0)),
+    ], ids=["ComparatorInput.rho_pn", "pu_from_ratios.rho_pn", "nu_from_ratios.rho_pn",
+            "pu_from_ratios.rho_pu", "pu_matched_prior.rho_pu", "nu_from_ratios.rho_nu",
+            "nu_matched_prior.rho_nu", "argmin.rho", "min.rho", "lipschitz",
+            "complexity_const", "rademacher.c_w", "rademacher.c_phi"])
+    def test_rejected_with_its_name(self, name, call, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and positive"):
+            call(value)
+
+
 class TestRatioForms:
     def test_counts_realize_ratios(self):
         """Count form and ratio form agree to 1e-12 when consistent."""

@@ -10,7 +10,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from pnu import harness, losses, training
+from pnu import bounds, harness, losses, training
 from pnu.cli import main
 from pnu.datasets import gen_gaussian_artificial
 from pnu.training import CvConfig, TrainConfig
@@ -233,6 +233,23 @@ class TestVerifyCommand:
         assert [line for line in lines if line.startswith("[FAIL]")] == [
             "[FAIL] calibration: conditional-risk grid 0.05 x 0.01 over [-2, 2]"
         ]
+        assert sum(line.startswith("[PASS]") for line in lines) == 4
+
+    @pytest.mark.parametrize("name, perturb, suite", [
+        ("alpha_pu_pn", lambda alpha: 2.0 * alpha, "comparator-equivalence"),
+        ("alpha_star",
+         lambda res: replace(res, alpha_star_nu=res.alpha_star_nu * (1.0 + 1e-9)),
+         "alpha-star-reciprocity"),
+    ], ids=["comparator-equivalence", "alpha-star-reciprocity"])
+    def test_failed_comparator_suite_exits_1(self, monkeypatch, capsys, name, perturb, suite):
+        """A doubled PU comparator breaks equivalence; a perturbed 1/alpha* breaks reciprocity."""
+        true_fn = getattr(bounds, name)
+        monkeypatch.setattr(bounds, name, lambda *args, **kw: perturb(true_fn(*args, **kw)))
+        code = main(["verify", "--fast"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        failed = [line for line in lines if line.startswith("[FAIL]")]
+        assert len(failed) == 1 and failed[0].startswith(f"[FAIL] {suite}: 2000 random inputs")
         assert sum(line.startswith("[PASS]") for line in lines) == 4
 
     def test_short_resample_draw_exits_2(self, monkeypatch, capsys):

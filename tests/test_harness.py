@@ -80,6 +80,7 @@ class TestGridValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("n_pos", 4.5), ("n_neg", True), ("n_unl", 10.5), ("trials", 2.5), ("test_size", 0),
+        ("n_pos", np.array([45])),
     ])
     def test_counts_must_be_positive_integers(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -452,6 +453,19 @@ class TestAdvise:
             doc["bound_values"]["pn"] / 2.0, rel=1e-9
         )
         json.dumps(doc)  # must be serializable with the symbolic None
+
+    def test_scalar_results_are_plain_and_serializable(self):
+        doc = advise(0.5, 45, 5, 100)
+        assert all(type(doc[key]) is float for key in (
+            "alpha_pu_pn", "alpha_nu_pn", "alpha_star_pu", "alpha_star_nu"))
+        assert all(type(doc["bound_values"][key]) is float for key in ("pn", "pu", "nu"))
+        assert type(doc["verdict"]) is str
+        json.dumps(doc)
+
+    def test_array_counts_rejected(self):
+        """The comparators take array fields; advise reports one configuration."""
+        with pytest.raises(ValueError, match="n_pos"):
+            advise(0.5, np.array([45]), 5, 100)
 
 
 class TestVerifySuites:
