@@ -68,6 +68,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_grid(args, sweep: str, values) -> harness.ExperimentGrid:
+    if args.data and args.label_col is None:
+        raise ValueError(f"--data {args.data} needs --label-col, the label column's name or index")
     trials = args.trials
     if trials is None:
         trials = harness.PAPER_TRIALS if args.paper_scale else harness.DESK_TRIALS

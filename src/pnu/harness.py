@@ -145,9 +145,7 @@ def _train_modes(triple, template: ModelTemplate, train_config: TrainConfig,
             raise RuntimeError("sample triple mutated between modes")
         if cv_config is not None:
             width, lam, _ = cross_validate(mode, triple, template, cv_config, train_config)
-            mode_template = (
-                template if width is None else ModelTemplate(kind="kernel", width=width)
-            )
+            mode_template = template if width is None else replace(template, width=width)
             cfg = replace(train_config, lam=lam)
         else:
             mode_template, cfg = template, train_config

@@ -2,21 +2,24 @@
 
 The objective of a mode is its unbiased empirical risk under
 ``losses.scaled_ramp`` (the value ``risk_pn``/``risk_pu``/``risk_nu``
-returns with ``SCALED_RAMP``) plus (lambda/2)*||w||^2.  It is non-convex;
-training majorize-minimizes the difference-of-convex split of the ramp in
-the margin m = y*t, max(0, (1 - m)/2) - max(0, (-1 - m)/2) (the ramp-loss
-CCCP of Collobert et al., "Trading Convexity for Scalability", ICML
-2006).  Each outer iteration of ``train`` replaces the concave part by its
-tangent at the current margins and solves the resulting convex
-hinge-plus-linear-plus-quadratic subproblem (``_convex_value``).  CCCP
-stops once an outer step lowers the objective by less than _OUTER_TOL, or
-after _MAX_OUTER steps.
+returns with ``SCALED_RAMP``) plus (lambda/2)*||w||^2.  A fit stores its
+rows once, in margin coordinates: row i is y_i*(z_i, 1), where z_i is
+the row's features after any kernel map and y_i the label its set is
+scored with, so the margins m = y*t of theta = (w, b) are rows @ theta.
+The objective is non-convex; training majorize-minimizes the
+difference-of-convex split of the ramp in the margin, max(0, (1 - m)/2)
+- max(0, (-1 - m)/2) (the ramp-loss CCCP of Collobert et al., "Trading
+Convexity for Scalability", ICML 2006).  Each outer iteration of
+``train`` replaces the concave part by its tangent at the current
+margins, slope 1/2 on rows below margin -1 and 0 elsewhere, and solves
+the resulting convex hinge-plus-linear-plus-quadratic subproblem
+(``_convex_value``).  CCCP stops once an outer step lowers the objective
+by less than _OUTER_TOL, or after _MAX_OUTER steps.
 
-Every subproblem, linear or kernel, goes through one inner solve.  A fit
-is linear in its features, raw or pushed through the kernel map, so its
-unknowns are theta = (w, b), d + 1 of them for a linear fit and one per
-anchor plus the bias for a kernel fit, and its subproblem is piecewise
-quadratic in them.  A primal active-set method (Scheinberg, JMLR 2006)
+Every subproblem, linear or kernel, goes through one inner solve.  Its
+unknowns are theta, d + 1 of them for a linear fit and one per anchor
+plus the bias for a kernel fit, and it is piecewise quadratic in them.
+A primal active-set method (Scheinberg, JMLR 2006)
 solves it exactly from the previous outer step's point, and stops only
 on a KKT certificate: per-row slopes, each allowed at its row's margin,
 whose gradient vanishes to 1e-9 (``_kkt_residual``).  The solve returns
@@ -195,23 +198,20 @@ LINEAR_TEMPLATE = ModelTemplate(kind="linear")
 
 @dataclass(frozen=True)
 class RiskObjective:
-    """Weighted ramp-sum objective: sum_i c_i * ramp(y_i * t_i) + const + reg.
+    """Weighted ramp-sum objective: sum_i c_i * ramp(m_i) + const + (lam/2)*||w||^2.
 
-    ``features`` are already pushed through any kernel map, so a candidate
-    is just (weights, bias) and margins are an affine map of the weights.
+    Row i of ``rows`` is y_i*(z_i, 1), its features z_i already pushed
+    through any kernel map, so the margins of theta = (w, b) are rows @ theta.
     """
 
-    features: np.ndarray
-    labels: np.ndarray
+    rows: np.ndarray
     coeffs: np.ndarray
     constant: float
     lam: float
 
-    def margins(self, w: np.ndarray, b: float) -> np.ndarray:
-        return self.features @ w + b
-
-    def value(self, w: np.ndarray, b: float) -> float:
-        ramp = scaled_ramp(self.margins(w, b) * self.labels, +1)
+    def value(self, theta: np.ndarray) -> float:
+        w = theta[:-1]
+        ramp = scaled_ramp(self.rows.dot(theta), +1)
         return float(self.coeffs @ ramp) + self.constant + 0.5 * self.lam * float(w @ w)
 
 
@@ -228,67 +228,60 @@ def build_objective(mode: Mode, triple: SampleTriple,
     """Assemble the mode's regularized empirical risk over mapped features."""
     _require_mode_sets(mode, triple)
     spec = MODE_TABLE[mode]
-    rows, labels, coeffs = [], [], []
+    rows, coeffs = [], []
     for name, label, weight in zip(spec.sets, (+1, -1), spec.weights(triple.pi)):
         x = getattr(triple, name)
-        rows.append(feature_map(x) if feature_map else np.asarray(x, dtype=float))
-        labels.append(np.full(x.shape[0], label, dtype=float))
+        z = feature_map(x) if feature_map else np.asarray(x, dtype=float)
+        rows.append(label * np.hstack((z, np.ones((x.shape[0], 1)))))
         coeffs.append(np.full(x.shape[0], weight / x.shape[0], dtype=float))
-    return RiskObjective(
-        features=np.vstack(rows),
-        labels=np.concatenate(labels),
-        coeffs=np.concatenate(coeffs),
-        constant=spec.constant(triple.pi),
-        lam=lam,
-    )
+    return RiskObjective(rows=np.vstack(rows), coeffs=np.concatenate(coeffs),
+                         constant=spec.constant(triple.pi), lam=lam)
 
 
-def _convex_value(theta, Z, y, c, s, lam) -> float:
-    """Subproblem value at theta = (w, b): sum_i c_i*(hinge_i + s_i*t_i) + (lam/2)*||w||^2.
+def _convex_value(theta, A, c, s, lam) -> float:
+    """Subproblem value at theta = (w, b): sum_i c_i*(hinge_i + s_i*m_i) + (lam/2)*||w||^2.
 
-    hinge_i = max(0, (1 - y_i*t_i)/2) is the ramp's convex part; s_i*t_i is
-    the concave part's tangent, less a constant.
+    m = A @ theta are the margins, hinge_i = max(0, (1 - m_i)/2) is the
+    ramp's convex part, and s_i*m_i the concave part's tangent, less a
+    constant.
     """
     w = theta[:-1]
-    t = Z.dot(w)
-    t += theta[-1]
-    h = 1.0 - t * y
+    m = A.dot(theta)
+    h = 1.0 - m
     h *= 0.5
     np.maximum(0.0, h, out=h)
-    h += s * t
+    h += s * m
     return float(c.dot(h)) + 0.5 * lam * float(w.dot(w))
 
 
-def _row_slopes(y, c, s) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's slope in its margin m = y*t below and above the kink at m = 1.
+def _row_slopes(c, s) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's slope in its margin below and above the kink at m = 1.
 
-    Row i's subproblem term c_i*(hinge + s_i*t_i) is c_i*(max(0, (1 - m)/2)
-    + s_i*y_i*m), so the slope is c_i*(s_i*y_i - 1/2) below 1 and
-    c_i*s_i*y_i above.
+    Row i's subproblem term c_i*(max(0, (1 - m)/2) + s_i*m) has slope
+    c_i*(s_i - 1/2) below 1 and c_i*s_i above.
     """
-    hi = c * s * y
+    hi = c * s
     return hi - 0.5 * c, hi
 
 
-def _kkt_residual(theta, beta, Z, y, c, s, lam) -> float:
+def _kkt_residual(theta, beta, A, c, s, lam) -> float:
     """How far (theta, beta) is from certifying theta a minimizer of a subproblem.
 
     ``beta[i]`` is a slope claimed for row i's term.  It is first clipped to
     what the row allows at its margin m_i: the slope below or above the kink
     when m_i is more than _KINK_BAND from 1, anything between the two within
-    it.  The result is the sup norm of the gradient lam*(w, 0) +
-    sum_i beta_i*y_i*(z_i, 1) that the clipped slopes give.  Zero certifies
-    theta optimal for the subproblem with its kinks at exactly 1; a residual r
-    leaves theta at most r*||theta* - theta||_1 + _KINK_BAND*sum(c) above
-    the minimum.
+    it.  The result is the sup norm of the gradient A.T @ beta + lam*(w, 0)
+    that the clipped slopes give.  Zero certifies theta optimal for the
+    subproblem with its kinks at exactly 1; a residual r leaves theta at
+    most r*||theta* - theta||_1 + _KINK_BAND*sum(c) above the minimum.
     """
-    m = y * (Z.dot(theta[:-1]) + theta[-1])
-    lo, hi = _row_slopes(y, c, s)
+    m = A.dot(theta)
+    lo, hi = _row_slopes(c, s)
     beta = np.clip(beta, np.where(m > 1.0 + _KINK_BAND, hi, lo),
                    np.where(m < 1.0 - _KINK_BAND, lo, hi))
-    yb = y * beta
-    grad = Z.T.dot(yb) + lam * theta[:-1]
-    return max(float(np.abs(grad).max(initial=0.0)), abs(float(yb.sum())))
+    grad = A.T.dot(beta)
+    grad[:-1] += lam * theta[:-1]
+    return float(np.abs(grad).max())
 
 
 def _cell_step(grad, kinked, lam: float):
@@ -318,35 +311,32 @@ def _cell_step(grad, kinked, lam: float):
     return np.append(-grad[:-1] / lam, 0.0), np.empty(0)
 
 
-def _solve_active_set(theta0, Z, y, c, s, lam):
+def _solve_active_set(theta0, A, c, s, lam):
     """Exact primal active-set solve of a CCCP subproblem (Scheinberg, JMLR 2006).
 
     The subproblem is piecewise quadratic in theta = (w, b): row i's term is
-    linear in its margin m_i on either side of its kink (``_row_slopes``).
-    The working set, empty at theta0, holds rows kept exactly on their kink;
-    every other row sits on a known side.  Each pivot steps toward the
-    minimum of the current cell's quadratic subject to those equalities
-    (``_cell_step``), by an exact line search that crosses any kinks on the
-    way and adds the row it stops on to the working set.  At the cell's
-    minimum it releases the working row whose slope lies furthest outside
-    [slope below, slope above], to the side the slope points to, or stops
-    when none does.  Row i's kink sits at 1 + _KINK_OFFSET*(i+1)/n while
-    pivoting, so no two rows reach theirs together: at pi = 0.05 the optimum
-    w = 0, b = -1 puts every negative row on its kink, and duplicate rows
-    share one.  The final point moves the working rows onto margin 1.
+    linear in its margin m_i = A[i] @ theta on either side of its kink
+    (``_row_slopes``).  The working set, empty at theta0, holds rows kept
+    exactly on their kink; every other row sits on a known side.  Each
+    pivot steps toward the minimum of the current cell's quadratic subject
+    to those equalities (``_cell_step``), by an exact line search that
+    crosses any kinks on the way and adds the row it stops on to the
+    working set.  At the cell's minimum it releases the working row whose
+    slope lies furthest outside [slope below, slope above], to the side the
+    slope points to, or stops when none does.  Row i's kink sits at
+    1 + _KINK_OFFSET*(i+1)/n while pivoting, so no two rows reach theirs
+    together: at pi = 0.05 the optimum w = 0, b = -1 puts every negative
+    row on its kink, and duplicate rows share one.  The final point moves
+    the working rows onto margin 1.
 
     Returns (theta, beta), row slopes that ``_kkt_residual`` certifies
     within _KKT_TOL for the unperturbed subproblem, or None when that takes
     more than _MAX_PIVOTS pivots, the line search runs down an unbounded
     ray, or the certificate fails.
     """
-    n, dim = Z.shape[0], Z.shape[1] + 1
-    A = np.empty((n, dim))
-    A[:, :-1] = Z
-    A[:, -1] = 1.0
-    A *= y[:, None]  # margins are A @ theta
-    a_max = float(np.abs(A).max())
-    lo, hi = _row_slopes(y, c, s)
+    n = A.shape[0]
+    a_max = max(float(A.max()), -float(A.min()))
+    lo, hi = _row_slopes(c, s)
     kink = 1.0 + _KINK_OFFSET * np.arange(1, n + 1) / n
     theta = np.array(theta0, dtype=float)
     m = A.dot(theta)
@@ -409,11 +399,11 @@ def _solve_active_set(theta0, Z, y, c, s, lam):
             beta[work] = mult
             kinked = A[work]
             theta += kinked.T.dot(np.linalg.solve(kinked.dot(kinked.T), 1.0 - kink[work]))
-        return (theta, beta) if _kkt_residual(theta, beta, Z, y, c, s, lam) <= _KKT_TOL else None
+        return (theta, beta) if _kkt_residual(theta, beta, A, c, s, lam) <= _KKT_TOL else None
     return None
 
 
-def _solve(theta0, Z, y, c, s, lam):
+def _solve(theta0, A, c, s, lam):
     """One CCCP subproblem, of a linear or a kernel fit: the exact active-set solve.
 
     Returns the certified point when it is strictly lower than the start,
@@ -421,13 +411,13 @@ def _solve(theta0, Z, y, c, s, lam):
     _MAX_PIVOTS pivots or meets a singular system keeps its start.
     """
     try:
-        solved = _solve_active_set(theta0, Z, y, c, s, lam)
+        solved = _solve_active_set(theta0, A, c, s, lam)
     except np.linalg.LinAlgError:  # a singular system: no certificate
         solved = None
     if solved is None:
         return theta0
     theta = solved[0]
-    lower = _convex_value(theta, Z, y, c, s, lam) < _convex_value(theta0, Z, y, c, s, lam)
+    lower = _convex_value(theta, A, c, s, lam) < _convex_value(theta0, A, c, s, lam)
     return theta if lower else theta0
 
 
@@ -466,27 +456,22 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
     fmap = _build_feature_map(template, mode, triple)
     obj = build_objective(mode, triple, fmap, config.lam)
     rng = np.random.default_rng(config.seed)
-    dim = obj.features.shape[1]
+    dim = obj.rows.shape[1]
 
     _RUN_STATS["runs"] += 1
     best = None
     for restart in range(config.restarts):
-        if restart == 0:
-            w, b = np.zeros(dim), 0.0
-        else:
-            theta = rng.normal(0.0, 0.1, size=dim + 1)
-            w, b = theta[:-1], float(theta[-1])
-        current = obj.value(w, b)
+        theta = np.zeros(dim) if restart == 0 else rng.normal(0.0, 0.1, size=dim)
+        current = obj.value(theta)
         if not math.isfinite(current):
             raise ValueError("non-finite objective at initialization")
         objectives = [current]
         for _ in range(_MAX_OUTER):
             # Majorize: replace the concave part of each ramp by its tangent
-            # at the current margins (slope y/2 below margin -1, else 0).
-            s = np.where(obj.margins(w, b) * obj.labels < -1.0, 0.5 * obj.labels, 0.0)
-            theta = _solve(np.append(w, b), obj.features, obj.labels, obj.coeffs, s, obj.lam)
-            w_new, b_new = theta[:-1], float(theta[-1])
-            value = obj.value(w_new, b_new)
+            # at the current margins (slope 1/2 below margin -1, else 0).
+            s = np.where(obj.rows.dot(theta) < -1.0, 0.5, 0.0)
+            theta_new = _solve(theta, obj.rows, obj.coeffs, s, obj.lam)
+            value = obj.value(theta_new)
             _RUN_STATS["outer_steps"] += 1
             if value > current + MONOTONICITY_SLACK:
                 _RUN_STATS["monotonicity_violations"] += 1
@@ -494,16 +479,16 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
                     f"objective increased across an outer iteration: {current!r} -> {value!r}"
                 )
             decrease = current - value
-            w, b, current = w_new, b_new, value
+            theta, current = theta_new, value
             objectives.append(current)
             if decrease < _OUTER_TOL:
                 break
         if trace is not None:
             trace.append({"restart": restart, "objectives": objectives})
         if best is None or current < best[0]:
-            best = (current, w, b)
+            best = (current, theta)
 
-    return DecisionModel(weights=best[1], bias=best[2], feature_map=fmap)
+    return DecisionModel(weights=best[1][:-1], bias=best[1][-1], feature_map=fmap)
 
 
 def median_heuristic_width(x) -> float:

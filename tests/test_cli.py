@@ -127,6 +127,15 @@ class TestSweepCommands:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_data_without_label_col_names_the_flag(self, tmp_path, capsys):
+        """The flag is checked before the file is read, so a missing file does not mask it."""
+        code = main([
+            "sweep-nu", "--n-unl", "5", "--pi", "0.5", "--n-pos", "6", "--n-neg", "6",
+            "--trials", "1", "--data", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        self._assert_one_line_error(capsys.readouterr().err, "x.csv", "needs --label-col")
+
     @pytest.mark.parametrize("flag, doc, fragment", [
         ("--train-config", {"bogus": 1}, "'bogus'"),
         ("--train-config", [0.1], "JSON object"),

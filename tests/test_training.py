@@ -27,6 +27,11 @@ def _toy_triple():
     return SampleTriple(x_pos=TOY_POS, x_neg=TOY_NEG, x_unl=np.empty((0, 2)), pi=0.5)
 
 
+def _theta(model):
+    """A fitted model's parameters as the solver's one vector (w, b)."""
+    return np.append(model.weights, model.bias)
+
+
 def _grid_oracle(x_pos, x_neg, lam=1e-3):
     """Brute-force minimum of the PN objective over a coarse (w, b) grid.
 
@@ -55,13 +60,37 @@ class TestObjective:
         config = TrainConfig(lam=1e-2, seed=22)
         model = train(mode, triple, ModelTemplate(kind=kind), config)
         obj = build_objective(mode, triple, model.feature_map, config.lam)
-        w, b = model.weights, model.bias
+        w = model.weights
         penalty = 0.5 * config.lam * float(w @ w)
         estimator = {"PN": risk_pn, "PU": risk_pu, "NU": risk_nu}[mode]
         first, second = training.MODE_SETS[mode]
         want = estimator(model, getattr(triple, first), getattr(triple, second), triple.pi,
                          SCALED_RAMP)
-        assert obj.value(w, b) - penalty == pytest.approx(want, abs=1e-12)
+        assert obj.value(_theta(model)) - penalty == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["linear", "kernel"])
+    @pytest.mark.parametrize("mode", ["PN", "PU", "NU"])
+    def test_rows_are_built_once_in_margin_coordinates(self, mode, kind, monkeypatch):
+        """A fit builds one row matrix, passes it to every solve, and its rows give the margins.
+
+        Row i is y_i*(z_i, 1), so rows @ theta is label times the fitted
+        model's decision value on the mode's training rows.
+        """
+        built, calls = [], []
+        real_build, real_solve = training.build_objective, training._solve
+        monkeypatch.setattr(training, "build_objective",
+                            lambda *args: built.append(real_build(*args)) or built[-1])
+        monkeypatch.setattr(training, "_solve",
+                            lambda *args: calls.append(args) or real_solve(*args))
+        triple = gen_gaussian_artificial(20, 15, 30, 0.4, 26)
+        template = ModelTemplate(kind=kind, width=1.0 if kind == "kernel" else None)
+        model = train(mode, triple, template, TrainConfig(seed=27))
+        assert len(built) == 1 and len(calls) > 1
+        assert all(args[1] is built[0].rows for args in calls)
+        first, second = training.MODE_SETS[mode]
+        want = np.concatenate([model.decision_values(getattr(triple, first)),
+                               -model.decision_values(getattr(triple, second))])
+        np.testing.assert_allclose(built[0].rows @ _theta(model), want, rtol=0, atol=1e-12)
 
 
 class TestOuterStep:
@@ -78,7 +107,7 @@ class TestOuterStep:
         assert len(trace[0]["objectives"]) == 2  # zero init, then one outer step
         before = trace[0]["objectives"][0]
         assert before == pytest.approx(0.5, abs=1e-12)
-        after = obj.value(stepped.weights, stepped.bias)
+        after = obj.value(_theta(stepped))
         assert after == trace[0]["objectives"][1]
         assert after < before
         assert after < 0.01  # separable: one convex solve nearly finishes the job
@@ -88,7 +117,7 @@ class TestOuterStep:
         triple = _toy_triple()
         obj = build_objective("PN", triple, None, 1e-3)
         model = train("PN", triple, config=TrainConfig(seed=0))
-        assert obj.value(model.weights, model.bias) <= _grid_oracle(TOY_POS, TOY_NEG) + 1e-9
+        assert obj.value(_theta(model)) <= _grid_oracle(TOY_POS, TOY_NEG) + 1e-9
 
     def test_stationary_point_is_a_fixed_point(self):
         """Every restart stops on _OUTER_TOL, before the outer-step cap."""
@@ -105,7 +134,7 @@ class TestOuterStep:
         """Each subproblem train solves, plus a constant, majorizes the objective.
 
         The ramp in the margin m is max(0, (1 - m)/2) - max(0, (-1 - m)/2); the
-        subproblem keeps the convex hinge and replaces the concave part by s*t,
+        subproblem keeps the convex hinge and replaces the concave part by s*m,
         its tangent at the start theta0 less a constant.  With that constant
         fixed at theta0, the subproblem lies above the objective at random
         points and touches it at theta0.
@@ -119,17 +148,17 @@ class TestOuterStep:
         obj = build_objective("PU", triple, model.feature_map, 1e-3)
         rng = np.random.default_rng(25)
         linearized = 0
-        for theta0, Z, y, c, s, lam in calls:
-            t0 = Z @ theta0[:-1] + theta0[-1]
-            concave0 = -np.maximum(0.0, (-1.0 - y * t0) * 0.5)
-            const = obj.constant + float(c @ (concave0 - s * t0))
-            value0 = obj.value(theta0[:-1], theta0[-1])
-            assert training._convex_value(theta0, Z, y, c, s, lam) + const == \
+        for theta0, A, c, s, lam in calls:
+            m0 = A @ theta0
+            concave0 = -np.maximum(0.0, (-1.0 - m0) * 0.5)
+            const = obj.constant + float(c @ (concave0 - s * m0))
+            value0 = obj.value(theta0)
+            assert training._convex_value(theta0, A, c, s, lam) + const == \
                 pytest.approx(value0, abs=1e-12)
             for scale in (0.1, 1.0, 10.0):
                 theta = theta0 + rng.normal(0.0, scale, theta0.size)
-                upper = training._convex_value(theta, Z, y, c, s, lam) + const
-                assert obj.value(theta[:-1], theta[-1]) <= upper + 1e-12
+                upper = training._convex_value(theta, A, c, s, lam) + const
+                assert obj.value(theta) <= upper + 1e-12
             linearized += int(np.count_nonzero(s))
         assert len(calls) > 2 and linearized > 0  # some steps linearize rows below margin -1
 
@@ -137,8 +166,8 @@ class TestOuterStep:
         """Margins inside the hinge region make the split a plain hinge problem."""
         triple = _toy_triple()
         obj = build_objective("PN", triple, None, 1e-3)
-        w, b = np.zeros(2), 0.0  # all margins 0, none below -1
-        s = np.where(obj.margins(w, b) * obj.labels < -1.0, 0.5 * obj.labels, 0.0)
+        theta = np.zeros(3)  # all margins 0, none below -1
+        s = np.where(obj.rows @ theta < -1.0, 0.5, 0.0)
         assert np.all(s == 0.0)
 
 
@@ -164,7 +193,7 @@ class TestTrain:
         model = train("PU", triple, config=TrainConfig(seed=3, restarts=4), trace=trace)
         finals = [record["objectives"][-1] for record in trace]
         assert len(finals) == 4
-        returned = obj.value(model.weights, model.bias)
+        returned = obj.value(_theta(model))
         assert returned == pytest.approx(min(finals), abs=1e-12)
 
     def test_missing_sample_set_rejected(self):
@@ -252,29 +281,29 @@ def _subproblem(triple, mode, start, lam=1e-3, seed=0, feature_map=None):
     """A fit's CCCP subproblem, linearized at a zero or a random start.
 
     The fit is linear, or a kernel fit when ``feature_map`` is given.
-    Returns the solver arguments (theta0, Z, y, c, s, lam).  A random start
+    Returns the solver arguments (theta0, A, c, s, lam).  A random start
     of scale 1.5 puts some rows below margin -1, so their concave parts are
     linearized with a nonzero slope.
     """
     obj = build_objective(mode, triple, feature_map, lam)
-    dim = obj.features.shape[1] + 1
+    dim = obj.rows.shape[1]
     theta0 = np.zeros(dim) if start == "zero" else np.random.default_rng(seed).normal(0.0, 1.5, dim)
-    margins = obj.labels * obj.margins(theta0[:-1], theta0[-1])
-    s = np.where(margins < -1.0, 0.5 * obj.labels, 0.0)
-    return theta0, obj.features, obj.labels, obj.coeffs, s, lam
+    s = np.where(obj.rows @ theta0 < -1.0, 0.5, 0.0)
+    return theta0, obj.rows, obj.coeffs, s, lam
 
 
-def _dual_value(beta, Z, y, c, s, lam):
+def _dual_value(beta, A, c, s, lam):
     """The subproblem's dual objective at row slopes beta, clipped to their boxes.
 
     Row i's term is max over beta_i in [lo_i, hi_i] of beta_i*m_i + hi_i - beta_i
     (``_row_slopes``), so minimizing over theta gives D(beta) = sum_i (hi_i -
     beta_i) - ||sum_i beta_i*y_i*z_i||^2/(2*lam) wherever sum_i beta_i*y_i = 0.
+    Row i of A is y_i*(z_i, 1), so those sums are the columns of A.T @ beta.
     Every theta scores at least D(beta): weak duality, whatever solver found it.
     """
-    lo, hi = training._row_slopes(y, c, s)
+    lo, hi = training._row_slopes(c, s)
     beta = np.clip(beta, lo, hi)
-    v = Z.T.dot(beta * y)
+    v = A[:, :-1].T.dot(beta)
     return float(np.sum(hi - beta)) - float(v.dot(v)) / (2.0 * lam)
 
 
@@ -287,10 +316,10 @@ def _certify(sub):
     solved = training._solve_active_set(*sub)
     assert solved is not None, "the active set did not certify"
     theta, beta = solved
-    _, Z, y, c, s, lam = sub
-    assert training._kkt_residual(theta, beta, Z, y, c, s, lam) <= training._KKT_TOL
-    primal = training._convex_value(theta, Z, y, c, s, lam)
-    assert abs(primal - _dual_value(beta, Z, y, c, s, lam)) <= 1e-9
+    _, A, c, s, lam = sub
+    assert training._kkt_residual(theta, beta, A, c, s, lam) <= training._KKT_TOL
+    primal = training._convex_value(theta, A, c, s, lam)
+    assert abs(primal - _dual_value(beta, A, c, s, lam)) <= 1e-9
     return solved
 
 
@@ -325,7 +354,7 @@ def _certify_corpus(mode, kind):
                 theta, beta = _certify(sub)
                 # The certificate is not vacuous: a nearby point fails it.
                 assert training._kkt_residual(theta + 1e-3, beta, *sub[1:]) > training._KKT_TOL
-                linearized += int(np.count_nonzero(sub[4]))
+                linearized += int(np.count_nonzero(sub[3]))
     assert linearized > 0  # some random starts put rows below margin -1
 
 
@@ -342,9 +371,9 @@ class TestLinearActiveSet:
         sub = _subproblem(triple, "PU", "zero")
         theta, _ = _certify(sub)
         assert np.abs(theta[:-1]).max() < 1e-6 and theta[-1] == pytest.approx(-1.0, abs=1e-6)
-        _, Z, y, *_ = sub
-        on_kink = np.abs(y * (Z @ theta[:-1] + theta[-1]) - 1.0) <= training._KINK_BAND
-        assert int(np.sum(on_kink & (y < 0))) == 100
+        A = sub[1]
+        on_kink = np.abs(A @ theta - 1.0) <= training._KINK_BAND
+        assert int(np.sum(on_kink & (A[:, -1] < 0))) == 100  # the label is the bias column
 
     @pytest.mark.parametrize("mode", ["PN", "PU", "NU"])
     def test_duplicate_rows_certify(self, mode, monkeypatch):
