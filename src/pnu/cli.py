@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import harness
@@ -91,10 +92,25 @@ def _resolve_grid(args, sweep: str, values) -> harness.ExperimentGrid:
     )
 
 
+def _check_out(path: str) -> None:
+    """Raise OSError naming ``path`` when the table could not be written there.
+
+    A sweep can run for hours, so this runs before it, not when the table
+    is written.
+    """
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise OSError(f"--out {path}: directory {folder} does not exist")
+    if os.path.isdir(path):
+        raise OSError(f"--out {path}: is a directory")
+
+
 def _run_sweep(args, sweep: str, values) -> int:
     grid = _resolve_grid(args, sweep, values)
     train_config = TrainConfig.from_json(args.train_config) if args.train_config else None
     cv_config = CvConfig.from_json(args.cv_config) if args.cv_config else None
+    if args.out is not None:
+        _check_out(args.out)
     table = harness.run_sweep(grid, train_config, cv_config)
     harness.emit(table, args.format, args.out)
     return 0

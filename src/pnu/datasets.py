@@ -259,7 +259,9 @@ def sample_triple_from_pool(pool: LabeledPool, n_pos: int, n_neg: int, n_unl: in
     the next unused row of the matching class (the flip is then
     discarded).  The holdout is everything left over, uniformly subsampled
     to at most 10^4 rows.  Raises InsufficientDataError naming the
-    exhausted class when the pool cannot satisfy the draw.
+    exhausted class when the pool cannot satisfy the draw, and naming the
+    holdout, its row count and the class it lacks when the rows left over
+    do not hold both classes.
     """
     _check_pi(pi)
     rng = np.random.default_rng(seed)
@@ -289,6 +291,13 @@ def sample_triple_from_pool(pool: LabeledPool, n_pos: int, n_neg: int, n_unl: in
     if remaining.size > HOLDOUT_CAP:
         remaining = rng.choice(remaining, size=HOLDOUT_CAP, replace=False)
     holdout_idx = np.sort(remaining)
+    held = pool.labels[holdout_idx]
+    for name, label in (("positive", 1), ("negative", -1)):
+        if not np.any(held == label):
+            raise InsufficientDataError(
+                f"holdout too small: {holdout_idx.size} row(s) left after the draw, "
+                f"none of the {name} class"
+            )
 
     triple = SampleTriple(
         x_pos=pool.features[pos_idx],

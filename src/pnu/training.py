@@ -29,6 +29,11 @@ keeps its start.  So the true regularized objective is non-increasing
 across outer iterations; ``train`` asserts that on every step with a
 1e-12 slack, and a violation is a hard error, not a warning.
 
+Each pivot solves the KKT system of its cell (``_cell_step``): densely,
+(dim + k)^2 for k working rows, below _REDUCED_MIN_DIM unknowns (every
+linear fit and small kernel fits), and above it as a (k + 1)^2 system
+with w eliminated, refined once against the full KKT residual.
+
 Multiple restarts (zero init plus random Gaussian inits of scale 0.1)
 hedge against bad local minima; the restart with the lowest final
 objective wins.  Hyperparameters for the kernel model are selected by
@@ -66,6 +71,10 @@ _MAX_PIVOTS = 300
 _MAX_OUTER = 30
 _OUTER_TOL = 1e-6
 _MEDIAN_ROWS = 512
+# Cells of at least this many unknowns take _cell_step's reduced (k + 1)^2
+# KKT solve, smaller ones the dense (dim + k)^2 solve: timed per call on a
+# 2-CPU host, the reduced solve first won at every k from 4 to 14 at dim 52.
+_REDUCED_MIN_DIM = 52
 
 
 class CccpMonotonicityError(RuntimeError):
@@ -295,8 +304,41 @@ def _cell_step(grad, kinked, lam: float):
     solve.  With no working rows, p is the Newton step in w alone when the
     bias slope vanishes, and otherwise a unit ray along the bias, where the
     quadratic is flat.
+
+    The KKT system [[H, K.T], [K, 0]] @ (p, mult) = (-grad, 0), with
+    H = diag(lam, ..., lam, 0) and K = ``kinked`` = [K_w, k_b], is solved
+    densely, (dim + k)^2, below _REDUCED_MIN_DIM unknowns.  From there on
+    p_w = -(g_w + K_w.T @ mult)/lam is eliminated (the range-space step of
+    Nocedal & Wright, "Numerical Optimization", ch. 16), leaving the
+    (k + 1)^2 system [[K_w K_w.T, -lam*k_b], [k_b.T, 0]] @ (mult, p_b) =
+    (-K_w @ g_w, -g_b); k stays small.  Forming K_w K_w.T squares the
+    system's condition, so one step of iterative refinement on the full
+    KKT residual follows, through the same reduced matrix.
     """
     k, dim = kinked.shape
+    if k and dim >= _REDUCED_MIN_DIM:
+        k_w, k_b = kinked[:, :-1], kinked[:, -1]
+        reduced = np.zeros((k + 1, k + 1))
+        reduced[:k, :k] = k_w.dot(k_w.T)
+        reduced[:k, k] = -lam * k_b
+        reduced[k, :k] = k_b
+
+        def solve(r, r_kink):
+            """(p, mult) solving the KKT system for right-hand side (r, r_kink)."""
+            rhs = np.empty(k + 1)
+            rhs[:k] = k_w.dot(r[:-1]) - lam * r_kink
+            rhs[k] = r[-1]
+            sol = np.linalg.solve(reduced, rhs)
+            p = r - kinked.T.dot(sol[:k])
+            p[:-1] /= lam
+            p[-1] = sol[k]
+            return p, sol[:k]
+
+        p, mult = solve(-grad, 0.0)
+        res = -grad - kinked.T.dot(mult)
+        res[:-1] -= lam * p[:-1]
+        dp, dmult = solve(res, -kinked.dot(p))
+        return p + dp, mult + dmult
     if k:
         kkt = np.zeros((dim + k, dim + k))
         kkt[np.arange(dim - 1), np.arange(dim - 1)] = lam

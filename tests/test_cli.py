@@ -197,6 +197,31 @@ class TestSweepCommands:
         self._assert_one_line_error(capsys.readouterr().err,
                                     "sweep point pi=0.5, trial 0: ", "positive class exhausted")
 
+    def test_short_holdout_exits_2_naming_it(self, tmp_path, capsys):
+        """Five rows serve a 1/1/2 draw, but the one row left cannot be a holdout."""
+        path = tmp_path / "pool.csv"
+        path.write_text("f1,y\n0.1,1\n0.5,1\n0.9,1\n-0.3,-1\n-0.7,-1\n", encoding="utf-8")
+        code = main([
+            "sweep-nu", "--n-unl", "2", "--pi", "0.5", "--n-pos", "1", "--n-neg", "1",
+            "--trials", "1", "--data", str(path), "--label-col", "y",
+        ])
+        assert code == 2
+        self._assert_one_line_error(capsys.readouterr().err, "sweep point nu=2, trial 0: ",
+                                    "holdout too small: 1 row(s) left after the draw, "
+                                    "none of the negative class")
+
+    @pytest.mark.parametrize("out", ["missing/x.json", "."], ids=["no-directory", "a-directory"])
+    def test_unwritable_out_exits_2_before_the_sweep(self, tmp_path, monkeypatch, capsys, out):
+        """The --out path is checked before any training, not after the sweep."""
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(harness, "run_sweep", no_sweep)
+        out = str(tmp_path / out)
+        code = main(["sweep-nu", "--n-unl", "5", "--trials", "1", "--out", out])
+        assert code == 2
+        self._assert_one_line_error(capsys.readouterr().err, f"--out {out}: ")
+
     def test_non_finite_csv_exits_2(self, tmp_path, capsys):
         path = tmp_path / "pool.csv"
         path.write_text("f1,y\n1.0,1\nnan,-1\n2.0,1\n3.0,-1\n", encoding="utf-8")

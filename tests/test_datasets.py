@@ -222,6 +222,19 @@ class TestPoolSampling:
         with pytest.raises(InsufficientDataError, match="positive"):
             sample_triple_from_pool(pool, 30, 1, 5, 0.95, 0)
 
+    @pytest.mark.parametrize("labels, n_pos, n_neg, message", [
+        ([1, 1, -1, -1], 1, 2, "1 row(s) left after the draw, none of the negative class"),
+        ([1, -1, -1, 1], 2, 1, "1 row(s) left after the draw, none of the positive class"),
+        ([1, -1, 1, -1], 2, 2, "0 row(s) left after the draw, none of the positive class"),
+    ])
+    def test_short_holdout_names_the_holdout(self, labels, n_pos, n_neg, message):
+        """The pool serves the draw, but the rows left over cannot score a model."""
+        pool = LabeledPool(features=np.arange(len(labels), dtype=float)[:, None],
+                           labels=np.array(labels))
+        with pytest.raises(InsufficientDataError, match="holdout too small") as exc:
+            sample_triple_from_pool(pool, n_pos, n_neg, 0, 0.5, 0)
+        assert message in str(exc.value)
+
     def test_deterministic(self):
         pool = _toy_pool(m=300, seed=10)
         t1, h1 = sample_triple_from_pool(pool, 10, 10, 30, 0.4, 777)

@@ -452,6 +452,64 @@ class TestKernelActiveSet:
                                   TrainConfig(lam=lam))
 
 
+class TestReducedCellStep:
+    """Cells of _REDUCED_MIN_DIM unknowns or more step through the reduced (k + 1)^2 KKT system."""
+
+    @staticmethod
+    def _record_solves(monkeypatch):
+        """The order of every np.linalg.solve system the test makes, in call order."""
+        orders, real = [], np.linalg.solve
+        monkeypatch.setattr(training.np.linalg, "solve",
+                            lambda a, b: orders.append(a.shape[0]) or real(a, b))
+        return orders
+
+    @pytest.mark.parametrize("extra", [0, 1, 16, 82, 182])
+    def test_matches_the_dense_step(self, extra, monkeypatch):
+        """Random kernel-like cells with k = 1 to 14 working rows take the dense (p, mult) to 1e-9."""
+        dim = training._REDUCED_MIN_DIM + extra
+        rng = np.random.default_rng(dim)
+        cells = [(rng.normal(0.0, 0.1, dim),
+                  np.column_stack([rng.random((k, dim - 1)), rng.choice([-1.0, 1.0], k)]))
+                 for k in range(1, 15)]
+        orders = self._record_solves(monkeypatch)
+        reduced = [training._cell_step(grad, kinked, 1e-3) for grad, kinked in cells]
+        # A reduced solve and one refinement solve per cell.
+        assert orders == [k + 1 for k in range(1, 15) for _ in range(2)]
+        monkeypatch.setattr(training, "_REDUCED_MIN_DIM", 10**9)
+        for (grad, kinked), (p, mult) in zip(cells, reduced):
+            p_dense, mult_dense = training._cell_step(grad, kinked, 1e-3)
+            for got, want in ((p, p_dense), (mult, mult_dense)):
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+    def test_smaller_cells_solve_densely(self, monkeypatch):
+        dim = training._REDUCED_MIN_DIM - 1
+        orders = self._record_solves(monkeypatch)
+        training._cell_step(np.ones(dim), np.random.default_rng(0).random((6, dim)), 1e-3)
+        assert orders == [dim + 6]
+
+    def test_large_kernel_fits_certify_and_match_the_dense_objective(self, monkeypatch):
+        """n_unl = 200, so PU fits have 246 unknowns; seeds 0-4 and every mode.
+
+        Every solve certifies, and each fit's final objective is the dense
+        step's to 1e-12.
+        """
+        _never_uncertified(monkeypatch)
+        fits = [(mode, gen_gaussian_artificial(45, 5, 200, 0.5, seed))
+                for seed in range(5) for mode in ("PN", "PU", "NU")]
+
+        def objectives():
+            values = []
+            for mode, triple in fits:
+                model = train(mode, triple, ModelTemplate(kind="kernel"), TrainConfig())
+                obj = build_objective(mode, triple, model.feature_map, TrainConfig().lam)
+                values.append(obj.value(_theta(model)))
+            return np.array(values)
+
+        reduced = objectives()
+        monkeypatch.setattr(training, "_REDUCED_MIN_DIM", 10**9)
+        np.testing.assert_allclose(reduced, objectives(), rtol=0.0, atol=1e-12)
+
+
 class TestKernelTraining:
     def test_anchor_sets_mirror_the_mode(self):
         triple = gen_gaussian_artificial(8, 6, 10, 0.5, 12)
