@@ -69,7 +69,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_grid(args, sweep: str, values) -> harness.ExperimentGrid:
-    if args.data and args.label_col is None:
+    if args.data is not None and args.label_col is None:
         raise ValueError(f"--data {args.data} needs --label-col, the label column's name or index")
     trials = args.trials
     if trials is None:
@@ -85,7 +85,7 @@ def _resolve_grid(args, sweep: str, values) -> harness.ExperimentGrid:
         pi=args.pi if sweep == "nu" else None,
         n_unl=args.n_unl if sweep == "pi" else None,
         trials=trials,
-        data_source=args.data or "artificial",
+        data_source=args.data,
         label_column=args.label_col,
         test_size=test_size,
         seed=args.seed,

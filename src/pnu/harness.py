@@ -63,7 +63,7 @@ class ExperimentGrid:
     pi: Optional[float] = None  # fixed prior (nu sweep)
     n_unl: Optional[int] = None  # fixed unlabeled size (pi sweep)
     trials: int = DESK_TRIALS
-    data_source: str = "artificial"  # "artificial" or a CSV path
+    data_source: Optional[str] = None  # a CSV path, or None for synthetic Gaussians
     label_column: object = None
     test_size: int = DESK_TEST_SIZE
     seed: int = 0
@@ -82,7 +82,7 @@ class ExperimentGrid:
                 raise ValueError("a nu sweep needs a fixed pi in (0, 1)")
         else:
             values = tuple(float(v) for v in values)
-            if values[0] <= 0.0 or values[-1] >= 1.0:
+            if not all(0.0 < v < 1.0 for v in values):
                 raise ValueError("pi sweep values must lie strictly inside (0, 1)")
             bounds._check_count(self.n_unl, "n_unl")
         object.__setattr__(self, "values", values)
@@ -179,7 +179,7 @@ def run_sweep(grid: ExperimentGrid, train_config: Optional[TrainConfig] = None,
     """
     train_config = train_config or TrainConfig()
     pool = None
-    if grid.data_source != "artificial":
+    if grid.data_source is not None:
         pool = load_csv(grid.data_source, grid.label_column)
     if template is None:
         template = ModelTemplate(kind="linear" if pool is None else "kernel")

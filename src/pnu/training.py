@@ -13,8 +13,9 @@ Convexity for Scalability", ICML 2006).  Each outer iteration of
 ``train`` replaces the concave part by its tangent at the current
 margins, slope 1/2 on rows below margin -1 and 0 elsewhere, and solves
 the resulting convex hinge-plus-linear-plus-quadratic subproblem
-(``_convex_value``).  CCCP stops once an outer step lowers the objective
-by less than _OUTER_TOL, or after _MAX_OUTER steps.
+(``_convex_value``).  CCCP stops at a fixed point, when the tangent at
+the current margins equals the one just solved with, or after _MAX_OUTER
+steps.
 
 Every subproblem, linear or kernel, goes through one inner solve.  Its
 unknowns are theta, d + 1 of them for a linear fit and one per anchor
@@ -69,7 +70,6 @@ _KKT_TOL = 1e-9
 _ZERO = 1e-12
 _MAX_PIVOTS = 300
 _MAX_OUTER = 30
-_OUTER_TOL = 1e-6
 _MEDIAN_ROWS = 512
 # Cells of at least this many unknowns take _cell_step's reduced (k + 1)^2
 # KKT solve, smaller ones the dense (dim + k)^2 solve: timed per call on a
@@ -508,10 +508,13 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
         if not math.isfinite(current):
             raise ValueError("non-finite objective at initialization")
         objectives = [current]
+        solved = None
         for _ in range(_MAX_OUTER):
             # Majorize: replace the concave part of each ramp by its tangent
             # at the current margins (slope 1/2 below margin -1, else 0).
             s = np.where(obj.rows.dot(theta) < -1.0, 0.5, 0.0)
+            if solved is not None and np.array_equal(s, solved):
+                break  # a fixed point: theta is this subproblem's minimizer already
             theta_new = _solve(theta, obj.rows, obj.coeffs, s, obj.lam)
             value = obj.value(theta_new)
             _RUN_STATS["outer_steps"] += 1
@@ -520,11 +523,8 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
                 raise CccpMonotonicityError(
                     f"objective increased across an outer iteration: {current!r} -> {value!r}"
                 )
-            decrease = current - value
-            theta, current = theta_new, value
+            theta, current, solved = theta_new, value, s
             objectives.append(current)
-            if decrease < _OUTER_TOL:
-                break
         if trace is not None:
             trace.append({"restart": restart, "objectives": objectives})
         if best is None or current < best[0]:

@@ -178,6 +178,13 @@ class TestSweepCommands:
                                     "objective increased")
 
     @staticmethod
+    def _forbid_sweep(monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(harness, "run_sweep", no_sweep)
+
+    @staticmethod
     def _assert_one_line_error(err, *fragments):
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
@@ -213,14 +220,33 @@ class TestSweepCommands:
     @pytest.mark.parametrize("out", ["missing/x.json", "."], ids=["no-directory", "a-directory"])
     def test_unwritable_out_exits_2_before_the_sweep(self, tmp_path, monkeypatch, capsys, out):
         """The --out path is checked before any training, not after the sweep."""
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("the sweep ran")
-
-        monkeypatch.setattr(harness, "run_sweep", no_sweep)
+        self._forbid_sweep(monkeypatch)
         out = str(tmp_path / out)
         code = main(["sweep-nu", "--n-unl", "5", "--trials", "1", "--out", out])
         assert code == 2
         self._assert_one_line_error(capsys.readouterr().err, f"--out {out}: ")
+
+    def test_nan_pi_exits_2_before_the_sweep(self, monkeypatch, capsys):
+        """Every sweep value is checked, not only the first and the last."""
+        self._forbid_sweep(monkeypatch)
+        code = main(["sweep-pi", "--pi", "0.3,nan", "--n-unl", "5", "--trials", "1"])
+        assert code == 2
+        self._assert_one_line_error(capsys.readouterr().err, "strictly inside (0, 1)")
+
+    def test_data_named_artificial_is_read(self, tmp_path, monkeypatch):
+        """A CSV file named ``artificial`` is loaded, not taken for the synthetic source."""
+        (tmp_path / "artificial").write_text(
+            "f1,y\n" + "".join(f"{i}.0,{1 if i % 2 else -1}\n" for i in range(40)),
+            encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        loaded = []
+        real = harness.load_csv
+        monkeypatch.setattr(harness, "load_csv", lambda *args: loaded.append(args) or real(*args))
+        code = main(["sweep-nu", "--n-unl", "4", "--pi", "0.5", "--n-pos", "3", "--n-neg", "3",
+                     "--trials", "1", "--data", "artificial", "--label-col", "y",
+                     "--out", str(tmp_path / "table.csv")])
+        assert code == 0
+        assert loaded == [("artificial", "y")]
 
     def test_non_finite_csv_exits_2(self, tmp_path, capsys):
         path = tmp_path / "pool.csv"

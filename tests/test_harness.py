@@ -65,8 +65,10 @@ class TestGridValidation:
             ExperimentGrid(sweep="pi", values=(0.2, 0.8), n_pos=5, n_neg=5, trials=1)
 
     def test_pi_values_inside_unit_interval(self):
-        with pytest.raises(ValueError):
-            ExperimentGrid(sweep="pi", values=(0.0, 0.5), n_pos=5, n_neg=5, n_unl=10)
+        """Every value is checked: a NaN passes both comparisons with the end points."""
+        for values in [(0.0, 0.5), (0.3, float("nan"))]:
+            with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
+                ExperimentGrid(sweep="pi", values=values, n_pos=5, n_neg=5, n_unl=10)
 
     @pytest.mark.parametrize("seed", [-1, 2.5])
     def test_seed_must_be_a_non_negative_integer(self, seed):
@@ -348,7 +350,7 @@ class TestGoldenSweep:
         triple = gen_gaussian_artificial(12, 4, 30, 0.5, 5)
         want = {
             "PN": ([5.122053766552068, 0.8070011246123702], 0.4245937810665256),
-            "PU": ([5.456656903545105, 0.2917063991743204], 1.6974819695309908),
+            "PU": ([5.456656903545103, 0.2917063991743203], 1.6974819695309906),
             "NU": ([0.9184058776375759, -0.06193877952546087], 0.7911049864476506),
         }
         for mode, (weights, bias) in want.items():

@@ -51,6 +51,22 @@ def _grid_oracle(x_pos, x_neg, lam=1e-3):
     return float(values.min())
 
 
+def _solves_by_restart(monkeypatch, mode, triple, template, config):
+    """Train with ``_solve`` wrapped: the trace, and per restart each call's (rows, s, result)."""
+    calls, trace = [], []
+    real = training._solve
+
+    def solve(theta0, A, c, s, lam):
+        calls.append((A, s, real(theta0, A, c, s, lam)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(training, "_solve", solve)
+    train(mode, triple, template, config, trace=trace)
+    ends = np.cumsum([len(record["objectives"]) - 1 for record in trace])
+    assert ends[-1] == len(calls)
+    return trace, [calls[start:end] for start, end in zip(np.r_[0, ends[:-1]], ends)]
+
+
 class TestObjective:
     @pytest.mark.parametrize("kind", ["linear", "kernel"])
     @pytest.mark.parametrize("mode", ["PN", "PU", "NU"])
@@ -119,15 +135,28 @@ class TestOuterStep:
         model = train("PN", triple, config=TrainConfig(seed=0))
         assert obj.value(_theta(model)) <= _grid_oracle(TOY_POS, TOY_NEG) + 1e-9
 
-    def test_stationary_point_is_a_fixed_point(self):
-        """Every restart stops on _OUTER_TOL, before the outer-step cap."""
-        trace = []
-        train("PN", _toy_triple(), config=TrainConfig(seed=0), trace=trace)
-        for record in trace:
+    def test_stationary_point_is_a_fixed_point(self, monkeypatch):
+        """Every restart stops before the cap, where its tangent is the last solve's."""
+        trace, restarts = _solves_by_restart(monkeypatch, "PN", _toy_triple(),
+                                             training.LINEAR_TEMPLATE, TrainConfig(seed=0))
+        for record, solves in zip(trace, restarts):
             steps = np.diff(record["objectives"])
-            assert len(steps) < training._MAX_OUTER
-            assert -steps[-1] < training._OUTER_TOL
+            assert 0 < len(steps) < training._MAX_OUTER
             assert np.all(steps <= training.MONOTONICITY_SLACK)
+            A, s, theta = solves[-1]
+            np.testing.assert_array_equal(np.where(A @ theta < -1.0, 0.5, 0.0), s)
+
+    @pytest.mark.parametrize("kind", ["linear", "kernel"])
+    @pytest.mark.parametrize("mode", ["PN", "PU", "NU"])
+    def test_no_subproblem_is_solved_twice_in_a_row(self, mode, kind, monkeypatch):
+        """A tangent equal to the last solve's stops the restart without a solve."""
+        triple = gen_gaussian_artificial(45, 5, 20, 0.5, 28)
+        template = ModelTemplate(kind=kind, width=1.0 if kind == "kernel" else None)
+        _, restarts = _solves_by_restart(monkeypatch, mode, triple, template,
+                                         TrainConfig(seed=29))
+        for solves in restarts:
+            for (_, s0, _), (_, s1, _) in zip(solves, solves[1:]):
+                assert not np.array_equal(s0, s1)
 
     @pytest.mark.parametrize("kind", ["linear", "kernel"])
     def test_subproblems_majorize_the_objective(self, kind, monkeypatch):
