@@ -32,37 +32,13 @@ stays below C_w*C_phi/sqrt(n).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Literal, Optional
 
 import numpy as np
 
-from .datasets import _check_pi
+from .datasets import _as_matrix, _check_count, _check_pi, _check_real
 from .risk import MODE_TABLE
-
-
-def _check_count(n, name: str, like=None):
-    """n itself if it is a positive integer (numpy integers pass, bools do not).
-
-    With an array ``like``, n must be an integer array of its shape, all >= 1.
-    """
-    if isinstance(like, np.ndarray):
-        ok = isinstance(n, np.ndarray) and n.dtype.kind in "iu" and n.shape == like.shape
-        ok = ok and n.min() >= 1
-    else:  # The exact-int test spares the common case the slower ABC check.
-        ok = type(n) is int or isinstance(n, numbers.Integral) and not isinstance(n, bool)
-        ok = ok and n >= 1
-    if not ok:
-        raise ValueError(f"{name} must be a positive integer count, got {n!r}")
-    return n
-
-
-def _check_positive(x: float, name: str) -> float:
-    """x itself if it is finite and positive (NaN fails)."""
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"{name} must be finite and positive, got {x}")
-    return x
 
 
 def _plain(x):
@@ -91,17 +67,13 @@ class ComparatorInput:
     rho_pn: Optional[float] = None
 
     def __post_init__(self) -> None:
-        pi = self.pi
-        if not isinstance(pi, np.ndarray):
-            _check_pi(pi)
-        elif not (pi.size and np.all((pi > 0.0) & (pi < 1.0))):
-            raise ValueError(f"class prior pi must be strictly inside (0, 1), got {pi!r}")
-        _check_count(self.n_pos, "n_pos", pi)
-        _check_count(self.n_neg, "n_neg", pi)
+        pi = _check_pi(self.pi, arrays=True)
+        _check_count(self.n_pos, "n_pos", like=pi)
+        _check_count(self.n_neg, "n_neg", like=pi)
         if self.n_unl is not None:
-            _check_count(self.n_unl, "n_unl", pi)
+            _check_count(self.n_unl, "n_unl", like=pi)
         if self.rho_pn is not None:
-            _check_positive(self.rho_pn, "rho_pn")
+            _check_real(self.rho_pn, "rho_pn")
 
 
 @dataclass(frozen=True)
@@ -117,10 +89,9 @@ class BoundParams:
     complexity_const: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        _check_positive(self.lipschitz, "lipschitz")
-        _check_positive(self.complexity_const, "complexity_const")
+        _check_real(self.delta, "delta", high=1.0)
+        _check_real(self.lipschitz, "lipschitz")
+        _check_real(self.complexity_const, "complexity_const")
 
 
 def f_delta(params: BoundParams) -> float:
@@ -184,16 +155,16 @@ def alpha_pu_pn_from_ratios(pi: float, rho_pn: float, rho_pu: float) -> float:
     ratios.
     """
     _check_pi(pi)
-    _check_positive(rho_pn, "rho_pn")
-    _check_positive(rho_pu, "rho_pu")
+    _check_real(rho_pn, "rho_pn")
+    _check_real(rho_pu, "rho_pu")
     return (pi + math.sqrt(rho_pu)) / ((1.0 - pi) * math.sqrt(rho_pn))
 
 
 def alpha_nu_pn_from_ratios(pi: float, rho_pn: float, rho_nu: float) -> float:
     """NU/PN comparator when sample sizes grow proportionally."""
     _check_pi(pi)
-    _check_positive(rho_pn, "rho_pn")
-    _check_positive(rho_nu, "rho_nu")
+    _check_real(rho_pn, "rho_pn")
+    _check_real(rho_nu, "rho_nu")
     return (1.0 - pi + math.sqrt(rho_nu)) / (pi / math.sqrt(rho_pn))
 
 
@@ -204,27 +175,27 @@ def alpha_pu_pn_matched_prior(pi: float, rho_pu: float) -> float:
     (pi + sqrt(rho_pu)) / sqrt(pi*(1-pi)).
     """
     _check_pi(pi)
-    _check_positive(rho_pu, "rho_pu")
+    _check_real(rho_pu, "rho_pu")
     return (pi + math.sqrt(rho_pu)) / math.sqrt(pi * (1.0 - pi))
 
 
 def alpha_nu_pn_matched_prior(pi: float, rho_nu: float) -> float:
     """NU/PN comparator under the supervised sampling ratio (mirror case)."""
     _check_pi(pi)
-    _check_positive(rho_nu, "rho_nu")
+    _check_real(rho_nu, "rho_nu")
     return (1.0 - pi + math.sqrt(rho_nu)) / math.sqrt(pi * (1.0 - pi))
 
 
 def matched_prior_argmin(rho: float) -> float:
     """Prior at which the matched-prior comparator attains its minimum."""
-    _check_positive(rho, "rho")
+    _check_real(rho, "rho")
     r = math.sqrt(rho)
     return r / (2.0 * r + 1.0)
 
 
 def matched_prior_min(rho: float) -> float:
     """Minimum value 2*sqrt(rho + sqrt(rho)) of the matched-prior comparator."""
-    _check_positive(rho, "rho")
+    _check_real(rho, "rho")
     return 2.0 * math.sqrt(rho + math.sqrt(rho))
 
 
@@ -291,13 +262,12 @@ def rademacher_mc_check(sample, c_w: float, c_phi: float, num_sigma_draws: int,
     is below the bound plus three Monte-Carlo standard errors (with a
     relative float tolerance for the equality cases).
     """
-    x = np.asarray(sample, dtype=float)
-    if x.ndim != 2 or x.shape[0] == 0:
+    x = _as_matrix(sample, "sample")
+    if x.shape[0] == 0:
         raise ValueError("sample must be a non-empty matrix of feature rows")
-    _check_positive(c_w, "c_w")
-    _check_positive(c_phi, "c_phi")
-    if num_sigma_draws < 1_000:
-        raise ValueError(f"num_sigma_draws must be at least 1000, got {num_sigma_draws}")
+    _check_real(c_w, "c_w")
+    _check_real(c_phi, "c_phi")
+    _check_count(num_sigma_draws, "num_sigma_draws", least=1_000)
     n = x.shape[0]
     row_norms = np.linalg.norm(x, axis=1)
     if np.any(row_norms > c_phi * (1.0 + 1e-9)):

@@ -52,7 +52,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trials", type=int, default=None,
                         help="random samplings per sweep point (default 50, 100 at paper scale)")
     parser.add_argument("--test-size", type=int, default=None,
-                        help="labeled test points per trial (default 1e5, 1e6 at paper scale)")
+                        help="synthetic test points per trial (default 1e5, 1e6 at paper "
+                             "scale); a --data sweep scores on the pool's leftover rows")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--data", default=None, metavar="CSV",
                         help="benchmark CSV path (default: synthetic Gaussians)")
@@ -71,6 +72,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _resolve_grid(args, sweep: str, values) -> harness.ExperimentGrid:
     if args.data is not None and args.label_col is None:
         raise ValueError(f"--data {args.data} needs --label-col, the label column's name or index")
+    if args.data is not None and args.test_size is not None:
+        raise ValueError(f"--test-size does not apply with --data {args.data}: the holdout is "
+                         "the pool's rows left over after each draw")
     trials = args.trials
     if trials is None:
         trials = harness.PAPER_TRIALS if args.paper_scale else harness.DESK_TRIALS

@@ -9,6 +9,11 @@ task), or resamples it from a labeled benchmark pool loaded from CSV.
 Unlabeled draws are made by flipping a pi-coin per point and then sampling
 the matching class; the latent labels are discarded before the triple is
 returned.  Every sampler is deterministic given its seed.
+
+The input-contract rules every module checks its arguments with live here,
+once each: ``_check_count`` for integer counts, ``_check_real`` for finite
+reals in (0, high), with ``_check_pi`` the prior's case, and ``_as_matrix``
+for matrices of feature rows.  Each raises ValueError naming the field.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import csv
 import hashlib
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +40,50 @@ class InsufficientDataError(ValueError):
     """A resampling request exhausted one class of the labeled pool."""
 
 
-def _check_pi(pi: float) -> float:
-    if not 0.0 < pi < 1.0:
-        raise ValueError(f"class prior pi must be strictly inside (0, 1), got {pi}")
-    return float(pi)
+def _check_count(n, name: str, least: int = 1, like=None):
+    """n itself if it is an integer of at least ``least`` (numpy integers pass, bools do not).
+
+    With an array ``like``, n must be an integer array of its shape, every entry >= least.
+    """
+    if isinstance(like, np.ndarray):
+        ok = isinstance(n, np.ndarray) and n.dtype.kind in "iu" and n.shape == like.shape
+        ok = ok and n.min() >= least
+    else:  # The exact-int test spares the common case the slower ABC check.
+        ok = type(n) is int or isinstance(n, numbers.Integral) and not isinstance(n, bool)
+        ok = ok and n >= least
+    if not ok:
+        want = {0: "a non-negative integer", 1: "a positive integer count"}.get(
+            least, f"an integer of at least {least}")
+        raise ValueError(f"{name} must be {want}, got {n!r}")
+    return n
+
+
+def _check_real(x, name: str, high: float = math.inf, arrays: bool = False):
+    """x itself if it is a real number in (0, high): finite, not a bool, NaN fails.
+
+    With ``arrays``, a numpy float array passes when it is non-empty and every entry does.
+    """
+    if arrays and isinstance(x, np.ndarray):
+        ok = x.dtype.kind == "f" and x.size > 0 and bool(np.all((x > 0.0) & (x < high)))
+    else:
+        ok = type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)
+        ok = ok and 0.0 < x < high
+    if not ok:
+        want = "finite and positive" if high == math.inf else f"strictly inside (0, {high:g})"
+        raise ValueError(f"{name} must be {want}, got {x!r}")
+    return x
+
+
+def _check_pi(pi, arrays: bool = False):
+    return _check_real(pi, "class prior pi", 1.0, arrays)
+
+
+def _as_matrix(x, name: str) -> np.ndarray:
+    """x as a float matrix of feature rows; any other ndim raises ValueError naming it."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 2:
+        raise ValueError(f"{name} must be a matrix of feature rows, got ndim={arr.ndim}")
+    return arr
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -58,10 +104,7 @@ class SampleTriple:
     def __post_init__(self) -> None:
         sets = {}
         for name in ("x_pos", "x_neg", "x_unl"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 2:
-                raise ValueError(f"{name} must be a 2-D matrix, got ndim={arr.ndim}")
-            sets[name] = _readonly(arr)
+            sets[name] = _readonly(_as_matrix(getattr(self, name), name))
             object.__setattr__(self, name, sets[name])
         dims = {a.shape[1] for a in sets.values() if a.shape[0] > 0}
         if len(dims) > 1:
@@ -98,10 +141,8 @@ class LabeledPool:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        feats = _readonly(np.asarray(self.features, dtype=float))
+        feats = _readonly(_as_matrix(self.features, "features"))
         labels = np.asarray(self.labels)
-        if feats.ndim != 2:
-            raise ValueError(f"features must be a 2-D matrix, got ndim={feats.ndim}")
         if labels.shape != (feats.shape[0],):
             raise ValueError("labels must be a vector with one entry per feature row")
         if not np.all(np.isin(labels, (-1, 1))):
@@ -139,6 +180,13 @@ def _mixture_draw(rng: np.random.Generator, n: int, pi: float):
     return x, latent
 
 
+def _check_sizes(pi, n_pos, n_neg, n_unl) -> None:
+    """A triple draw's prior and its three set sizes, each a non-negative integer."""
+    _check_pi(pi)
+    for name, n in (("n_pos", n_pos), ("n_neg", n_neg), ("n_unl", n_unl)):
+        _check_count(n, name, least=0)
+
+
 def gen_gaussian_artificial(n_pos: int, n_neg: int, n_unl: int, pi: float, seed) -> SampleTriple:
     """Synthetic triple from the two unit-variance Gaussians at distance 2.
 
@@ -146,10 +194,7 @@ def gen_gaussian_artificial(n_pos: int, n_neg: int, n_unl: int, pi: float, seed)
     mean, and each unlabeled point from the pi-mixture of the two (latent
     label discarded).  Bit-identical output for a fixed seed.
     """
-    _check_pi(pi)
-    for name, n in (("n_pos", n_pos), ("n_neg", n_neg), ("n_unl", n_unl)):
-        if n < 0:
-            raise ValueError(f"{name} must be non-negative, got {n}")
+    _check_sizes(pi, n_pos, n_neg, n_unl)
     rng = np.random.default_rng(seed)
     x_pos = rng.standard_normal((n_pos, 2)) + GAUSSIAN_MEAN
     x_neg = rng.standard_normal((n_neg, 2)) - GAUSSIAN_MEAN
@@ -160,6 +205,7 @@ def gen_gaussian_artificial(n_pos: int, n_neg: int, n_unl: int, pi: float, seed)
 def gen_gaussian_labeled(n: int, pi: float, seed):
     """n labeled mixture draws, returned as (features, labels in {+1,-1})."""
     _check_pi(pi)
+    _check_count(n, "n", least=0)
     rng = np.random.default_rng(seed)
     return _mixture_draw(rng, n, pi)
 
@@ -263,7 +309,7 @@ def sample_triple_from_pool(pool: LabeledPool, n_pos: int, n_neg: int, n_unl: in
     holdout, its row count and the class it lacks when the rows left over
     do not hold both classes.
     """
-    _check_pi(pi)
+    _check_sizes(pi, n_pos, n_neg, n_unl)
     rng = np.random.default_rng(seed)
     pos_stream = rng.permutation(pool.pos_indices())
     neg_stream = rng.permutation(pool.neg_indices())

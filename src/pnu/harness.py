@@ -34,13 +34,15 @@ import numpy as np
 
 from . import bounds, losses
 from .datasets import (
+    _check_count,
+    _check_pi,
     gen_gaussian_artificial,
     gen_gaussian_labeled,
     load_csv,
     sample_triple_from_pool,
 )
 from .risk import MODE_TABLE, risk_true_mc
-from .training import CvConfig, ModelTemplate, TrainConfig, _check_seed, cross_validate, train
+from .training import CvConfig, ModelTemplate, TrainConfig, cross_validate, train
 
 MODES = tuple(MODE_TABLE)
 
@@ -71,24 +73,20 @@ class ExperimentGrid:
     def __post_init__(self) -> None:
         if self.sweep not in ("nu", "pi"):
             raise ValueError(f"sweep must be 'nu' or 'pi', got {self.sweep!r}")
-        values = tuple(self.values)
+        if self.sweep == "nu":
+            values = tuple(int(_check_count(v, "unlabeled size")) for v in self.values)
+            _check_pi(self.pi)
+        else:
+            values = tuple(float(_check_pi(v)) for v in self.values)
+            _check_count(self.n_unl, "n_unl")
         if not values:
             raise ValueError("sweep values must be non-empty")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("sweep values must be strictly increasing")
-        if self.sweep == "nu":
-            values = tuple(int(bounds._check_count(v, "unlabeled size")) for v in values)
-            if self.pi is None or not 0.0 < self.pi < 1.0:
-                raise ValueError("a nu sweep needs a fixed pi in (0, 1)")
-        else:
-            values = tuple(float(v) for v in values)
-            if not all(0.0 < v < 1.0 for v in values):
-                raise ValueError("pi sweep values must lie strictly inside (0, 1)")
-            bounds._check_count(self.n_unl, "n_unl")
         object.__setattr__(self, "values", values)
         for name in ("n_pos", "n_neg", "trials", "test_size"):
-            bounds._check_count(getattr(self, name), name)
-        _check_seed("ExperimentGrid", self.seed)
+            _check_count(getattr(self, name), name)
+        _check_count(self.seed, "ExperimentGrid 'seed'", least=0)
 
     def point(self, value) -> tuple[float, int]:
         """Resolve a sweep value into the (pi, n_unl) pair for that point."""
@@ -439,7 +437,7 @@ def _verify_rademacher(seed: int) -> tuple[bool, str]:
 
 def verify(seed: int = 0, fast: bool = False) -> list[tuple[str, bool, str]]:
     """Run the invariant suites and return (name, passed, detail) triples."""
-    _check_seed("verify", seed)
+    _check_count(seed, "verify 'seed'", least=0)
     resamples = 2_000 if fast else 10_000
     cases = 2_000 if fast else 10_000
     return [

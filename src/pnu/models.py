@@ -18,6 +18,8 @@ from typing import Optional
 
 import numpy as np
 
+from .datasets import _as_matrix, _check_real
+
 # Cap on rows x anchors per block, shared by the kernel map and kernel
 # scoring: 2**16 float64 entries (512 KiB) keep a block's distance buffer
 # cache-resident, and memory stays flat in the number of rows scored.
@@ -26,13 +28,6 @@ _BLOCK_ELEMENTS = 1 << 16
 
 def _rows_per_block(n_anchors: int) -> int:
     return max(1, _BLOCK_ELEMENTS // max(1, n_anchors))
-
-
-def _as_matrix(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a matrix of feature rows, got ndim={arr.ndim}")
-    return arr
 
 
 def kernel_map(anchors, width: float, x) -> np.ndarray:
@@ -44,10 +39,9 @@ def kernel_map(anchors, width: float, x) -> np.ndarray:
     differences, left to right, so an input equal to an anchor maps to
     exactly 1.0 at that coordinate in any dimension.
     """
-    if not width > 0:
-        raise ValueError(f"kernel width must be positive, got {width}")
-    anchors = _as_matrix(anchors)
-    xm = _as_matrix(x)
+    _check_real(width, "kernel width")
+    anchors = _as_matrix(anchors, "anchors")
+    xm = _as_matrix(x, "x")
     if xm.shape[1] != anchors.shape[1]:
         raise ValueError(
             f"feature dimension {xm.shape[1]} does not match anchor dimension {anchors.shape[1]}"
@@ -74,11 +68,10 @@ class EmpiricalKernelMap:
     width: float
 
     def __post_init__(self) -> None:
-        anchors = _as_matrix(self.anchors)
+        anchors = _as_matrix(self.anchors, "anchors")
         anchors.setflags(write=False)
         object.__setattr__(self, "anchors", anchors)
-        if not self.width > 0:
-            raise ValueError(f"kernel width must be positive, got {self.width}")
+        _check_real(self.width, "kernel width")
 
     @property
     def output_dim(self) -> int:
@@ -121,7 +114,7 @@ class DecisionModel:
         A kernel model maps and scores one block of rows at a time, so the
         full (rows x anchors) feature matrix is never formed.
         """
-        xm = _as_matrix(x)
+        xm = _as_matrix(x, "x")
         if xm.shape[1] != self.input_dim:
             raise ValueError(
                 f"input dimension {xm.shape[1]} does not match model dimension {self.input_dim}"

@@ -71,7 +71,7 @@ def _mean_loss(model: DecisionModel, x: np.ndarray, loss: LossDescriptor, label:
 def _risk(mode: str, model: DecisionModel, x_plus, x_minus, pi: float,
           loss: LossDescriptor) -> float | np.ndarray:
     spec = MODE_TABLE[mode]
-    pi = _check_pi(pi)
+    pi = float(_check_pi(pi))
     if "x_unl" in spec.sets and not loss.is_symmetric:
         raise ValueError(
             f"{mode} risk estimation requires a symmetric loss "

@@ -46,13 +46,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .datasets import SampleTriple
+from .datasets import SampleTriple, _check_count, _check_real
 from .losses import ZERO_ONE, scaled_ramp
 from .models import DecisionModel, EmpiricalKernelMap
 from .risk import MODE_SETS, MODE_TABLE, Mode
@@ -79,39 +78,6 @@ _REDUCED_MIN_DIM = 52
 
 class CccpMonotonicityError(RuntimeError):
     """An outer step increased the true regularized objective."""
-
-
-def _is_number(value, kind: str) -> bool:
-    """An integer (for kind "int") or a finite real number, never a bool; numpy scalars count."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    return isinstance(value, numbers.Integral) or (kind != "int" and math.isfinite(value))
-
-
-def _check_seed(owner: str, seed) -> None:
-    """Raise ValueError naming ``owner``'s 'seed' unless it is a non-negative integer."""
-    if not _is_number(seed, "int") or seed < 0:
-        raise ValueError(f"{owner} 'seed' must be a non-negative integer, got {seed!r}")
-
-
-def _check_field_types(config) -> None:
-    """Raise ValueError naming the first field of the wrong type.
-
-    Int fields need integers, float fields finite numbers, and grids a list,
-    tuple or array of finite numbers.  (JSON config files may carry NaN and
-    Infinity.)
-    """
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type == "tuple":
-            ok = (isinstance(value, (list, tuple, np.ndarray))
-                  and all(_is_number(v, "float") for v in value))
-        else:
-            ok = _is_number(value, f.type)
-        if not ok:
-            want = {"int": "an integer", "float": "a finite number",
-                    "tuple": "a list of finite numbers"}[f.type]
-            raise ValueError(f"{type(config).__name__} {f.name!r} must be {want}, got {value!r}")
 
 
 class _JsonConfig:
@@ -146,12 +112,9 @@ class TrainConfig(_JsonConfig):
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_field_types(self)
-        if not self.lam > 0:
-            raise ValueError(f"TrainConfig 'lam' must be positive, got {self.lam}")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
-        _check_seed("TrainConfig", self.seed)
+        _check_real(self.lam, "TrainConfig 'lam'")
+        _check_count(self.restarts, "TrainConfig 'restarts'")
+        _check_count(self.seed, "TrainConfig 'seed'", least=0)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
@@ -173,15 +136,15 @@ class CvConfig(_JsonConfig):
     lambda_grid: tuple = ()
 
     def __post_init__(self) -> None:
-        _check_field_types(self)
-        if self.folds < 2:
-            raise ValueError(f"folds must be at least 2, got {self.folds}")
-        object.__setattr__(self, "width_grid", tuple(float(w) for w in self.width_grid))
-        object.__setattr__(self, "lambda_grid", tuple(float(l) for l in self.lambda_grid))
+        _check_count(self.folds, "CvConfig 'folds'", least=2)
+        for name in ("width_grid", "lambda_grid"):
+            grid, label = getattr(self, name), f"CvConfig {name!r}"
+            ok = isinstance(grid, (list, tuple)) or isinstance(grid, np.ndarray) and grid.ndim == 1
+            if not ok:
+                raise ValueError(f"{label} must be a list of numbers, got {grid!r}")
+            object.__setattr__(self, name, tuple(float(_check_real(v, label)) for v in grid))
         if not self.lambda_grid:
-            raise ValueError("lambda_grid must be non-empty")
-        if any(w <= 0 for w in self.width_grid) or any(l <= 0 for l in self.lambda_grid):
-            raise ValueError("grid entries must be positive")
+            raise ValueError("CvConfig 'lambda_grid' must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -198,8 +161,8 @@ class ModelTemplate:
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "kernel"):
             raise ValueError(f"template kind must be 'linear' or 'kernel', got {self.kind!r}")
-        if self.width is not None and not self.width > 0:
-            raise ValueError(f"width must be positive, got {self.width}")
+        if self.width is not None:
+            _check_real(self.width, "ModelTemplate 'width'")
 
 
 LINEAR_TEMPLATE = ModelTemplate(kind="linear")

@@ -213,9 +213,12 @@ class TestArrayInputs:
 
 
 class TestFiniteConstants:
-    """Ratio constants, bound constants and class-size constants must be finite and positive."""
+    """Ratio constants, bound constants and class-size constants must be finite and positive.
 
-    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    The confidence level delta must lie strictly inside (0, 1).
+    """
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, True, "a"])
     @pytest.mark.parametrize("name, call", [
         ("rho_pn", lambda v: ComparatorInput(pi=0.5, n_pos=3, n_neg=3, rho_pn=v)),
         ("rho_pn", lambda v: alpha_pu_pn_from_ratios(0.5, v, 1.0)),
@@ -228,14 +231,16 @@ class TestFiniteConstants:
         ("rho", matched_prior_min),
         ("lipschitz", lambda v: BoundParams(lipschitz=v)),
         ("complexity_const", lambda v: BoundParams(complexity_const=v)),
+        ("delta", lambda v: BoundParams(delta=v)),
         ("c_w", lambda v: rademacher_mc_check(np.eye(2), v, 1.0, 1_000, 0)),
         ("c_phi", lambda v: rademacher_mc_check(np.eye(2), 1.0, v, 1_000, 0)),
     ], ids=["ComparatorInput.rho_pn", "pu_from_ratios.rho_pn", "nu_from_ratios.rho_pn",
             "pu_from_ratios.rho_pu", "pu_matched_prior.rho_pu", "nu_from_ratios.rho_nu",
             "nu_matched_prior.rho_nu", "argmin.rho", "min.rho", "lipschitz",
-            "complexity_const", "rademacher.c_w", "rademacher.c_phi"])
+            "complexity_const", "delta", "rademacher.c_w", "rademacher.c_phi"])
     def test_rejected_with_its_name(self, name, call, value):
-        with pytest.raises(ValueError, match=rf"^{name} must be finite and positive"):
+        want = r"strictly inside \(0, 1\)" if name == "delta" else "finite and positive"
+        with pytest.raises(ValueError, match=rf"^{name} must be {want}"):
             call(value)
 
 

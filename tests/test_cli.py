@@ -1,5 +1,6 @@
 """End-to-end CLI coverage over the documented subcommands and flags."""
 
+import ast
 import json
 import os
 import pathlib
@@ -135,6 +136,20 @@ class TestSweepCommands:
         ])
         assert code == 2
         self._assert_one_line_error(capsys.readouterr().err, "x.csv", "needs --label-col")
+
+    @pytest.mark.parametrize("extra", [[], ["--paper-scale"]], ids=["desk", "paper-scale"])
+    def test_test_size_with_data_exits_2_naming_both(self, tmp_path, monkeypatch, capsys, extra):
+        """A CSV sweep's holdout is the pool's leftover rows, so --test-size would be ignored.
+
+        The flags are checked before the file is read: this one does not exist.
+        """
+        self._forbid_sweep(monkeypatch)
+        code = main([
+            "sweep-nu", "--n-unl", "5", "--trials", "1", "--data", str(tmp_path / "x.csv"),
+            "--label-col", "y", "--test-size", "10", *extra,
+        ])
+        assert code == 2
+        self._assert_one_line_error(capsys.readouterr().err, "--test-size", "--data")
 
     @pytest.mark.parametrize("flag, doc, fragment", [
         ("--train-config", {"bogus": 1}, "'bogus'"),
@@ -347,6 +362,26 @@ def test_readme_quick_start_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
     assert 0.0 <= float(lines[1]) <= 0.5
+
+
+def test_only_datasets_lends_private_names():
+    """No module of the package reads a sibling's underscore name, except the contract rules.
+
+    ``datasets`` holds the input-contract checks every layer shares; any other
+    private name stays inside its module.
+    """
+    package = pathlib.Path(__file__).parents[1] / "src" / "pnu"
+    siblings = {path.stem for path in package.glob("*.py")}
+    leaks = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module != "datasets":
+                leaks += [f"{path.name}: from .{node.module} import {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and isinstance(node.value, ast.Name) and node.value.id in siblings - {"datasets"}):
+                leaks.append(f"{path.name}: {node.value.id}.{node.attr}")
+    assert leaks == []
 
 
 def test_runtime_imports_only_numpy():

@@ -47,6 +47,15 @@ class TestGaussianArtificial:
             with pytest.raises(ValueError):
                 gen_gaussian_artificial(1, 1, 1, pi, 0)
 
+    @pytest.mark.parametrize("draw, field", [
+        (lambda: gen_gaussian_artificial(2.5, 1, 1, 0.5, 0), "n_pos"),
+        (lambda: gen_gaussian_artificial(1, 1, True, 0.5, 0), "n_unl"),
+        (lambda: gen_gaussian_labeled(-1, 0.5, 0), "n"),
+    ], ids=["artificial-float", "artificial-bool", "labeled-negative"])
+    def test_rejects_bad_sizes_by_name(self, draw, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be a non-negative integer"):
+            draw()
+
     def test_latent_frequency(self):
         """Over 1e4 one-point draws the latent positive rate concentrates at pi."""
         pi = 0.3
@@ -71,6 +80,11 @@ class TestSampleTripleType:
             SampleTriple(
                 x_pos=np.zeros((2, 3)), x_neg=np.zeros((2, 2)), x_unl=np.zeros((2, 3)), pi=0.5
             )
+
+    def test_prior_must_be_a_real_number(self):
+        rows = np.zeros((2, 2))
+        with pytest.raises(ValueError, match=r"pi must be strictly inside \(0, 1\)"):
+            SampleTriple(x_pos=rows, x_neg=rows, x_unl=rows, pi="0.5")
 
     def test_immutable_rows(self):
         triple = gen_gaussian_artificial(3, 3, 3, 0.5, 0)
@@ -216,6 +230,15 @@ class TestPoolSampling:
         n_flip_pos = int(np.sum(latent == 1))
         np.testing.assert_array_equal(ids[latent == 1], pos_stream[10 : 10 + n_flip_pos])
         np.testing.assert_array_equal(ids[latent == -1], neg_stream[10 : 90 - n_flip_pos])
+
+    @pytest.mark.parametrize("counts, field", [
+        ((-1, 3, 0), "n_pos"), ((3, 2.5, 0), "n_neg"), ((3, 3, np.int64(-2)), "n_unl"),
+    ])
+    def test_rejects_bad_counts_by_name(self, counts, field):
+        """A negative count would slice a class stream from its end: -1 took all but one row."""
+        pool = _toy_pool(m=600, seed=11)
+        with pytest.raises(ValueError, match=rf"^{field} must be a non-negative integer"):
+            sample_triple_from_pool(pool, *counts, 0.5, 0)
 
     def test_exhaustion_names_the_class(self):
         pool = _toy_pool(m=40, p_ratio=0.2, seed=9)

@@ -57,8 +57,9 @@ class TestGridValidation:
             _tiny_grid(values=(20, 5))
 
     def test_nu_sweep_needs_pi(self):
-        with pytest.raises(ValueError, match="pi"):
-            _tiny_grid(pi=None)
+        for pi in (None, "x"):
+            with pytest.raises(ValueError, match="pi"):
+                _tiny_grid(pi=pi)
 
     def test_pi_sweep_needs_n_unl(self):
         with pytest.raises(ValueError, match="n_unl"):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pnu.models import _BLOCK_ELEMENTS, DecisionModel, EmpiricalKernelMap, kernel_map
+from pnu.training import ModelTemplate
 
 
 def _explicit_kernel_map(anchors, width, x):
@@ -76,8 +77,14 @@ class TestKernelMap:
         assert kernel_map(a, 0.9, b)[0, 0] == kernel_map(b, 0.9, a)[0, 0]
 
     def test_rejects_bad_width(self):
-        with pytest.raises(ValueError):
-            kernel_map(np.zeros((2, 2)), 0.0, np.zeros((1, 2)))
+        """A width must be a finite positive real: an infinite one maps every row to all ones."""
+        anchors = np.zeros((2, 2))
+        for width in (0.0, math.inf, math.nan, True, "1"):
+            for build in (lambda: kernel_map(anchors, width, np.zeros((1, 2))),
+                          lambda: EmpiricalKernelMap(anchors, width),
+                          lambda: ModelTemplate(kind="kernel", width=width)):
+                with pytest.raises(ValueError, match="width"):
+                    build()
 
     def test_blockwise_matches_direct(self):
         """Over several blocks, the map equals explicit differences bit for bit.

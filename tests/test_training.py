@@ -690,9 +690,14 @@ class TestConfigs:
         (lambda: CvConfig(folds=2.5, lambda_grid=(0.1,)), "'folds'"),
         (lambda: TrainConfig(restarts=1.5), "'restarts'"),
         (lambda: TrainConfig(lam="x"), "'lam'"),
-    ], ids=["cv-folds-float", "train-restarts-float", "train-lam-str"])
+        (lambda: CvConfig(folds=1, lambda_grid=(0.1,)), "'folds'"),
+        (lambda: CvConfig(width_grid=(0.0,), lambda_grid=(0.1,)), "'width_grid'"),
+        (lambda: CvConfig(lambda_grid=()), "'lambda_grid'"),
+        (lambda: TrainConfig(restarts=0), "'restarts'"),
+    ], ids=["cv-folds-float", "train-restarts-float", "train-lam-str", "cv-folds-one",
+            "cv-width-zero", "cv-lambda-empty", "train-restarts-zero"])
     def test_constructors_check_types(self, build, fragment):
-        """Built directly, not only through from_dict, a config rejects wrong types."""
+        """Built directly, not only through from_dict, a config rejects bad values by name."""
         with pytest.raises(ValueError, match=fragment):
             build()
 
