@@ -12,8 +12,9 @@ returned.  Every sampler is deterministic given its seed.
 
 The input-contract rules every module checks its arguments with live here,
 once each: ``_check_count`` for integer counts, ``_check_real`` for finite
-reals in (0, high), with ``_check_pi`` the prior's case, and ``_as_matrix``
-for matrices of feature rows.  Each raises ValueError naming the field.
+reals in (0, high), with ``_check_pi`` the prior's case, ``_as_matrix``
+for matrices of finite feature rows, and ``_check_labels`` for one +1 or -1
+label per row.  Each raises ValueError naming the field.
 """
 
 from __future__ import annotations
@@ -79,11 +80,24 @@ def _check_pi(pi, arrays: bool = False):
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
-    """x as a float matrix of feature rows; any other ndim raises ValueError naming it."""
+    """x as a float matrix of finite feature rows; any other ndim, NaN or inf raises ValueError."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a matrix of feature rows, got ndim={arr.ndim}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite, got a non-finite entry (NaN or inf)")
     return arr
+
+
+def _check_labels(labels, rows: int) -> np.ndarray:
+    """The ``labels == 1`` mask of a vector of one +1 or -1 label per feature row."""
+    labels = np.asarray(labels)
+    if labels.shape != (rows,):
+        raise ValueError("labels must be a vector with one entry per feature row")
+    pos = labels == 1
+    if not np.all(pos | (labels == -1)):
+        raise ValueError("labels must contain only +1 and -1")
+    return pos
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -142,15 +156,11 @@ class LabeledPool:
 
     def __post_init__(self) -> None:
         feats = _readonly(_as_matrix(self.features, "features"))
-        labels = np.asarray(self.labels)
-        if labels.shape != (feats.shape[0],):
-            raise ValueError("labels must be a vector with one entry per feature row")
-        if not np.all(np.isin(labels, (-1, 1))):
-            raise ValueError("labels must contain only +1 and -1")
-        labels = labels.astype(int)
-        labels.setflags(write=False)
-        if feats.shape[0] < 2 or len(np.unique(labels)) < 2:
+        positive = _check_labels(self.labels, feats.shape[0])
+        if positive.all() or not positive.any():
             raise ValueError("pool needs at least two rows with both classes present")
+        labels = np.where(positive, 1, -1)
+        labels.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
 

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import bounds, losses
+from . import bounds, losses, risk
 from .datasets import (
     _check_count,
     _check_pi,
@@ -41,6 +41,7 @@ from .datasets import (
     load_csv,
     sample_triple_from_pool,
 )
+from .models import DecisionModel
 from .risk import MODE_TABLE, risk_true_mc
 from .training import CvConfig, ModelTemplate, TrainConfig, cross_validate, train
 
@@ -382,8 +383,6 @@ def _verify_reciprocity(seed: int, cases: int = 10_000) -> tuple[bool, str]:
 
 
 def _verify_unbiasedness(seed: int, resamples: int = 10_000) -> tuple[bool, str]:
-    from .models import DecisionModel
-
     rng = np.random.default_rng(seed)
     model = DecisionModel(weights=rng.normal(size=2), bias=float(rng.normal(scale=0.2)))
     pi, n = 0.5, 50
@@ -397,16 +396,14 @@ def _verify_unbiasedness(seed: int, resamples: int = 10_000) -> tuple[bool, str]
     # Freed before the resamples are drawn, so the two never share the peak.
     del feats, labels, scores, loss_vals
 
-    from .risk import risk_nu, risk_pn, risk_pu
-
     # One draw of resamples*n iid rows per set; resample k is rows k*n to
     # (k+1)*n - 1, so the resamples are iid samples of size n.
     triple = gen_gaussian_artificial(resamples * n, resamples * n, resamples * n, pi, rng)
     x_pos, x_neg, x_unl = (x.reshape(-1, n, 2) for x in (triple.x_pos, triple.x_neg, triple.x_unl))
     estimates = {
-        "PN": risk_pn(model, x_pos, x_neg, pi, losses.SCALED_RAMP),
-        "PU": risk_pu(model, x_pos, x_unl, pi, losses.SCALED_RAMP),
-        "NU": risk_nu(model, x_unl, x_neg, pi, losses.SCALED_RAMP),
+        "PN": risk.risk_pn(model, x_pos, x_neg, pi, losses.SCALED_RAMP),
+        "PU": risk.risk_pu(model, x_pos, x_unl, pi, losses.SCALED_RAMP),
+        "NU": risk.risk_nu(model, x_unl, x_neg, pi, losses.SCALED_RAMP),
     }
     details = []
     ok = True

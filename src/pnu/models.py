@@ -98,6 +98,9 @@ class DecisionModel:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", float(self.bias))
+        for name in ("weights", "bias"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"DecisionModel {name!r} must be finite, got a NaN or inf")
         if self.feature_map is not None and w.size != self.feature_map.output_dim:
             raise ValueError(
                 f"weight dimension {w.size} does not match kernel map output "

@@ -25,7 +25,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .datasets import LabeledPool, _check_pi
+from .datasets import LabeledPool, _check_labels, _check_pi
 from .losses import LossDescriptor
 from .models import DecisionModel
 
@@ -141,16 +141,14 @@ def risk_true_mc(model: DecisionModel, source, loss: LossDescriptor) -> float:
     docstring).
     """
     if isinstance(source, LabeledPool):
-        feats, labels = source.features, source.labels
+        feats, positive = source.features, source.labels == 1
     else:
         feats, labels = source
-    feats = np.asarray(feats, dtype=float)
-    labels = np.asarray(labels)
+        feats = np.asarray(feats, dtype=float)
+        positive = _check_labels(labels, feats.shape[0])
     if feats.shape[0] == 0:
         raise ValueError("evaluation set is empty")
-    if labels.shape != (feats.shape[0],):
-        raise ValueError("labels must be a vector with one entry per feature row")
     scores = model.decision_values(feats)
-    values = np.where(labels == 1, loss.value(scores, +1), loss.value(scores, -1))
+    values = np.where(positive, loss.value(scores, +1), loss.value(scores, -1))
     return float(_fmean(values))
 

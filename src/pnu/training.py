@@ -51,11 +51,10 @@ from typing import Optional
 
 import numpy as np
 
-from .datasets import SampleTriple, _check_count, _check_real
+from .datasets import SampleTriple, _as_matrix, _check_count, _check_real
 from .losses import ZERO_ONE, scaled_ramp
 from .models import DecisionModel, EmpiricalKernelMap
-from .risk import MODE_SETS, MODE_TABLE, Mode
-from .risk import risk_nu, risk_pn, risk_pu  # noqa: F401 (called by name in _validation_risk)
+from .risk import MODE_SETS, MODE_TABLE, Mode, risk_nu, risk_pn, risk_pu
 
 MONOTONICITY_SLACK = 1e-12
 # The active-set solve: row i's kink sits at 1 + _KINK_OFFSET*(i+1)/n
@@ -434,11 +433,6 @@ def run_stats() -> dict:
     return dict(_RUN_STATS)
 
 
-def reset_run_stats() -> None:
-    for key in _RUN_STATS:
-        _RUN_STATS[key] = 0
-
-
 def _build_feature_map(template: ModelTemplate, mode: Mode,
                        triple: SampleTriple) -> Optional[EmpiricalKernelMap]:
     if template.kind == "linear" or mode not in MODE_SETS:
@@ -450,13 +444,14 @@ def _build_feature_map(template: ModelTemplate, mode: Mode,
 
 
 def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEMPLATE,
-          config: TrainConfig = TrainConfig(), trace: Optional[list] = None) -> DecisionModel:
+          config: TrainConfig = TrainConfig()) -> DecisionModel:
     """Minimize the mode's regularized risk estimator by restarted CCCP.
 
     Returns the best restart's stationary point.  The regularized objective
     is non-increasing across outer iterations in every restart: a step that
     raises it by more than MONOTONICITY_SLACK raises CccpMonotonicityError.
-    Pass a list as ``trace`` to capture the per-restart objective sequences.
+    Finite rows so large that a restart's first objective overflows raise
+    ValueError.  Each call adds to the ``run_stats`` counters.
     """
     fmap = _build_feature_map(template, mode, triple)
     obj = build_objective(mode, triple, fmap, config.lam)
@@ -470,7 +465,6 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
         current = obj.value(theta)
         if not math.isfinite(current):
             raise ValueError("non-finite objective at initialization")
-        objectives = [current]
         solved = None
         for _ in range(_MAX_OUTER):
             # Majorize: replace the concave part of each ramp by its tangent
@@ -487,9 +481,6 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
                     f"objective increased across an outer iteration: {current!r} -> {value!r}"
                 )
             theta, current, solved = theta_new, value, s
-            objectives.append(current)
-        if trace is not None:
-            trace.append({"restart": restart, "objectives": objectives})
         if best is None or current < best[0]:
             best = (current, theta)
 
@@ -498,7 +489,7 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
 
 def median_heuristic_width(x) -> float:
     """Median pairwise distance over the rows, or over _MEDIAN_ROWS evenly spaced ones."""
-    x = np.asarray(x, dtype=float)
+    x = _as_matrix(x, "x")
     if x.shape[0] > _MEDIAN_ROWS:
         x = x[np.linspace(0, x.shape[0] - 1, _MEDIAN_ROWS).astype(int)]
     sq = np.sum(x * x, axis=1)
@@ -520,13 +511,9 @@ def _select_best(table: list) -> tuple:
 
 
 def _validation_risk(mode: Mode, model: DecisionModel, val_sets: dict, pi: float) -> float:
-    """The mode's own unbiased estimator under the zero-one loss.
-
-    It is looked up by name here at call time, so wrappers installed on
-    ``training.risk_pn``/``risk_pu``/``risk_nu`` see every validation call.
-    """
+    """The mode's own unbiased zero-one estimate, by whichever ``training.risk_*`` is bound now."""
     first, second = MODE_SETS[mode]
-    estimator = globals()[f"risk_{mode.lower()}"]
+    estimator = {"PN": risk_pn, "PU": risk_pu, "NU": risk_nu}[mode]
     return estimator(model, val_sets[first], val_sets[second], pi, ZERO_ONE)
 
 

@@ -55,7 +55,7 @@ def _check(criterion: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def experiments():
     """The shared desk-scale experiment runs behind criteria 6, 7, 8, and 10."""
-    training.reset_run_stats()
+    before = training.run_stats()
 
     nu_grid = ExperimentGrid(
         sweep="nu", values=(5, 10, 15, 25, 45, 70, 110, 200),
@@ -73,9 +73,9 @@ def experiments():
     model = train("PN", big, config=TrainConfig(seed=MASTER_SEED))
     pn_error = risk_true_mc(model, gen_gaussian_labeled(100_000, 0.5, MASTER_SEED + 1), ZERO_ONE)
 
-    return SimpleNamespace(
-        nu_table=nu_table, pi_table=pi_table, pn_error=pn_error, stats=training.run_stats()
-    )
+    after = training.run_stats()
+    stats = {key: after[key] - before[key] for key in after}
+    return SimpleNamespace(nu_table=nu_table, pi_table=pi_table, pn_error=pn_error, stats=stats)
 
 
 def test_criterion_01_unbiasedness_oracle():

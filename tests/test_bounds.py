@@ -439,6 +439,8 @@ class TestAlphaStar:
     def test_case_b_needs_ratio(self):
         with pytest.raises(ValueError):
             alpha_star(ComparatorInput(pi=0.5, n_pos=10, n_neg=10), case="b")
+        with pytest.raises(ValueError, match="case must be 'a' or 'b', got 'c'"):
+            alpha_star(ComparatorInput(pi=0.5, n_pos=10, n_neg=10), case="c")
 
 
 class TestRademacherCheck:
@@ -470,6 +472,12 @@ class TestRademacherCheck:
     def test_norm_precondition_enforced(self):
         with pytest.raises(ValueError, match="norm"):
             rademacher_mc_check(np.array([[2.0, 0.0]]), c_w=1.0, c_phi=1.0,
+                                num_sigma_draws=1500, seed=0)
+        with pytest.raises(ValueError, match="sample must be a non-empty matrix"):
+            rademacher_mc_check(np.empty((0, 2)), c_w=1.0, c_phi=1.0,
+                                num_sigma_draws=1500, seed=0)
+        with pytest.raises(ValueError, match="sample must be finite"):
+            rademacher_mc_check(np.array([[np.nan, 0.0]]), c_w=1.0, c_phi=1.0,
                                 num_sigma_draws=1500, seed=0)
 
     def test_minimum_draws_enforced(self):

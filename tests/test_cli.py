@@ -12,7 +12,7 @@ from dataclasses import fields, replace
 import pytest
 
 from pnu import bounds, harness, losses, training
-from pnu.cli import main
+from pnu.cli import DESK_NU_VALUES, DESK_PI_VALUES, PAPER_NU_VALUES, PAPER_PI_VALUES, main
 from pnu.datasets import gen_gaussian_artificial
 from pnu.training import CvConfig, TrainConfig
 
@@ -70,6 +70,23 @@ class TestSweepCommands:
         last = capsys.readouterr().err.strip().splitlines()[-1]
         assert last.endswith(f"argument {flag}: expected comma-separated {expected}, "
                              f"got {text!r}")
+
+    @pytest.mark.parametrize("command, paper, trials, test_size, values", [
+        ("sweep-nu", False, 50, 100_000, DESK_NU_VALUES),
+        ("sweep-nu", True, 100, 1_000_000, PAPER_NU_VALUES),
+        ("sweep-pi", False, 50, 100_000, DESK_PI_VALUES),
+        ("sweep-pi", True, 100, 1_000_000, PAPER_PI_VALUES),
+    ])
+    def test_default_and_paper_scale_presets(self, monkeypatch, command, paper, trials,
+                                             test_size, values):
+        """With no --trials, --test-size or sweep list, the scale picks all three."""
+        grids = []
+        monkeypatch.setattr(harness, "run_sweep",
+                            lambda grid, *args: grids.append(grid) or harness.ResultTable())
+        monkeypatch.setattr(harness, "emit", lambda *args: None)
+        assert main([command] + ["--paper-scale"] * paper) == 0
+        (grid,) = grids
+        assert (grid.trials, grid.test_size, grid.values) == (trials, test_size, values)
 
     def test_sweep_nu_to_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -382,6 +399,27 @@ def test_only_datasets_lends_private_names():
                   and isinstance(node.value, ast.Name) and node.value.id in siblings - {"datasets"}):
                 leaks.append(f"{path.name}: {node.value.id}.{node.attr}")
     assert leaks == []
+
+
+def test_no_name_lookup_by_string_or_import_inside_a_function():
+    """No module calls ``globals()`` or ``locals()``, or imports inside a function body.
+
+    Every name a module calls is then bound at its head, where a wrapper
+    installed on the module attribute replaces it for every caller.
+    """
+    package = pathlib.Path(__file__).parents[1] / "src" / "pnu"
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("globals", "locals")):
+                found.add(f"{path.name}:{node.lineno}: {node.func.id}()")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {f"{path.name}:{inner.lineno}: import in {node.name}"
+                          for inner in ast.walk(node)
+                          if isinstance(inner, (ast.Import, ast.ImportFrom))}
+    assert sorted(found) == []
 
 
 def test_runtime_imports_only_numpy():

@@ -86,6 +86,14 @@ class TestSampleTripleType:
         with pytest.raises(ValueError, match=r"pi must be strictly inside \(0, 1\)"):
             SampleTriple(x_pos=rows, x_neg=rows, x_unl=rows, pi="0.5")
 
+    @pytest.mark.parametrize("field", ["x_pos", "x_neg", "x_unl"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rows_must_be_finite(self, field, value):
+        sets = {name: np.zeros((2, 2)) for name in ("x_pos", "x_neg", "x_unl")}
+        sets[field][1, 0] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SampleTriple(**sets, pi=0.5)
+
     def test_immutable_rows(self):
         triple = gen_gaussian_artificial(3, 3, 3, 0.5, 0)
         with pytest.raises(ValueError):
@@ -149,6 +157,26 @@ class TestLoadCsv:
                           [(0.1, 1.0, 1), (0.2, cell, -1), (0.3, 2.0, 1), (0.4, 3.0, -1)])
         with pytest.raises(ValueError, match=rf"nf\.csv:3: non-finite feature value '{cell}'"):
             load_csv(path, "y")
+
+    @pytest.mark.parametrize("text, label, message", [
+        ("", "y", "empty file"),
+        ("a,y\n", "y", "no data rows"),
+        ("a,y\n1,1\n2,-1\n", "label", "label column 'label' not found in header"),
+        ("a,y\n1,1\n2,-1\n", 2, "label column index 2 out of range"),
+        ("a,y\n1,1\n2,-1\n", -3, "label column index -3 out of range"),
+    ])
+    def test_unusable_file_rejected(self, tmp_path, text, label, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"bad\.csv: {message}"):
+            load_csv(path, label)
+
+    def test_blank_lines_skipped_and_text_labels_sorted(self, tmp_path):
+        """Non-numeric labels map lexicographically: the earlier string is -1."""
+        path = tmp_path / "text.csv"
+        path.write_text("a,y\n0.1,pos\n\n0.2,neg\n0.3,pos\n\n", encoding="utf-8")
+        pool = load_csv(path, "y")
+        assert np.array_equal(pool.labels, [1, -1, 1])
 
     def test_label_only_file_rejected(self, tmp_path):
         path = _write_csv(tmp_path / "lo.csv", ("y",), [(1,), (-1,), (1,), (-1,)])
@@ -242,8 +270,10 @@ class TestPoolSampling:
 
     def test_exhaustion_names_the_class(self):
         pool = _toy_pool(m=40, p_ratio=0.2, seed=9)
-        with pytest.raises(InsufficientDataError, match="positive"):
+        with pytest.raises(InsufficientDataError, match="positive class exhausted"):
             sample_triple_from_pool(pool, 30, 1, 5, 0.95, 0)
+        with pytest.raises(InsufficientDataError, match="negative class exhausted"):
+            sample_triple_from_pool(pool, 1, int(np.sum(pool.labels == -1)), 5, 0.05, 0)
 
     @pytest.mark.parametrize("labels, n_pos, n_neg, message", [
         ([1, 1, -1, -1], 1, 2, "1 row(s) left after the draw, none of the negative class"),
@@ -272,5 +302,12 @@ class TestLabeledPoolType:
             LabeledPool(features=np.zeros((3, 1)), labels=np.array([1, 1, 1]))
 
     def test_rejects_bad_labels(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="only \\+1 and -1"):
             LabeledPool(features=np.zeros((2, 1)), labels=np.array([1, 2]))
+        with pytest.raises(ValueError, match="one entry per feature row"):
+            LabeledPool(features=np.zeros((3, 1)), labels=np.array([1, -1]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features(self, value):
+        with pytest.raises(ValueError, match="^features must be finite"):
+            LabeledPool(features=np.array([[0.0], [value]]), labels=np.array([1, -1]))

@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from pnu import harness, risk, training
+from pnu import bounds, harness, risk, training
 from pnu.datasets import (
     InsufficientDataError,
     gen_gaussian_artificial,
@@ -55,6 +55,12 @@ class TestGridValidation:
     def test_values_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             _tiny_grid(values=(20, 5))
+
+    def test_sweep_kind_and_values_checked(self):
+        with pytest.raises(ValueError, match="sweep must be 'nu' or 'pi', got 'mu'"):
+            _tiny_grid(sweep="mu")
+        with pytest.raises(ValueError, match="sweep values must be non-empty"):
+            _tiny_grid(values=())
 
     def test_nu_sweep_needs_pi(self):
         for pi in (None, "x"):
@@ -420,6 +426,14 @@ class TestCrossingEstimate:
         table = self._table_from_curve(nus, 0.05 + 0.2 / np.sqrt(nus))
         assert estimate_pu_pn_crossing(table) is None
 
+    def test_needs_pu_and_pn_rows_on_one_grid(self):
+        one_point = self._table_from_curve([5.0], [0.1])
+        shifted = self._table_from_curve([5.0, 20.0], [0.1, 0.0])
+        shifted.rows[-1] = SweepRow(40.0, "PU", 0.2, 0.0, 1.0, 1.0)
+        for table in (one_point, shifted):
+            with pytest.raises(ValueError, match="common nu grid"):
+                estimate_pu_pn_crossing(table)
+
 
 class TestAdvise:
     def test_reference_case(self):
@@ -483,6 +497,13 @@ class TestVerifySuites:
         ]
         for name, ok, detail in results:
             assert ok, f"{name}: {detail}"
+
+    def test_failed_rademacher_check_fails_the_suite(self, monkeypatch):
+        failing = bounds.RademacherCheck(estimate=2.0, bound=1.0, std_error=0.0, passed=False)
+        monkeypatch.setattr(bounds, "rademacher_mc_check", lambda *args, **kwargs: failing)
+        ok, detail = harness._verify_rademacher(seed=0)
+        assert not ok
+        assert detail == "failed at n=1: estimate 2.0 > bound 1.0"
 
     def test_unbiasedness_resample_k_is_rows_k_n_to_k_n_plus_n(self, monkeypatch):
         """The batched estimates equal a per-resample loop over the same draw."""

@@ -29,6 +29,23 @@ class TestPredict:
         model = DecisionModel(weights=[1.0, 2.0], bias=0.0)
         with pytest.raises(ValueError):
             model.decision_values([[1.0, 2.0, 3.0]])
+        with pytest.raises(ValueError, match="dimension 3 does not match anchor dimension 2"):
+            kernel_map(np.zeros((4, 2)), 1.0, np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_and_rows_rejected(self, value):
+        """Weights, bias, anchors and scored rows are finite, or a ValueError names them."""
+        linear = DecisionModel([1.0, 0.0], 0.0)
+        kernel = DecisionModel([1.0, 0.0], 0.0, EmpiricalKernelMap(np.zeros((2, 2)), 1.0))
+        bad_rows = np.array([[0.0, 0.0], [value, 0.0]])
+        for build, field in ((lambda: DecisionModel([value, 0.0], 0.0), "'weights'"),
+                             (lambda: DecisionModel([1.0, 0.0], value), "'bias'"),
+                             (lambda: EmpiricalKernelMap(bad_rows, 1.0), "anchors"),
+                             (lambda: kernel_map(np.zeros((2, 2)), 1.0, bad_rows), "x"),
+                             (lambda: linear.decision_values(bad_rows), "x"),
+                             (lambda: kernel.decision_values(bad_rows), "x")):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                build()
 
     def test_linear_in_weights(self):
         rng = np.random.default_rng(0)

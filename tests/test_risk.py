@@ -131,6 +131,19 @@ class TestRiskTrue:
         with pytest.raises(ValueError):
             risk_true_mc(model, (np.empty((0, 2)), np.empty(0)), ZERO_ONE)
 
+    @pytest.mark.parametrize("feats, labels, message", [
+        ([[1.0, 0.0], [2.0, 0.0]], [1, 2], r"labels must contain only \+1 and -1"),
+        ([[1.0, 0.0], [2.0, 0.0]], [1, 0], r"labels must contain only \+1 and -1"),
+        ([[1.0, 0.0], [2.0, 0.0]], [1, -1, 1], "one entry per feature row"),
+        ([[1.0, 0.0], [2.0, 0.0]], [[1, -1]], "one entry per feature row"),
+        ([[math.nan, 0.0], [2.0, 0.0]], [1, -1], "x must be finite"),
+    ])
+    def test_pair_source_follows_the_pool_rules(self, feats, labels, message):
+        """A (features, labels) pair is held to LabeledPool's rules: label 2 is not a negative."""
+        model = DecisionModel(weights=[1.0, 0.0], bias=0.0)
+        with pytest.raises(ValueError, match=message):
+            risk_true_mc(model, (feats, labels), ZERO_ONE)
+
 
 def _exact_linear_error(w, b, pi):
     """Misclassification rate of the score w.x + b on the synthetic source.
@@ -316,3 +329,14 @@ class TestBatchedEstimators:
             with pytest.raises(ValueError, match=message):
                 estimator(model, np.ones(x_plus_shape), np.ones(x_minus_shape), 0.5,
                           SCALED_RAMP)
+
+    @pytest.mark.parametrize("shape", [(10, 2), (3, 10, 2)])
+    @pytest.mark.parametrize("mode", list(MODE_TABLE))
+    def test_non_finite_set_rejected(self, mode, shape):
+        """A NaN or inf row in either set fails as the rows are scored, in both forms."""
+        model = DecisionModel(weights=[1.0, 0.0], bias=0.0)
+        for side in (0, 1):
+            sets = [np.ones(shape), np.ones(shape)]
+            sets[side][(0,) * len(shape)] = math.nan if side else -math.inf
+            with pytest.raises(ValueError, match="^x must be finite"):
+                ESTIMATORS[mode](model, *sets, 0.5, SCALED_RAMP)

@@ -51,20 +51,35 @@ def _grid_oracle(x_pos, x_neg, lam=1e-3):
     return float(values.min())
 
 
-def _solves_by_restart(monkeypatch, mode, triple, template, config):
-    """Train with ``_solve`` wrapped: the trace, and per restart each call's (rows, s, result)."""
-    calls, trace = [], []
-    real = training._solve
+def _fit_by_restart(monkeypatch, mode, triple, template, config):
+    """Train with ``_solve`` wrapped: the model, and per restart its objectives and solves.
+
+    A restart begins at each solve whose start is not the point the previous
+    solve returned.  Its objectives are the value at that start, then after
+    each solve; its solves are each call's (rows, s, result).
+    """
+    built, objectives, solves = [], [], []
+    real_build, real_solve = training.build_objective, training._solve
 
     def solve(theta0, A, c, s, lam):
-        calls.append((A, s, real(theta0, A, c, s, lam)))
-        return calls[-1][2]
+        result = real_solve(theta0, A, c, s, lam)
+        if not solves or theta0 is not solves[-1][-1][2]:
+            objectives.append([built[-1].value(theta0)])
+            solves.append([])
+        objectives[-1].append(built[-1].value(result))
+        solves[-1].append((A, s, result))
+        return result
 
+    monkeypatch.setattr(training, "build_objective",
+                        lambda *args: built.append(real_build(*args)) or built[-1])
     monkeypatch.setattr(training, "_solve", solve)
-    train(mode, triple, template, config, trace=trace)
-    ends = np.cumsum([len(record["objectives"]) - 1 for record in trace])
-    assert ends[-1] == len(calls)
-    return trace, [calls[start:end] for start, end in zip(np.r_[0, ends[:-1]], ends)]
+    model = train(mode, triple, template, config)
+    return model, objectives, solves
+
+
+def _stats_since(before: dict) -> dict:
+    """``training.run_stats()`` less an earlier snapshot of it."""
+    return {key: value - before[key] for key, value in training.run_stats().items()}
 
 
 class TestObjective:
@@ -118,13 +133,14 @@ class TestOuterStep:
         assert oracle_min == pytest.approx(6.85e-4, rel=1e-6)  # frozen from the oracle
 
         monkeypatch.setattr(training, "_MAX_OUTER", 1)
-        trace = []
-        stepped = train("PN", triple, config=TrainConfig(restarts=1), trace=trace)
-        assert len(trace[0]["objectives"]) == 2  # zero init, then one outer step
-        before = trace[0]["objectives"][0]
+        stepped, (objectives,), _ = _fit_by_restart(monkeypatch, "PN", triple,
+                                                    training.LINEAR_TEMPLATE,
+                                                    TrainConfig(restarts=1))
+        assert len(objectives) == 2  # zero init, then one outer step
+        before = objectives[0]
         assert before == pytest.approx(0.5, abs=1e-12)
         after = obj.value(_theta(stepped))
-        assert after == trace[0]["objectives"][1]
+        assert after == objectives[1]
         assert after < before
         assert after < 0.01  # separable: one convex solve nearly finishes the job
         assert after >= 0.0  # sanity: ramp sums and the quadratic are nonnegative here
@@ -137,10 +153,11 @@ class TestOuterStep:
 
     def test_stationary_point_is_a_fixed_point(self, monkeypatch):
         """Every restart stops before the cap, where its tangent is the last solve's."""
-        trace, restarts = _solves_by_restart(monkeypatch, "PN", _toy_triple(),
-                                             training.LINEAR_TEMPLATE, TrainConfig(seed=0))
-        for record, solves in zip(trace, restarts):
-            steps = np.diff(record["objectives"])
+        _, objectives, restarts = _fit_by_restart(monkeypatch, "PN", _toy_triple(),
+                                                  training.LINEAR_TEMPLATE, TrainConfig(seed=0))
+        assert len(restarts) == 2
+        for values, solves in zip(objectives, restarts):
+            steps = np.diff(values)
             assert 0 < len(steps) < training._MAX_OUTER
             assert np.all(steps <= training.MONOTONICITY_SLACK)
             A, s, theta = solves[-1]
@@ -152,8 +169,9 @@ class TestOuterStep:
         """A tangent equal to the last solve's stops the restart without a solve."""
         triple = gen_gaussian_artificial(45, 5, 20, 0.5, 28)
         template = ModelTemplate(kind=kind, width=1.0 if kind == "kernel" else None)
-        _, restarts = _solves_by_restart(monkeypatch, mode, triple, template,
+        _, _, restarts = _fit_by_restart(monkeypatch, mode, triple, template,
                                          TrainConfig(seed=29))
+        assert len(restarts) == 2
         for solves in restarts:
             for (_, s0, _), (_, s1, _) in zip(solves, solves[1:]):
                 assert not np.array_equal(s0, s1)
@@ -201,26 +219,29 @@ class TestOuterStep:
 
 
 class TestTrain:
-    def test_monotone_objectives_and_counters(self):
-        training.reset_run_stats()
+    def test_monotone_objectives_and_counters(self, monkeypatch):
+        before = training.run_stats()
         triple = gen_gaussian_artificial(40, 10, 60, 0.5, 0)
+        solves = 0
         for mode in ("PN", "PU", "NU"):
-            trace = []
-            train(mode, triple, config=TrainConfig(seed=1), trace=trace)
-            for record in trace:
-                steps = np.diff(record["objectives"])
+            _, objectives, _ = _fit_by_restart(monkeypatch, mode, triple,
+                                               training.LINEAR_TEMPLATE, TrainConfig(seed=1))
+            for values in objectives:
+                steps = np.diff(values)
                 assert np.all(steps <= training.MONOTONICITY_SLACK)
-        stats = training.run_stats()
+                solves += len(steps)
+        stats = _stats_since(before)
         assert stats["runs"] == 3
         assert stats["monotonicity_violations"] == 0
-        assert stats["outer_steps"] > 0
+        assert stats["outer_steps"] == solves > 0
 
-    def test_restart_dominance(self):
+    def test_restart_dominance(self, monkeypatch):
         triple = gen_gaussian_artificial(30, 30, 30, 0.5, 2)
         obj = build_objective("PU", triple, None, 1e-3)
-        trace = []
-        model = train("PU", triple, config=TrainConfig(seed=3, restarts=4), trace=trace)
-        finals = [record["objectives"][-1] for record in trace]
+        model, objectives, _ = _fit_by_restart(monkeypatch, "PU", triple,
+                                               training.LINEAR_TEMPLATE,
+                                               TrainConfig(seed=3, restarts=4))
+        finals = [values[-1] for values in objectives]
         assert len(finals) == 4
         returned = obj.value(_theta(model))
         assert returned == pytest.approx(min(finals), abs=1e-12)
@@ -237,11 +258,14 @@ class TestTrain:
             train("XX", gen_gaussian_artificial(2, 2, 2, 0.5, 0), ModelTemplate(kind="kernel"))
 
     def test_non_finite_data_flagged(self):
-        bad = SampleTriple(
-            x_pos=np.array([[np.nan, 0.0]]), x_neg=-TOY_NEG, x_unl=np.empty((0, 2)), pi=0.5
-        )
-        with pytest.raises(ValueError, match="non-finite"):
-            train("PN", bad)
+        """A NaN row fails at the triple; finite rows that overflow fail at the first objective."""
+        with pytest.raises(ValueError, match="x_pos must be finite"):
+            SampleTriple(x_pos=np.array([[np.nan, 0.0]]), x_neg=-TOY_NEG,
+                         x_unl=np.empty((0, 2)), pi=0.5)
+        huge = np.full((3, 1000), 1.7e308)
+        triple = SampleTriple(x_pos=huge, x_neg=-huge, x_unl=np.empty((0, 1000)), pi=0.5)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite objective"):
+            train("PN", triple)
 
     def test_permutation_invariance(self):
         """Row order inside the sets does not move the holdout error."""
@@ -284,11 +308,11 @@ class TestTrain:
     def test_monotonicity_guard(self, monkeypatch):
         """An inner solve that returns a worse point is a hard error, and counted."""
         monkeypatch.setattr(training, "_solve", lambda theta0, *args: theta0 + 1e4)
-        training.reset_run_stats()
+        before = training.run_stats()
         with pytest.raises(CccpMonotonicityError, match="objective increased"):
             train("PN", _toy_triple(), ModelTemplate(kind="kernel", width=1.0),
                   TrainConfig(seed=0))
-        assert training.run_stats()["monotonicity_violations"] == 1
+        assert _stats_since(before) == {"runs": 1, "outer_steps": 1, "monotonicity_violations": 1}
 
     def test_models_do_not_alias_solver_buffers(self):
         """Later fits, linear and kernel, leave an earlier model's parameters alone."""
@@ -569,6 +593,9 @@ class TestMedianHeuristic:
 
     def test_degenerate_rows_fall_back(self):
         assert median_heuristic_width(np.zeros((5, 2))) == 1.0
+        assert median_heuristic_width(np.ones((1, 2))) == 1.0  # one row has no pair
+        with pytest.raises(ValueError, match="x must be finite"):
+            median_heuristic_width([[np.nan, 0.0], [1.0, 0.0]])
 
     def test_many_rows_use_an_evenly_spaced_subset(self):
         x = np.random.default_rng(27).normal(size=(1500, 3))
@@ -614,6 +641,27 @@ class TestCrossValidation:
         cv = CvConfig(folds=5, width_grid=(1.0,), lambda_grid=(1e-3,))
         with pytest.raises(ValueError, match="x_pos"):
             cross_validate("PN", triple, ModelTemplate(kind="kernel"), cv, TrainConfig())
+        no_widths = CvConfig(folds=2, lambda_grid=(1e-3,))
+        with pytest.raises(ValueError, match="needs a non-empty width_grid"):
+            cross_validate("PN", triple, ModelTemplate(kind="kernel"), no_widths, TrainConfig())
+
+    def test_validation_calls_go_through_the_module_estimator(self, monkeypatch):
+        """A wrapper on ``training.risk_pu`` sees each of the folds x widths x lambdas calls."""
+        scores = []
+        real = training.risk_pu
+
+        def counting(*args):
+            scores.append(real(*args))
+            return scores[-1]
+
+        monkeypatch.setattr(training, "risk_pu", counting)
+        triple = gen_gaussian_artificial(10, 10, 15, 0.4, 31)
+        cv = CvConfig(folds=3, width_grid=(0.7, 1.5), lambda_grid=(1e-3, 1e-1))
+        _, _, table = cross_validate("PU", triple, ModelTemplate(kind="kernel"), cv,
+                                     TrainConfig(seed=32))
+        assert len(scores) == 3 * 2 * 2
+        assert [row[2] for row in table] == [float(np.mean(scores[k:k + 3]))
+                                            for k in range(0, 12, 3)]
 
     def test_linear_template_ignores_width(self):
         triple = gen_gaussian_artificial(15, 15, 1, 0.5, 25)
