@@ -40,7 +40,7 @@ from .losses import (
     zero_one,
 )
 from .models import DecisionModel, EmpiricalKernelMap, kernel_map
-from .risk import risk_nu, risk_pn, risk_pu, risk_true_mc
+from .risk import risk_nu, risk_pn, risk_pu, risk_true_gaussian, risk_true_mc
 from .training import (
     CccpMonotonicityError,
     CvConfig,

@@ -240,6 +240,11 @@ def alpha_star(inp: ComparatorInput, case: Literal["a", "b"] = "a") -> AlphaStar
                            verdict=_plain(verdict))
 
 
+#: Sign vectors are turned into floats and summed over the rows this many
+#: entries at a time (2 MiB of float64), not all num_sigma_draws x n at once.
+_SIGMA_BLOCK_ENTRIES = 1 << 18
+
+
 @dataclass(frozen=True)
 class RademacherCheck:
     """Outcome of the Monte-Carlo empirical Rademacher complexity check."""
@@ -276,8 +281,12 @@ def rademacher_mc_check(sample, c_w: float, c_phi: float, num_sigma_draws: int,
         )
 
     rng = np.random.default_rng(seed)
-    sigma = rng.integers(0, 2, size=(num_sigma_draws, n), dtype=np.int8) * 2.0 - 1.0
-    norms = np.linalg.norm(sigma @ x, axis=1)
+    bits = rng.integers(0, 2, size=(num_sigma_draws, n), dtype=np.int8)
+    norms = np.empty(num_sigma_draws)
+    step = max(1, _SIGMA_BLOCK_ENTRIES // n)
+    for start in range(0, num_sigma_draws, step):
+        sigma = bits[start : start + step] * 2.0 - 1.0
+        norms[start : start + len(sigma)] = np.linalg.norm(sigma @ x, axis=1)
     estimate = (c_w / n) * float(np.mean(norms))
     std_error = (c_w / n) * float(np.std(norms, ddof=1)) / math.sqrt(num_sigma_draws)
     bound = c_w * c_phi / math.sqrt(n)

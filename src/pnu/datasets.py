@@ -101,7 +101,8 @@ def _check_labels(labels, rows: int) -> np.ndarray:
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=float)
+    """A frozen C-ordered float copy; the caller's own array stays writable."""
+    arr = np.array(arr, dtype=float, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -243,7 +244,8 @@ def load_csv(path, label_column) -> LabeledPool:
     """Load a labeled pool from a headered, comma-separated UTF-8 file.
 
     ``label_column`` selects the label field by header name or by integer
-    index.  Every feature cell must be a finite number.  Features are
+    index.  Every feature cell must be a finite number, small enough that
+    its column's variance is finite in float64.  Features are
     standardized per column to zero mean and unit variance over the full
     pool (constant columns are left centered), so downstream kernel-width
     grids are dataset-independent.
@@ -294,10 +296,17 @@ def load_csv(path, label_column) -> LabeledPool:
     labels = np.array([mapping[v] for v in raw_labels], dtype=int)
     feats = np.asarray(rows, dtype=float)
 
-    mean = feats.mean(axis=0)
-    std = feats.std(axis=0)
-    std[std == 0.0] = 1.0
-    feats = (feats - mean) / std
+    try:
+        with np.errstate(over="raise"):
+            mean = feats.mean(axis=0)
+            std = feats.std(axis=0)
+            std[std == 0.0] = 1.0
+            feats = (feats - mean) / std
+    except FloatingPointError:
+        raise ValueError(
+            f"{path}: feature values too large to standardize in float64 "
+            f"(largest |value| {np.abs(feats).max():.3g})"
+        ) from None
 
     pool = LabeledPool(features=feats, labels=labels)
     log.info(

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .datasets import _as_matrix, _check_real
+from .datasets import _as_matrix, _check_real, _readonly
 
 # Cap on rows x anchors per block, shared by the kernel map and kernel
 # scoring: 2**16 float64 entries (512 KiB) keep a block's distance buffer
@@ -30,14 +30,27 @@ def _rows_per_block(n_anchors: int) -> int:
     return max(1, _BLOCK_ELEMENTS // max(1, n_anchors))
 
 
+def _kernel_block(anchors: np.ndarray, width: float, rows: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """Gaussian kernel values of one block of rows, written to ``out``; no input checks.
+
+    Squared distances are accumulated one coordinate at a time from
+    explicit differences, left to right, so a row equal to an anchor maps
+    to exactly 1.0 at that coordinate in any dimension.
+    """
+    sq = np.square(rows[:, 0, None] - anchors[None, :, 0])
+    for j in range(1, anchors.shape[1]):
+        sq += np.square(rows[:, j, None] - anchors[None, :, j])
+    sq /= -(2.0 * width * width)
+    return np.exp(sq, out=out)
+
+
 def kernel_map(anchors, width: float, x) -> np.ndarray:
     """Gaussian kernel values of x against each anchor.
 
     Coordinate j is ``exp(-||x - anchor_j||^2 / (2 * width^2))``.  Takes a
-    matrix of rows and returns one mapped row per input row.  Squared
-    distances are accumulated one coordinate at a time from explicit
-    differences, left to right, so an input equal to an anchor maps to
-    exactly 1.0 at that coordinate in any dimension.
+    matrix of rows and returns one mapped row per input row, computed one
+    block of rows at a time (see ``_kernel_block``).
     """
     _check_real(width, "kernel width")
     anchors = _as_matrix(anchors, "anchors")
@@ -46,17 +59,11 @@ def kernel_map(anchors, width: float, x) -> np.ndarray:
         raise ValueError(
             f"feature dimension {xm.shape[1]} does not match anchor dimension {anchors.shape[1]}"
         )
-    denom = 2.0 * width * width
-    n_a, d = anchors.shape
-    block = _rows_per_block(n_a)
-    out = np.empty((xm.shape[0], n_a))
+    block = _rows_per_block(anchors.shape[0])
+    out = np.empty((xm.shape[0], anchors.shape[0]))
     for start in range(0, xm.shape[0], block):
         chunk = xm[start : start + block]
-        sq = np.square(chunk[:, 0, None] - anchors[None, :, 0])
-        for j in range(1, d):
-            sq += np.square(chunk[:, j, None] - anchors[None, :, j])
-        sq /= -denom
-        np.exp(sq, out=out[start : start + len(chunk)])
+        _kernel_block(anchors, width, chunk, out[start : start + len(chunk)])
     return out
 
 
@@ -68,9 +75,7 @@ class EmpiricalKernelMap:
     width: float
 
     def __post_init__(self) -> None:
-        anchors = _as_matrix(self.anchors, "anchors")
-        anchors.setflags(write=False)
-        object.__setattr__(self, "anchors", anchors)
+        object.__setattr__(self, "anchors", _readonly(_as_matrix(self.anchors, "anchors")))
         _check_real(self.width, "kernel width")
 
     @property
@@ -124,10 +129,13 @@ class DecisionModel:
             )
         if self.feature_map is None:
             return xm @ self.weights + self.bias
-        block = _rows_per_block(self.feature_map.output_dim)
+        fmap = self.feature_map
+        block = _rows_per_block(fmap.output_dim)
+        mapped = np.empty((min(block, xm.shape[0]), fmap.output_dim))
         scores = np.empty(xm.shape[0])
         for start in range(0, xm.shape[0], block):
             rows = xm[start : start + block]
-            scores[start : start + len(rows)] = self.feature_map(rows) @ self.weights
+            z = _kernel_block(fmap.anchors, fmap.width, rows, mapped[: len(rows)])
+            scores[start : start + len(rows)] = z @ self.weights
         scores += self.bias
         return scores

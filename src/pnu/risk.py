@@ -11,6 +11,10 @@ The PU and NU forms are unbiased only when the loss satisfies the
 symmetric condition l(t,+1) + l(t,-1) = 1; they reject other losses.  PU
 and NU values may be negative, and no clamping is applied anywhere.
 
+``risk_true_mc`` measures a model's risk on labeled rows.  On the synthetic
+source of ``gen_gaussian_*`` a linear model's risk has a closed form,
+``risk_true_gaussian``, which needs no draw at all.
+
 Every mean, in the estimators and in ``risk_true_mc``, is numpy's pairwise
 sum divided by the count.  It is exact for the zero-one loss, whose values
 0, 1/2 and 1 and every partial sum of fewer than 2^52 of them are
@@ -20,13 +24,14 @@ order; ramp-loss means may differ from a compensated sum in their last bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
 
-from .datasets import LabeledPool, _check_labels, _check_pi
-from .losses import LossDescriptor
+from .datasets import GAUSSIAN_MEAN, LabeledPool, _check_labels, _check_pi
+from .losses import SCALED_RAMP, ZERO_ONE, LossDescriptor
 from .models import DecisionModel
 
 Mode = Literal["PN", "PU", "NU"]
@@ -152,3 +157,50 @@ def risk_true_mc(model: DecisionModel, source, loss: LossDescriptor) -> float:
     values = np.where(positive, loss.value(scores, +1), loss.value(scores, -1))
     return float(_fmean(values))
 
+
+def _pdf(z: float) -> float:
+    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+
+def _cdf(z: float) -> float:
+    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+
+def _gaussian_margin_loss(a: float, s: float, loss: LossDescriptor) -> float:
+    """Mean loss at label +1 of a margin drawn from N(a, s^2), s > 0."""
+    if loss is ZERO_ONE:
+        return _cdf(-a / s)  # the tie m = 0 has probability 0
+    # The ramp is 1 below m = -1, (1 - m)/2 on [-1, 1] and 0 above 1.
+    u0, u1 = (-1.0 - a) / s, (1.0 - a) / s
+    return _cdf(u0) + 0.5 * ((1.0 - a) * (_cdf(u1) - _cdf(u0)) + s * (_pdf(u1) - _pdf(u0)))
+
+
+def risk_true_gaussian(model: DecisionModel, pi: float, loss: LossDescriptor) -> float:
+    """Exact risk of a linear model on the synthetic source at prior pi.
+
+    Class y draws N(y*mu, I) with mu = ``GAUSSIAN_MEAN``, so the margin
+    y*(w.x + b) of a class-y row is Gaussian with mean a_y = w.mu + y*b and
+    standard deviation s = ||w||, and the risk is
+    pi*E[l(a_+ + s*Z)] + (1 - pi)*E[l(a_- + s*Z)] with l the loss at label
+    +1.  For the zero-one loss a class term is Phi(-a/s); for the scaled
+    ramp, with u0 = (-1 - a)/s and u1 = (1 - a)/s, it is
+    Phi(u0) + ((1 - a)*(Phi(u1) - Phi(u0)) + s*(phi(u1) - phi(u0)))/2.  A
+    zero weight vector scores the bias b on every row, a point mass, so
+    the risk is then pi*l(b, +1) + (1 - pi)*l(b, -1) exactly.
+
+    Only the ``ZERO_ONE`` and ``SCALED_RAMP`` risks of linear models on
+    2-D rows have this closed form; anything else raises ValueError.
+    """
+    pi = float(_check_pi(pi))
+    if loss is not ZERO_ONE and loss is not SCALED_RAMP:
+        raise ValueError(f"the exact synthetic risk needs ZERO_ONE or SCALED_RAMP, "
+                         f"got {loss.name!r}")
+    if model.feature_map is not None or model.input_dim != GAUSSIAN_MEAN.size:
+        raise ValueError(f"the exact synthetic risk needs a linear model on "
+                         f"{GAUSSIAN_MEAN.size}-D rows")
+    s = math.hypot(*model.weights)
+    if s == 0.0:
+        return pi * loss.value(model.bias, +1) + (1.0 - pi) * loss.value(model.bias, -1)
+    w_mu = float(model.weights @ GAUSSIAN_MEAN)
+    return (pi * _gaussian_margin_loss(w_mu + model.bias, s, loss)
+            + (1.0 - pi) * _gaussian_margin_loss(w_mu - model.bias, s, loss))

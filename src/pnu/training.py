@@ -450,41 +450,52 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
     Returns the best restart's stationary point.  The regularized objective
     is non-increasing across outer iterations in every restart: a step that
     raises it by more than MONOTONICITY_SLACK raises CccpMonotonicityError.
-    Finite rows so large that a restart's first objective overflows raise
-    ValueError.  Each call adds to the ``run_stats`` counters.
+    Finite rows so large that the kernel map, the objective or the solve
+    overflows float64 raise ValueError naming the rows.  Each call adds to the ``run_stats``
+    counters.
     """
-    fmap = _build_feature_map(template, mode, triple)
-    obj = build_objective(mode, triple, fmap, config.lam)
     rng = np.random.default_rng(config.seed)
-    dim = obj.rows.shape[1]
+    try:
+        # Finite rows too large for float64 overflow in the kernel width, the
+        # map, the objective or the solve; they fail as a contract violation.
+        with np.errstate(over="raise"):
+            fmap = _build_feature_map(template, mode, triple)
+            obj = build_objective(mode, triple, fmap, config.lam)
+            _RUN_STATS["runs"] += 1
+            dim = obj.rows.shape[1]
+            fits = [_cccp(obj, np.zeros(dim) if restart == 0 else rng.normal(0.0, 0.1, size=dim))
+                    for restart in range(config.restarts)]
+    except FloatingPointError:
+        first, second = MODE_SETS[mode]
+        big = max(np.abs(getattr(triple, name)).max(initial=0.0) for name in (first, second))
+        raise ValueError(
+            f"non-finite objective: training on the {first} and {second} rows overflowed "
+            f"float64 (largest |entry| {big:.3g}, lambda {config.lam:g})"
+        ) from None
+    _, theta = min(fits, key=lambda fit: fit[0])  # the first restart of least objective
+    return DecisionModel(weights=theta[:-1], bias=theta[-1], feature_map=fmap)
 
-    _RUN_STATS["runs"] += 1
-    best = None
-    for restart in range(config.restarts):
-        theta = np.zeros(dim) if restart == 0 else rng.normal(0.0, 0.1, size=dim)
-        current = obj.value(theta)
-        if not math.isfinite(current):
-            raise ValueError("non-finite objective at initialization")
-        solved = None
-        for _ in range(_MAX_OUTER):
-            # Majorize: replace the concave part of each ramp by its tangent
-            # at the current margins (slope 1/2 below margin -1, else 0).
-            s = np.where(obj.rows.dot(theta) < -1.0, 0.5, 0.0)
-            if solved is not None and np.array_equal(s, solved):
-                break  # a fixed point: theta is this subproblem's minimizer already
-            theta_new = _solve(theta, obj.rows, obj.coeffs, s, obj.lam)
-            value = obj.value(theta_new)
-            _RUN_STATS["outer_steps"] += 1
-            if value > current + MONOTONICITY_SLACK:
-                _RUN_STATS["monotonicity_violations"] += 1
-                raise CccpMonotonicityError(
-                    f"objective increased across an outer iteration: {current!r} -> {value!r}"
-                )
-            theta, current, solved = theta_new, value, s
-        if best is None or current < best[0]:
-            best = (current, theta)
 
-    return DecisionModel(weights=best[1][:-1], bias=best[1][-1], feature_map=fmap)
+def _cccp(obj: RiskObjective, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    """One restart of CCCP from theta: its final (objective, theta)."""
+    current = obj.value(theta)
+    solved = None
+    for _ in range(_MAX_OUTER):
+        # Majorize: replace the concave part of each ramp by its tangent
+        # at the current margins (slope 1/2 below margin -1, else 0).
+        s = np.where(obj.rows.dot(theta) < -1.0, 0.5, 0.0)
+        if solved is not None and np.array_equal(s, solved):
+            break  # a fixed point: theta is this subproblem's minimizer already
+        theta_new = _solve(theta, obj.rows, obj.coeffs, s, obj.lam)
+        value = obj.value(theta_new)
+        _RUN_STATS["outer_steps"] += 1
+        if value > current + MONOTONICITY_SLACK:
+            _RUN_STATS["monotonicity_violations"] += 1
+            raise CccpMonotonicityError(
+                f"objective increased across an outer iteration: {current!r} -> {value!r}"
+            )
+        theta, current, solved = theta_new, value, s
+    return current, theta
 
 
 def median_heuristic_width(x) -> float:

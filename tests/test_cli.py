@@ -11,7 +11,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from pnu import bounds, harness, losses, training
+from pnu import bounds, harness, losses, risk, training
 from pnu.cli import DESK_NU_VALUES, DESK_PI_VALUES, PAPER_NU_VALUES, PAPER_PI_VALUES, main
 from pnu.datasets import gen_gaussian_artificial
 from pnu.training import CvConfig, TrainConfig
@@ -290,6 +290,33 @@ class TestSweepCommands:
         assert code == 2
         self._assert_one_line_error(capsys.readouterr().err, "pool.csv:3: non-finite")
 
+    def test_csv_too_large_to_standardize_exits_2(self, tmp_path, capsys):
+        """Finite cells whose column variance overflows float64 fail before any training."""
+        path = tmp_path / "pool.csv"
+        path.write_text("f1,y\n" + "".join(f"{(-1) ** i}e300,{i % 2}\n" for i in range(8)),
+                        encoding="utf-8")
+        code = main([
+            "sweep-nu", "--n-unl", "1", "--pi", "0.5", "--n-pos", "1", "--n-neg", "1",
+            "--trials", "1", "--data", str(path), "--label-col", "y",
+        ])
+        assert code == 2
+        self._assert_one_line_error(capsys.readouterr().err,
+                                    "pool.csv: feature values too large to standardize")
+
+    def test_rows_too_large_to_train_on_exit_2(self, monkeypatch, capsys):
+        """Finite rows of 1e300 overflow the solve: a one-line contract error, not a warning."""
+        def huge(*args):
+            triple = gen_gaussian_artificial(*args)
+            return replace(triple, x_pos=1e300 * triple.x_pos, x_neg=1e300 * triple.x_neg,
+                           x_unl=1e300 * triple.x_unl)
+
+        monkeypatch.setattr(harness, "gen_gaussian_artificial", huge)
+        code = main(["sweep-nu", "--n-unl", "5", "--trials", "1", "--test-size", "10"])
+        assert code == 2
+        self._assert_one_line_error(
+            capsys.readouterr().err, "sweep point nu=5, trial 0: non-finite objective: "
+            "training on the x_pos and x_neg rows overflowed float64")
+
 
 class TestVerifyCommand:
     def test_fast_verify_passes(self, capsys):
@@ -344,8 +371,19 @@ class TestVerifyCommand:
         assert len(failed) == 1 and failed[0].startswith(f"[FAIL] {suite}: 2000 random inputs")
         assert sum(line.startswith("[PASS]") for line in lines) == 4
 
+    def test_biased_pu_estimator_fails_unbiasedness(self, monkeypatch, capsys):
+        """A PU estimator 1e-2 off the exact risk fails the unbiasedness suite, and only it."""
+        true_pu = risk.risk_pu
+        monkeypatch.setattr(risk, "risk_pu", lambda *args: true_pu(*args) + 1e-2)
+        code = main(["verify", "--fast"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        failed = [line for line in lines if line.startswith("[FAIL]")]
+        assert len(failed) == 1 and failed[0].startswith("[FAIL] unbiasedness: PN gap")
+        assert sum(line.startswith("[PASS]") for line in lines) == 4
+
     def test_short_resample_draw_exits_2(self, monkeypatch, capsys):
-        """A draw one resample short of the others reaches the estimator's shape check."""
+        """A block's draw one resample short of the others reaches the estimator's shape check."""
         def short_neg(n_pos, n_neg, n_unl, pi, seed):
             triple = gen_gaussian_artificial(n_pos, n_neg, n_unl, pi, seed)
             return replace(triple, x_neg=triple.x_neg[50:])
@@ -354,7 +392,7 @@ class TestVerifyCommand:
         code = main(["verify", "--fast"])
         assert code == 2
         TestSweepCommands._assert_one_line_error(
-            capsys.readouterr().err, "resample axis", "(2000, 50, 2) and (1999, 50, 2)")
+            capsys.readouterr().err, "resample axis", "(500, 50, 2) and (499, 50, 2)")
 
 
 def test_readme_config_examples_load():

@@ -13,6 +13,7 @@ from pnu.datasets import (
     load_csv,
     sample_triple_from_pool,
 )
+from pnu.models import EmpiricalKernelMap
 
 
 class TestGaussianArtificial:
@@ -98,6 +99,18 @@ class TestSampleTripleType:
         triple = gen_gaussian_artificial(3, 3, 3, 0.5, 0)
         with pytest.raises(ValueError):
             triple.x_pos[0, 0] = 7.0
+
+    def test_caller_arrays_stay_writable(self):
+        """The frozen sets, anchors and pool features are copies of the caller's arrays."""
+        x, a, f = np.zeros((3, 2)), np.zeros((4, 2)), np.zeros((2, 2))
+        triple = SampleTriple(x_pos=x, x_neg=x, x_unl=x, pi=0.5)
+        fmap = EmpiricalKernelMap(a, 1.0)
+        pool = LabeledPool(features=f, labels=np.array([1, -1]))
+        for arr in (x, a, f):
+            arr[0, 0] = 1.0
+        assert triple.x_pos[0, 0] == fmap.anchors[0, 0] == pool.features[0, 0] == 0.0
+        for frozen in (triple.x_pos, fmap.anchors, pool.features):
+            assert not frozen.flags.writeable
 
 
 def _write_csv(path, header, rows):

@@ -27,6 +27,7 @@ from pnu.harness import (
     run_sweep,
 )
 from pnu.losses import SCALED_RAMP, ZERO_ONE
+from pnu.models import DecisionModel
 from pnu.training import CccpMonotonicityError, CvConfig, ModelTemplate, TrainConfig, train
 
 FAST_TRAIN = TrainConfig(seed=0)
@@ -536,3 +537,36 @@ class TestVerifySuites:
                 for k in range(resamples)
             ]
             assert np.array_equal(batched, looped), mode
+
+    def test_unbiasedness_blocks_are_consecutive_draws(self, monkeypatch):
+        """With 20-resample blocks, 50 resamples are three draws in a row from the suite's rng."""
+        draws, calls = [], []
+
+        def recording_draw(*args):
+            draws.append(gen_gaussian_artificial(*args))
+            return draws[-1]
+
+        def recording(estimator):
+            def call(*args):
+                calls.append(estimator(*args))
+                return calls[-1]
+            return call
+
+        true_pu = risk.risk_pu
+        monkeypatch.setattr(harness, "_RESAMPLE_BLOCK", 20)
+        monkeypatch.setattr(harness, "gen_gaussian_artificial", recording_draw)
+        monkeypatch.setattr(risk, "risk_pu", recording(true_pu))
+        resamples, n, pi = 50, 50, 0.5
+        ok, _ = harness._verify_unbiasedness(seed=3, resamples=resamples)
+        assert ok
+
+        rng = np.random.default_rng(3)
+        model = DecisionModel(weights=rng.normal(size=2), bias=float(rng.normal(scale=0.2)))
+        assert [t.n_pos for t in draws] == [20 * n, 20 * n, 10 * n]
+        for triple, batched in zip(draws, calls, strict=True):
+            expected = gen_gaussian_artificial(triple.n_pos, triple.n_neg, triple.n_unl, pi, rng)
+            assert triple.fingerprint() == expected.fingerprint()
+            looped = [true_pu(model, triple.x_pos[k * n:(k + 1) * n],
+                              triple.x_unl[k * n:(k + 1) * n], pi, SCALED_RAMP)
+                      for k in range(triple.n_pos // n)]
+            assert np.array_equal(batched, looped)

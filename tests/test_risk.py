@@ -9,7 +9,14 @@ import pytest
 from pnu.datasets import gen_gaussian_artificial, gen_gaussian_labeled
 from pnu.losses import SCALED_RAMP, ZERO_ONE, LossDescriptor
 from pnu.models import DecisionModel, EmpiricalKernelMap
-from pnu.risk import MODE_TABLE, risk_nu, risk_pn, risk_pu, risk_true_mc
+from pnu.risk import (
+    MODE_TABLE,
+    risk_nu,
+    risk_pn,
+    risk_pu,
+    risk_true_gaussian,
+    risk_true_mc,
+)
 from pnu.training import TrainConfig, train
 
 # Bayes error of the synthetic task at pi = 1/2: the class means sit at
@@ -145,22 +152,6 @@ class TestRiskTrue:
             risk_true_mc(model, (feats, labels), ZERO_ONE)
 
 
-def _exact_linear_error(w, b, pi):
-    """Misclassification rate of the score w.x + b on the synthetic source.
-
-    The classes are unit-variance Gaussians at +-mu, mu = (1, 1)/sqrt(2),
-    so the score of a class is Gaussian with mean +-w.mu + b and standard
-    deviation ||w||.  A constant score (w = 0) errs on the whole class its
-    sign rejects, or on half of everything when it is 0.
-    """
-    phi = lambda z: 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-    norm = math.hypot(*w)
-    if norm == 0.0:
-        return pi if b < 0 else 1.0 - pi if b > 0 else 0.5
-    w_mu = (w[0] + w[1]) / math.sqrt(2.0)
-    return pi * phi(-(w_mu + b) / norm) + (1.0 - pi) * phi((b - w_mu) / norm)
-
-
 class TestExactLinearError:
     """Monte-Carlo holdout error of linear models against the closed form."""
 
@@ -168,7 +159,7 @@ class TestExactLinearError:
 
     def _check(self, model, pi, seed):
         got = risk_true_mc(model, gen_gaussian_labeled(self.N, pi, seed), ZERO_ONE)
-        want = _exact_linear_error(model.weights, model.bias, pi)
+        want = risk_true_gaussian(model, pi, ZERO_ONE)
         se = math.sqrt(want * (1.0 - want) / self.N)
         assert abs(got - want) <= 5.0 * se, (got, want, se)
 
@@ -183,8 +174,63 @@ class TestExactLinearError:
     @pytest.mark.parametrize("bias, want", [(-1.0, 0.3), (2.0, 0.7), (0.0, 0.5)])
     def test_constant_scores(self, bias, want):
         model = DecisionModel(weights=[0.0, 0.0], bias=bias)
-        assert _exact_linear_error(model.weights, model.bias, 0.3) == want
+        assert risk_true_gaussian(model, 0.3, ZERO_ONE) == want
         self._check(model, 0.3, 2000)
+
+
+def _verify_model(seed):
+    """The linear model the verify unbiasedness suite draws first from its seed."""
+    rng = np.random.default_rng(seed)
+    return DecisionModel(weights=rng.normal(size=2), bias=float(rng.normal(scale=0.2)))
+
+
+class TestExactRampRisk:
+    """The closed-form scaled-ramp risk against a 1e6-point Monte-Carlo mean."""
+
+    N = 1_000_000
+    MODELS = [
+        _verify_model(0),
+        DecisionModel(weights=[2.0, -0.5], bias=-0.7),
+        DecisionModel(weights=[0.3, 0.1], bias=0.05),  # most margins inside the ramp
+        DecisionModel(weights=[-4.0, -3.0], bias=1.5),  # most margins saturated
+        DecisionModel(weights=[0.0, 0.0], bias=0.3),  # w = 0: a point mass
+    ]
+
+    @pytest.mark.parametrize("pi", [0.3, 0.5, 0.7])
+    def test_agrees_with_monte_carlo_within_5_se(self, pi):
+        feats, labels = gen_gaussian_labeled(self.N, pi, int(10 * pi))
+        for model in self.MODELS:
+            scores = model.decision_values(feats)
+            point_losses = np.where(labels == 1, SCALED_RAMP.value(scores, +1),
+                                    SCALED_RAMP.value(scores, -1))
+            se = float(np.std(point_losses, ddof=1)) / math.sqrt(self.N)
+            got = risk_true_mc(model, (feats, labels), SCALED_RAMP)
+            want = risk_true_gaussian(model, pi, SCALED_RAMP)
+            assert abs(got - want) <= 5.0 * se, (model, pi, got, want, se)
+
+    def test_verify_seed_0_model(self):
+        """The risk verify's seed-0 unbiasedness suite compares its estimators with."""
+        assert risk_true_gaussian(_verify_model(0), 0.5, SCALED_RAMP) == pytest.approx(
+            0.502254, abs=5e-7)
+
+    @pytest.mark.parametrize("loss", [SCALED_RAMP, ZERO_ONE], ids=lambda l: l.name)
+    @pytest.mark.parametrize("bias", [-1.5, -0.25, 0.0, 0.6, 3.0])
+    def test_zero_weights_are_a_point_mass(self, loss, bias):
+        """Every row scores the bias, so the risk mixes the two losses at that score."""
+        model = DecisionModel(weights=[0.0, 0.0], bias=bias)
+        want = 0.3 * loss.value(bias, +1) + 0.7 * loss.value(bias, -1)
+        assert risk_true_gaussian(model, 0.3, loss) == want
+
+    def test_other_models_and_losses_rejected(self):
+        linear = DecisionModel(weights=[1.0, 0.0], bias=0.0)
+        with pytest.raises(ValueError, match="'hinge'"):
+            risk_true_gaussian(linear, 0.5, HINGE)
+        with pytest.raises(ValueError, match="linear model"):
+            risk_true_gaussian(_kernel_model(np.random.default_rng(0), 4), 0.5, SCALED_RAMP)
+        with pytest.raises(ValueError, match="linear model"):
+            risk_true_gaussian(DecisionModel(weights=[1.0, 0.0, 0.0], bias=0.0), 0.5, ZERO_ONE)
+        with pytest.raises(ValueError, match="class prior"):
+            risk_true_gaussian(linear, 1.0, ZERO_ONE)
 
 
 class TestUnbiasedness:

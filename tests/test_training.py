@@ -267,6 +267,18 @@ class TestTrain:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite objective"):
             train("PN", triple)
 
+    @pytest.mark.parametrize("mode", ["PN", "PU", "NU"])
+    @pytest.mark.parametrize("kind", ["linear", "kernel"])
+    def test_rows_too_large_for_float64_fail_without_a_warning(self, kind, mode):
+        """Finite rows of 1e300 overflow the kernel width, map or solve: one ValueError."""
+        t = gen_gaussian_artificial(5, 5, 5, 0.5, 0)
+        huge = SampleTriple(x_pos=1e300 * t.x_pos, x_neg=1e300 * t.x_neg,
+                            x_unl=1e300 * t.x_unl, pi=0.5)
+        first, second = training.MODE_SETS[mode]
+        with pytest.raises(ValueError, match=f"non-finite objective: training on the {first} "
+                                             f"and {second} rows overflowed float64"):
+            train(mode, huge, ModelTemplate(kind=kind))
+
     def test_permutation_invariance(self):
         """Row order inside the sets does not move the holdout error."""
         rng = np.random.default_rng(5)
