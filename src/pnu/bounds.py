@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -56,15 +56,13 @@ class ComparatorInput:
     the comparators then return arrays.  ``n_unl=None``
     denotes an unbounded unlabeled sample (used only by the asymptotic
     comparator and by limiting bound values); it is kept symbolic rather
-    than as a floating-point infinity.  ``rho_pn`` is the limiting ratio
-    n_pos/n_neg that ``alpha_star(case="b")`` needs.
+    than as a floating-point infinity.
     """
 
     pi: float
     n_pos: int
     n_neg: int
     n_unl: Optional[int] = None
-    rho_pn: Optional[float] = None
 
     def __post_init__(self) -> None:
         pi = _check_pi(self.pi, arrays=True)
@@ -72,8 +70,6 @@ class ComparatorInput:
         _check_count(self.n_neg, "n_neg", like=pi)
         if self.n_unl is not None:
             _check_count(self.n_unl, "n_unl", like=pi)
-        if self.rho_pn is not None:
-            _check_real(self.rho_pn, "rho_pn")
 
 
 @dataclass(frozen=True)
@@ -213,28 +209,20 @@ class AlphaStarResult:
     verdict: str
 
 
-def alpha_star(inp: ComparatorInput, case: Literal["a", "b"] = "a") -> AlphaStarResult:
+def alpha_star(inp: ComparatorInput) -> AlphaStarResult:
     """Asymptotic comparator limits and the collect-more-unlabeled verdict.
 
-    Case "a" keeps n_pos and n_neg finite while the unlabeled sample grows:
-    alpha_star = pi*sqrt(n_neg) / ((1-pi)*sqrt(n_pos)).  Case "b" lets all
-    three grow with n_pos/n_neg -> rho_pn and the unlabeled size dominating:
-    alpha_star = pi / ((1-pi)*sqrt(rho_pn)).  In both cases the PU and NU
-    limits are exact reciprocals, so one of them is below one, except at
-    the degenerate tie n_pos/n_neg = pi^2/(1-pi)^2 where both equal one.
+    With n_pos and n_neg fixed and the unlabeled sample growing without
+    bound, alpha_pu_pn tends to alpha_star = pi*sqrt(n_neg) / ((1-pi)*sqrt(n_pos))
+    and alpha_nu_pn to its reciprocal; ``n_unl`` is not read.  The limits
+    depend on the counts only through n_pos/n_neg, so they are also the
+    limits when all three sizes grow at that ratio with the unlabeled size
+    dominating.  One of them is below one, except at the degenerate tie
+    n_pos/n_neg = pi^2/(1-pi)^2 where both equal one.
     """
     pi = inp.pi
-    if case == "a":
-        a_pu = pi * np.sqrt(inp.n_neg) / ((1.0 - pi) * np.sqrt(inp.n_pos))
-        a_nu = (1.0 - pi) * np.sqrt(inp.n_pos) / (pi * np.sqrt(inp.n_neg))
-    elif case == "b":
-        if inp.rho_pn is None:
-            raise ValueError("case 'b' needs the limiting ratio rho_pn")
-        a_pu = pi / ((1.0 - pi) * np.sqrt(inp.rho_pn))
-        a_nu = (1.0 - pi) * np.sqrt(inp.rho_pn) / pi
-    else:
-        raise ValueError(f"case must be 'a' or 'b', got {case!r}")
-
+    a_pu = pi * np.sqrt(inp.n_neg) / ((1.0 - pi) * np.sqrt(inp.n_pos))
+    a_nu = (1.0 - pi) * np.sqrt(inp.n_pos) / (pi * np.sqrt(inp.n_neg))
     verdict = np.where(a_pu < 1.0, VERDICT_PU, np.where(a_pu > 1.0, VERDICT_NU, VERDICT_TIE))
     return AlphaStarResult(alpha_star_pu=_plain(a_pu), alpha_star_nu=_plain(a_nu),
                            verdict=_plain(verdict))

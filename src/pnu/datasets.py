@@ -20,7 +20,6 @@ label per row.  Each raises ValueError naming the field.
 from __future__ import annotations
 
 import csv
-import hashlib
 import logging
 import math
 import numbers
@@ -49,8 +48,8 @@ def _check_count(n, name: str, least: int = 1, like=None):
     if isinstance(like, np.ndarray):
         ok = isinstance(n, np.ndarray) and n.dtype.kind in "iu" and n.shape == like.shape
         ok = ok and n.min() >= least
-    else:  # The exact-int test spares the common case the slower ABC check.
-        ok = type(n) is int or isinstance(n, numbers.Integral) and not isinstance(n, bool)
+    else:
+        ok = isinstance(n, numbers.Integral) and not isinstance(n, bool)
         ok = ok and n >= least
     if not ok:
         want = {0: "a non-negative integer", 1: "a positive integer count"}.get(
@@ -67,7 +66,7 @@ def _check_real(x, name: str, high: float = math.inf, arrays: bool = False):
     if arrays and isinstance(x, np.ndarray):
         ok = x.dtype.kind == "f" and x.size > 0 and bool(np.all((x > 0.0) & (x < high)))
     else:
-        ok = type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)
+        ok = isinstance(x, numbers.Real) and not isinstance(x, bool)
         ok = ok and 0.0 < x < high
     if not ok:
         want = "finite and positive" if high == math.inf else f"strictly inside (0, {high:g})"
@@ -137,15 +136,6 @@ class SampleTriple:
     @property
     def n_unl(self) -> int:
         return self.x_unl.shape[0]
-
-    def fingerprint(self) -> str:
-        """Content hash used to assert shared-sample fairness across modes."""
-        h = hashlib.sha256()
-        for arr in (self.x_pos, self.x_neg, self.x_unl):
-            h.update(np.ascontiguousarray(arr).tobytes())
-            h.update(str(arr.shape).encode())
-        h.update(repr(self.pi).encode())
-        return h.hexdigest()
 
 
 @dataclass(frozen=True)

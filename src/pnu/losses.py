@@ -42,14 +42,9 @@ def scaled_ramp(t, y):
     clipped halves separately can be off by one ulp).
     """
     _check_label(y)
-    m = np.asarray(t, dtype=float)
-    out = np.subtract(1.0, m, out=np.empty_like(m))
-    out *= 0.5
-    # np.clip's bits on non-NaN input, without the cost of its Python wrapper.
-    np.maximum(out, 0.0, out=out)
-    np.minimum(out, 1.0, out=out)
+    out = np.clip((1.0 - np.asarray(t, dtype=float)) * 0.5, 0.0, 1.0)
     if y == -1:
-        np.subtract(1.0, out, out=out)
+        out = 1.0 - out
     return float(out) if out.ndim == 0 else out
 
 

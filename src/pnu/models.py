@@ -36,13 +36,24 @@ def _kernel_block(anchors: np.ndarray, width: float, rows: np.ndarray,
 
     Squared distances are accumulated one coordinate at a time from
     explicit differences, left to right, so a row equal to an anchor maps
-    to exactly 1.0 at that coordinate in any dimension.
+    to exactly 1.0 at that coordinate in any dimension.  A distance too
+    large for float64 becomes inf, and its kernel value exp(-inf) = 0 is
+    exact, so that overflow is not reported.
     """
-    sq = np.square(rows[:, 0, None] - anchors[None, :, 0])
-    for j in range(1, anchors.shape[1]):
-        sq += np.square(rows[:, j, None] - anchors[None, :, j])
+    with np.errstate(over="ignore"):
+        sq = np.square(rows[:, 0, None] - anchors[None, :, 0])
+        for j in range(1, anchors.shape[1]):
+            sq += np.square(rows[:, j, None] - anchors[None, :, j])
     sq /= -(2.0 * width * width)
     return np.exp(sq, out=out)
+
+
+def _as_anchors(anchors) -> np.ndarray:
+    """Anchor rows as a float matrix of at least one feature column."""
+    anchors = _as_matrix(anchors, "anchors")
+    if anchors.shape[1] == 0:
+        raise ValueError("anchors must have at least one feature column, got 0")
+    return anchors
 
 
 def kernel_map(anchors, width: float, x) -> np.ndarray:
@@ -53,7 +64,7 @@ def kernel_map(anchors, width: float, x) -> np.ndarray:
     block of rows at a time (see ``_kernel_block``).
     """
     _check_real(width, "kernel width")
-    anchors = _as_matrix(anchors, "anchors")
+    anchors = _as_anchors(anchors)
     xm = _as_matrix(x, "x")
     if xm.shape[1] != anchors.shape[1]:
         raise ValueError(
@@ -75,7 +86,7 @@ class EmpiricalKernelMap:
     width: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "anchors", _readonly(_as_matrix(self.anchors, "anchors")))
+        object.__setattr__(self, "anchors", _readonly(_as_anchors(self.anchors)))
         _check_real(self.width, "kernel width")
 
     @property

@@ -450,14 +450,14 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
     Returns the best restart's stationary point.  The regularized objective
     is non-increasing across outer iterations in every restart: a step that
     raises it by more than MONOTONICITY_SLACK raises CccpMonotonicityError.
-    Finite rows so large that the kernel map, the objective or the solve
-    overflows float64 raise ValueError naming the rows.  Each call adds to the ``run_stats``
-    counters.
+    Finite rows so large that the median kernel width, the objective or
+    the solve overflows float64 raise ValueError naming the rows.  Each
+    call adds to the ``run_stats`` counters.
     """
     rng = np.random.default_rng(config.seed)
     try:
-        # Finite rows too large for float64 overflow in the kernel width, the
-        # map, the objective or the solve; they fail as a contract violation.
+        # Finite rows too large for float64 overflow in the median kernel
+        # width, the objective or the solve; they fail as a contract violation.
         with np.errstate(over="raise"):
             fmap = _build_feature_map(template, mode, triple)
             obj = build_objective(mode, triple, fmap, config.lam)

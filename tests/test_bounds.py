@@ -188,8 +188,6 @@ class TestArrayInputs:
             star = alpha_star(inp)
             assert type(star.alpha_star_pu) is float and type(star.alpha_star_nu) is float
             assert type(star.verdict) is str
-        star_b = alpha_star(ComparatorInput(pi=0.5, n_pos=3, n_neg=3, rho_pn=4.0), case="b")
-        assert type(star_b.alpha_star_pu) is float and type(star_b.verdict) is str
 
     @pytest.mark.parametrize("field", ["n_pos", "n_neg", "n_unl"])
     @pytest.mark.parametrize("bad", [
@@ -220,7 +218,6 @@ class TestFiniteConstants:
 
     @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, True, "a"])
     @pytest.mark.parametrize("name, call", [
-        ("rho_pn", lambda v: ComparatorInput(pi=0.5, n_pos=3, n_neg=3, rho_pn=v)),
         ("rho_pn", lambda v: alpha_pu_pn_from_ratios(0.5, v, 1.0)),
         ("rho_pn", lambda v: alpha_nu_pn_from_ratios(0.5, v, 1.0)),
         ("rho_pu", lambda v: alpha_pu_pn_from_ratios(0.5, 1.0, v)),
@@ -234,7 +231,7 @@ class TestFiniteConstants:
         ("delta", lambda v: BoundParams(delta=v)),
         ("c_w", lambda v: rademacher_mc_check(np.eye(2), v, 1.0, 1_000, 0)),
         ("c_phi", lambda v: rademacher_mc_check(np.eye(2), 1.0, v, 1_000, 0)),
-    ], ids=["ComparatorInput.rho_pn", "pu_from_ratios.rho_pn", "nu_from_ratios.rho_pn",
+    ], ids=["pu_from_ratios.rho_pn", "nu_from_ratios.rho_pn",
             "pu_from_ratios.rho_pu", "pu_matched_prior.rho_pu", "nu_from_ratios.rho_nu",
             "nu_matched_prior.rho_nu", "argmin.rho", "min.rho", "lipschitz",
             "complexity_const", "delta", "rademacher.c_w", "rademacher.c_phi"])
@@ -398,7 +395,7 @@ class TestTableMonotonicity:
 class TestAlphaStar:
     def test_reference_case(self):
         inp = ComparatorInput(pi=0.5, n_pos=45, n_neg=5)
-        res = alpha_star(inp, case="a")
+        res = alpha_star(inp)
         assert res.alpha_star_pu == pytest.approx(1.0 / 3.0, rel=1e-12)
         assert res.verdict == VERDICT_PU
 
@@ -410,7 +407,7 @@ class TestAlphaStar:
                 n_pos=int(rng.integers(1, 10_000)),
                 n_neg=int(rng.integers(1, 10_000)),
             )
-            res = alpha_star(inp, case="a")
+            res = alpha_star(inp)
             assert abs(res.alpha_star_pu * res.alpha_star_nu - 1.0) <= 1e-12
 
     def test_degenerate_tie(self):
@@ -423,24 +420,6 @@ class TestAlphaStar:
         assert alpha_star(ComparatorInput(pi=0.5, n_pos=100, n_neg=99)).verdict == VERDICT_PU
         assert alpha_star(ComparatorInput(pi=0.5, n_pos=100, n_neg=100)).verdict == VERDICT_TIE
         assert alpha_star(ComparatorInput(pi=0.5, n_pos=100, n_neg=101)).verdict == VERDICT_NU
-
-    def test_case_b_matches_case_a_on_realized_ratio(self):
-        rng = np.random.default_rng(11)
-        for _ in range(1000):
-            n_pos = int(rng.integers(1, 1000))
-            n_neg = int(rng.integers(1, 1000))
-            pi = float(rng.uniform(0.05, 0.95))
-            a = alpha_star(ComparatorInput(pi=pi, n_pos=n_pos, n_neg=n_neg), case="a")
-            b = alpha_star(
-                ComparatorInput(pi=pi, n_pos=n_pos, n_neg=n_neg, rho_pn=n_pos / n_neg), case="b"
-            )
-            assert a.alpha_star_pu == pytest.approx(b.alpha_star_pu, rel=1e-12)
-
-    def test_case_b_needs_ratio(self):
-        with pytest.raises(ValueError):
-            alpha_star(ComparatorInput(pi=0.5, n_pos=10, n_neg=10), case="b")
-        with pytest.raises(ValueError, match="case must be 'a' or 'b', got 'c'"):
-            alpha_star(ComparatorInput(pi=0.5, n_pos=10, n_neg=10), case="c")
 
 
 class TestRademacherCheck:

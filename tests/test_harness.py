@@ -191,6 +191,46 @@ class TestRunSweep:
         assert info.value.__notes__ == ["sweep point nu=5, trial 0"]
 
 
+def _set_bytes(triple):
+    """The shape and bytes of each of the triple's three sets."""
+    return [(x.shape, x.tobytes()) for x in (triple.x_pos, triple.x_neg, triple.x_unl)]
+
+
+class TestSharedTriple:
+    """Every mode of a trial trains, and cross-validates, on one frozen triple."""
+
+    @pytest.mark.parametrize("source", ["synthetic", "csv-cv"])
+    def test_modes_see_the_same_read_only_rows(self, source, tmp_path, monkeypatch):
+        seen = []
+
+        def recording(fn):
+            def call(mode, triple, *args):
+                seen.append((mode, triple, _set_bytes(triple)))
+                return fn(mode, triple, *args)
+            return call
+
+        monkeypatch.setattr(harness, "train", recording(harness.train))
+        monkeypatch.setattr(harness, "cross_validate", recording(harness.cross_validate))
+        if source == "synthetic":
+            run_sweep(_tiny_grid(values=(6,), trials=1), FAST_TRAIN)
+        else:
+            path = tmp_path / "toy.csv"
+            _write_toy_csv(path)
+            grid = _tiny_grid(values=(12,), trials=1, data_source=str(path), label_column="y")
+            cv = CvConfig(folds=2, width_grid=(1.0,), lambda_grid=(1e-3,))
+            run_sweep(grid, FAST_TRAIN, cv_config=cv)
+        per_mode = 1 if source == "synthetic" else 2
+        assert [mode for mode, _, _ in seen] == [m for m in harness.MODES for _ in range(per_mode)]
+        triple = seen[0][1]
+        for _, received, rows in seen:
+            assert received is triple and rows == seen[0][2]
+        assert _set_bytes(triple) == seen[0][2]
+        for x in (triple.x_pos, triple.x_neg, triple.x_unl):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                x[0, 0] = 1.0
+
+
 def _recording(calls, fn):
     """``fn`` appending the calling thread's id to ``calls`` on every call."""
     def call(*args):
@@ -565,7 +605,7 @@ class TestVerifySuites:
         assert [t.n_pos for t in draws] == [20 * n, 20 * n, 10 * n]
         for triple, batched in zip(draws, calls, strict=True):
             expected = gen_gaussian_artificial(triple.n_pos, triple.n_neg, triple.n_unl, pi, rng)
-            assert triple.fingerprint() == expected.fingerprint()
+            assert _set_bytes(triple) == _set_bytes(expected)
             looped = [true_pu(model, triple.x_pos[k * n:(k + 1) * n],
                               triple.x_unl[k * n:(k + 1) * n], pi, SCALED_RAMP)
                       for k in range(triple.n_pos // n)]

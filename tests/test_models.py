@@ -2,12 +2,14 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from pnu.datasets import SampleTriple
 from pnu.models import _BLOCK_ELEMENTS, DecisionModel, EmpiricalKernelMap, kernel_map
-from pnu.training import ModelTemplate
+from pnu.training import ModelTemplate, train
 
 
 def _explicit_kernel_map(anchors, width, x):
@@ -170,6 +172,30 @@ class TestKernelModel:
                       lambda rows: kernel_map(anchors, 0.9, rows)):
             with pytest.raises(ValueError, match="ndim=1"):
                 score(x)
+
+    def test_rows_too_far_for_float64_score_without_a_warning(self):
+        """A squared distance past float64 gives the exact kernel value 0, silently."""
+        anchors = np.array([[0.0, 0.0], [1.0, 1.0]])
+        model = DecisionModel([1.0, 2.0], 0.5, EmpiricalKernelMap(anchors, 1.0))
+        x = np.array([[1e300, 0.0], [-1e300, 0.0], [1.7e308, -1.7e308], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mapped = kernel_map(anchors, 1.0, x)
+            scores = model.decision_values(x)
+        assert mapped[:3].tolist() == [[0.0, 0.0]] * 3 and mapped[3, 0] == 1.0
+        assert scores.tolist() == (mapped @ [1.0, 2.0] + 0.5).tolist()
+
+    def test_anchors_without_feature_columns_rejected(self):
+        """Zero-column anchors fail as a contract violation naming them, not in the block loop."""
+        empty = np.empty((3, 0))
+        for build in (lambda: kernel_map(empty, 1.0, np.empty((2, 0))),
+                      lambda: EmpiricalKernelMap(empty, 1.0),
+                      lambda: train("PN", SampleTriple(empty, empty, empty, 0.5),
+                                    ModelTemplate(kind="kernel"))):
+            with pytest.raises(ValueError, match="^anchors must have at least one feature column"):
+                build()
+        linear = train("PN", SampleTriple(empty, empty, empty, 0.5))
+        assert linear.weights.size == 0
 
     def test_scoring_memory_is_bounded_by_a_block(self):
         """2e5 rows x 200 anchors would need 320 MB as one feature matrix."""

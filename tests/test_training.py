@@ -455,6 +455,20 @@ class TestLinearActiveSet:
         _never_uncertified(monkeypatch)
         train(mode, triple, config=TrainConfig(seed=43))
 
+    def test_flat_ray_past_the_last_kink_certifies(self):
+        """A bias ray whose slope past its last kink is -2e-14 stops on that kink.
+
+        With no working rows and a nonzero bias slope, the step is the bias
+        ray, along which the quadratic has no curvature.  Rows 0 and 1 cross
+        their kinks on it.  Row 2's margin moves 1e-13 per unit of bias,
+        below the line search's threshold for a moving row, so past the last
+        kink the slope stays -0.4*1e-13/2: flat up to rounding.  The search
+        must stop on that kink, not give up as on an unbounded ray.
+        """
+        A = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1e-13]])
+        theta, _ = _certify((np.zeros(2), A, np.array([0.3, 0.5, 0.4]), np.zeros(3), 1e-3))
+        assert theta[0] == 0.0 and theta[1] == pytest.approx(1.0, abs=1e-12)
+
     def test_uncertified_solve_keeps_its_start(self, monkeypatch):
         """A solve cut off by a cap of one pivot returns its start bit for bit."""
         triple = gen_gaussian_artificial(45, 5, 50, 0.5, 46)
