@@ -4,7 +4,6 @@ closed-form comparison of the three modes' estimation error bounds."""
 
 from .bounds import (
     AlphaStarResult,
-    BoundParams,
     ComparatorInput,
     alpha_nu_pn,
     alpha_nu_pn_from_ratios,
@@ -13,9 +12,7 @@ from .bounds import (
     alpha_pu_pn_from_ratios,
     alpha_pu_pn_matched_prior,
     alpha_star,
-    bound_terms,
     bound_values,
-    f_delta,
     matched_prior_argmin,
     matched_prior_min,
     rademacher_mc_check,

@@ -12,7 +12,10 @@ times mode-specific sample terms:
     PU:  2*pi/sqrt(n_pos)   + 1/sqrt(n_unl)
     NU:  1/sqrt(n_unl)      + 2*(1-pi)/sqrt(n_neg)
 
-Which bound is tighter is decided by closed-form ratios that depend only on
+Bound values are reported at delta = 0.05, L = 1/2 (the scaled ramp's
+Lipschitz constant) and C = 1, the module constants DELTA, LIPSCHITZ,
+COMPLEXITY_CONST and F_DELTA.  Every bound carries the same factor, so
+which bound is tighter is decided by closed-form ratios that depend only on
 (pi, n_pos, n_neg, n_unl):
 
     alpha_pu_pn = (pi/sqrt(n_pos) + 1/sqrt(n_unl)) / ((1-pi)/sqrt(n_neg))
@@ -26,7 +29,7 @@ except on the razor's edge n_pos/n_neg = pi^2/(1-pi)^2.
 The module also evaluates the comparators in proportional-ratio form, the
 matched-prior special case with its closed-form minimum, and a Monte-Carlo
 check that the empirical Rademacher complexity of the bounded linear class
-stays below C_w*C_phi/sqrt(n).
+stays below C_w*C_phi/sqrt(n), from a fixed 2,000 sign vectors.
 """
 
 from __future__ import annotations
@@ -72,52 +75,28 @@ class ComparatorInput:
             _check_count(self.n_unl, "n_unl", like=pi)
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Confidence level and class-size constants entering f(delta).
-
-    ``complexity_const`` is the constant C in the complexity decay
-    C/sqrt(n); for the bounded-hyperplane class it equals C_w * C_phi.
-    """
-
-    delta: float = 0.05
-    lipschitz: float = 0.5
-    complexity_const: float = 1.0
-
-    def __post_init__(self) -> None:
-        _check_real(self.delta, "delta", high=1.0)
-        _check_real(self.lipschitz, "lipschitz")
-        _check_real(self.complexity_const, "complexity_const")
+#: Bound values are reported at delta, the scaled ramp's L and C = C_w * C_phi.
+DELTA = 0.05
+LIPSCHITZ = 0.5
+COMPLEXITY_CONST = 1.0
+#: The shared bound constant f(delta) = 4*L*C + sqrt(2*ln(4/delta)).
+F_DELTA = 4.0 * LIPSCHITZ * COMPLEXITY_CONST + math.sqrt(2.0 * math.log(4.0 / DELTA))
 
 
-def f_delta(params: BoundParams) -> float:
-    """The shared bound constant 4*L*C + sqrt(2*ln(4/delta))."""
-    return 4.0 * params.lipschitz * params.complexity_const + math.sqrt(
-        2.0 * math.log(4.0 / params.delta)
-    )
+def bound_values(inp: ComparatorInput):
+    """Estimation error bound values (V_pn, V_pu, V_nu); limits for ``n_unl=None``.
 
-
-def bound_terms(inp: ComparatorInput):
-    """The three sample terms multiplying f(delta), as (pn, pu, nu).
-
-    Each is the sum over the mode's two sample sets of the set's estimator
-    weight over sqrt(n); an unbounded unlabeled set (``n_unl=None``)
-    contributes weight/inf = 0, so the terms are the limits.
+    Each is F_DELTA times the sum over the mode's two sample sets of the
+    set's estimator weight over sqrt(n); an unbounded unlabeled set
+    contributes weight/inf = 0.
     """
     roots = {"x_pos": np.sqrt(inp.n_pos), "x_neg": np.sqrt(inp.n_neg),
              "x_unl": math.inf if inp.n_unl is None else np.sqrt(inp.n_unl)}
-    terms = []
+    values = []
     for spec in MODE_TABLE.values():
         (first, second), (w_first, w_second) = spec.sets, spec.weights(inp.pi)
-        terms.append(_plain(w_first / roots[first] + w_second / roots[second]))
-    return tuple(terms)
-
-
-def bound_values(inp: ComparatorInput, params: BoundParams):
-    """Estimation error bound values (V_pn, V_pu, V_nu); limits for ``n_unl=None``."""
-    f = f_delta(params)
-    t_pn, t_pu, t_nu = bound_terms(inp)
-    return f * t_pn, f * t_pu, f * t_nu
+        values.append(F_DELTA * _plain(w_first / roots[first] + w_second / roots[second]))
+    return tuple(values)
 
 
 def _unl_root(inp: ComparatorInput):
@@ -228,8 +207,10 @@ def alpha_star(inp: ComparatorInput) -> AlphaStarResult:
                            verdict=_plain(verdict))
 
 
+#: Sign vectors drawn by the Rademacher check.
+_SIGMA_DRAWS = 2_000
 #: Sign vectors are turned into floats and summed over the rows this many
-#: entries at a time (2 MiB of float64), not all num_sigma_draws x n at once.
+#: entries at a time (2 MiB of float64), not all _SIGMA_DRAWS x n at once.
 _SIGMA_BLOCK_ENTRIES = 1 << 18
 
 
@@ -243,15 +224,14 @@ class RademacherCheck:
     passed: bool
 
 
-def rademacher_mc_check(sample, c_w: float, c_phi: float, num_sigma_draws: int,
-                        seed) -> RademacherCheck:
+def rademacher_mc_check(sample, c_w: float, c_phi: float, seed) -> RademacherCheck:
     """Monte-Carlo check of the bounded linear class complexity bound.
 
     For the class of linear scores with weight norm at most c_w over
     feature rows of norm at most c_phi, the empirical Rademacher complexity
     conditioned on the n rows equals (c_w/n) * E_sigma ||sum_i sigma_i x_i||,
     which is bounded by c_w*c_phi/sqrt(n).  The expectation is estimated
-    from num_sigma_draws sign vectors; the check passes when the estimate
+    from _SIGMA_DRAWS = 2,000 sign vectors; the check passes when the estimate
     is below the bound plus three Monte-Carlo standard errors (with a
     relative float tolerance for the equality cases).
     """
@@ -260,7 +240,6 @@ def rademacher_mc_check(sample, c_w: float, c_phi: float, num_sigma_draws: int,
         raise ValueError("sample must be a non-empty matrix of feature rows")
     _check_real(c_w, "c_w")
     _check_real(c_phi, "c_phi")
-    _check_count(num_sigma_draws, "num_sigma_draws", least=1_000)
     n = x.shape[0]
     row_norms = np.linalg.norm(x, axis=1)
     if np.any(row_norms > c_phi * (1.0 + 1e-9)):
@@ -269,14 +248,14 @@ def rademacher_mc_check(sample, c_w: float, c_phi: float, num_sigma_draws: int,
         )
 
     rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=(num_sigma_draws, n), dtype=np.int8)
-    norms = np.empty(num_sigma_draws)
+    bits = rng.integers(0, 2, size=(_SIGMA_DRAWS, n), dtype=np.int8)
+    norms = np.empty(_SIGMA_DRAWS)
     step = max(1, _SIGMA_BLOCK_ENTRIES // n)
-    for start in range(0, num_sigma_draws, step):
+    for start in range(0, _SIGMA_DRAWS, step):
         sigma = bits[start : start + step] * 2.0 - 1.0
         norms[start : start + len(sigma)] = np.linalg.norm(sigma @ x, axis=1)
     estimate = (c_w / n) * float(np.mean(norms))
-    std_error = (c_w / n) * float(np.std(norms, ddof=1)) / math.sqrt(num_sigma_draws)
+    std_error = (c_w / n) * float(np.std(norms, ddof=1)) / math.sqrt(_SIGMA_DRAWS)
     bound = c_w * c_phi / math.sqrt(n)
     threshold = bound + 3.0 * std_error
     passed = estimate <= threshold or math.isclose(estimate, threshold, rel_tol=1e-12)

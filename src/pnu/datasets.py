@@ -12,9 +12,10 @@ returned.  Every sampler is deterministic given its seed.
 
 The input-contract rules every module checks its arguments with live here,
 once each: ``_check_count`` for integer counts, ``_check_real`` for finite
-reals in (0, high), with ``_check_pi`` the prior's case, ``_as_matrix``
-for matrices of finite feature rows, and ``_check_labels`` for one +1 or -1
-label per row.  Each raises ValueError naming the field.
+reals in (0, high), with ``_check_pi`` the prior's case and ``_check_width``
+the kernel width's, ``_as_matrix`` for matrices of finite feature rows, and
+``_check_labels`` for one +1 or -1 label per row.  Each raises ValueError
+naming the field.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import csv
 import logging
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +78,20 @@ def _check_real(x, name: str, high: float = math.inf, arrays: bool = False):
 
 def _check_pi(pi, arrays: bool = False):
     return _check_real(pi, "class prior pi", 1.0, arrays)
+
+
+def _check_width(width, name: str):
+    """A kernel width: a finite positive real whose 2*width^2 is a finite normal float64.
+
+    Outside about [1.05e-154, 9.48e153] the kernel's divisor 2*width^2 is
+    subnormal, zero or inf, and the kernel would divide by zero or give NaN.
+    """
+    _check_real(width, name)
+    if not sys.float_info.min <= 2.0 * float(width) * float(width) <= sys.float_info.max:
+        low, high = (math.sqrt(x / 2.0) for x in (sys.float_info.min, sys.float_info.max))
+        raise ValueError(f"{name} must lie in [{low:.4g}, {high:.4g}] so that 2*width^2 is a "
+                         f"finite normal float64, got {width!r}")
+    return width
 
 
 def _as_matrix(x, name: str) -> np.ndarray:

@@ -311,25 +311,25 @@ def recommendation_text(result: bounds.AlphaStarResult) -> str:
 
 
 def advise(pi: float, n_pos: int, n_neg: int, n_unl: Optional[int]) -> dict:
-    """Comparator values, bound values at defaults, and a recommendation.
+    """Comparator values, bound values at the ``bounds`` constants, and a recommendation.
 
     ``n_unl=None`` means the unlabeled budget is unbounded; finite-sample
-    comparators are then omitted and bound values are reported in the
-    limit.
+    comparators are then None and bound values are reported in the limit.
     """
-    params = bounds.BoundParams()
     comp = bounds.ComparatorInput(pi=pi, n_pos=n_pos, n_neg=n_neg, n_unl=n_unl)
     star = bounds.alpha_star(comp)
-    v_pn, v_pu, v_nu = bounds.bound_values(comp, params)
-    doc = {
+    v_pn, v_pu, v_nu = bounds.bound_values(comp)
+    a_pu = None if n_unl is None else bounds.alpha_pu_pn(comp)
+    a_nu = None if n_unl is None else bounds.alpha_nu_pn(comp)
+    return {
         "pi": pi,
         "n_pos": n_pos,
         "n_neg": n_neg,
         "n_unl": n_unl,
-        "alpha_pu_pn": None,
-        "alpha_nu_pn": None,
-        "pu_bound_tighter_than_pn": None,
-        "nu_bound_tighter_than_pn": None,
+        "alpha_pu_pn": a_pu,
+        "alpha_nu_pn": a_nu,
+        "pu_bound_tighter_than_pn": None if a_pu is None else bool(a_pu < 1.0),
+        "nu_bound_tighter_than_pn": None if a_nu is None else bool(a_nu < 1.0),
         "alpha_star_pu": star.alpha_star_pu,
         "alpha_star_nu": star.alpha_star_nu,
         "verdict": star.verdict,
@@ -337,21 +337,12 @@ def advise(pi: float, n_pos: int, n_neg: int, n_unl: Optional[int]) -> dict:
             "pn": v_pn,
             "pu": v_pu,
             "nu": v_nu,
-            "delta": params.delta,
-            "lipschitz": params.lipschitz,
-            "complexity_const": params.complexity_const,
+            "delta": bounds.DELTA,
+            "lipschitz": bounds.LIPSCHITZ,
+            "complexity_const": bounds.COMPLEXITY_CONST,
         },
         "recommendation": recommendation_text(star),
     }
-    if n_unl is not None:
-        a_pu, a_nu = bounds.alpha_pu_pn(comp), bounds.alpha_nu_pn(comp)
-        doc.update(
-            alpha_pu_pn=a_pu,
-            alpha_nu_pn=a_nu,
-            pu_bound_tighter_than_pn=bool(a_pu < 1.0),
-            nu_bound_tighter_than_pn=bool(a_nu < 1.0),
-        )
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +358,7 @@ def _verify_comparator_equivalence(seed: int, cases: int = 10_000) -> tuple[bool
     rng = np.random.default_rng(seed)
     pi = rng.uniform(0.02, 0.98, cases)
     comp = bounds.ComparatorInput(pi, *(rng.integers(1, 10_000, cases) for _ in range(3)))
-    v_pn, v_pu, v_nu = bounds.bound_values(comp, bounds.BoundParams())
+    v_pn, v_pu, v_nu = bounds.bound_values(comp)
     bad = int(np.count_nonzero((bounds.alpha_pu_pn(comp) < 1.0) != (v_pu < v_pn))
               + np.count_nonzero((bounds.alpha_nu_pn(comp) < 1.0) != (v_nu < v_pn)))
     return bad == 0, f"{cases} random inputs, {bad} violations"
@@ -416,7 +407,7 @@ def _verify_unbiasedness(seed: int, resamples: int = 10_000) -> tuple[bool, str]
     for mode, blocks in estimates.items():
         arr = np.concatenate(blocks)
         gap = abs(float(np.mean(arr)) - true_value)
-        se = float(np.std(arr, ddof=1)) / math.sqrt(arr.size)
+        se = _stderr(arr)
         ok &= gap <= 5.0 * se
         details.append(f"{mode} gap {gap:.2e} vs 5se {5 * se:.2e}")
     return ok, "; ".join(details)
@@ -431,8 +422,7 @@ def _verify_rademacher(seed: int) -> tuple[bool, str]:
             x = rng.normal(size=(n, d))
             norms = np.linalg.norm(x, axis=1, keepdims=True)
             x = x / np.maximum(norms, 1e-12) * rng.uniform(0.1, 1.0, size=(n, 1))
-            res = bounds.rademacher_mc_check(x, c_w=2.0, c_phi=1.0,
-                                             num_sigma_draws=2000, seed=rng)
+            res = bounds.rademacher_mc_check(x, c_w=2.0, c_phi=1.0, seed=rng)
             if not res.passed:
                 return False, f"failed at n={n}: estimate {res.estimate} > bound {res.bound}"
             checked += 1

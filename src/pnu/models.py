@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .datasets import _as_matrix, _check_real, _readonly
+from .datasets import _as_matrix, _check_width, _readonly
 
 # Cap on rows x anchors per block, shared by the kernel map and kernel
 # scoring: 2**16 float64 entries (512 KiB) keep a block's distance buffer
@@ -36,15 +36,15 @@ def _kernel_block(anchors: np.ndarray, width: float, rows: np.ndarray,
 
     Squared distances are accumulated one coordinate at a time from
     explicit differences, left to right, so a row equal to an anchor maps
-    to exactly 1.0 at that coordinate in any dimension.  A distance too
-    large for float64 becomes inf, and its kernel value exp(-inf) = 0 is
-    exact, so that overflow is not reported.
+    to exactly 1.0 at that coordinate in any dimension.  A distance, or its
+    quotient by 2*width^2, too large for float64 becomes inf, and its kernel
+    value exp(-inf) = 0 is exact, so that overflow is not reported.
     """
     with np.errstate(over="ignore"):
         sq = np.square(rows[:, 0, None] - anchors[None, :, 0])
         for j in range(1, anchors.shape[1]):
             sq += np.square(rows[:, j, None] - anchors[None, :, j])
-    sq /= -(2.0 * width * width)
+        sq /= -(2.0 * width * width)
     return np.exp(sq, out=out)
 
 
@@ -63,7 +63,7 @@ def kernel_map(anchors, width: float, x) -> np.ndarray:
     matrix of rows and returns one mapped row per input row, computed one
     block of rows at a time (see ``_kernel_block``).
     """
-    _check_real(width, "kernel width")
+    _check_width(width, "kernel width")
     anchors = _as_anchors(anchors)
     xm = _as_matrix(x, "x")
     if xm.shape[1] != anchors.shape[1]:
@@ -87,7 +87,7 @@ class EmpiricalKernelMap:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "anchors", _readonly(_as_anchors(self.anchors)))
-        _check_real(self.width, "kernel width")
+        _check_width(self.width, "kernel width")
 
     @property
     def output_dim(self) -> int:

@@ -51,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .datasets import SampleTriple, _as_matrix, _check_count, _check_real
+from .datasets import SampleTriple, _as_matrix, _check_count, _check_real, _check_width
 from .losses import ZERO_ONE, scaled_ramp
 from .models import DecisionModel, EmpiricalKernelMap
 from .risk import MODE_SETS, MODE_TABLE, Mode, risk_nu, risk_pn, risk_pu
@@ -141,7 +141,8 @@ class CvConfig(_JsonConfig):
             ok = isinstance(grid, (list, tuple)) or isinstance(grid, np.ndarray) and grid.ndim == 1
             if not ok:
                 raise ValueError(f"{label} must be a list of numbers, got {grid!r}")
-            object.__setattr__(self, name, tuple(float(_check_real(v, label)) for v in grid))
+            check = _check_width if name == "width_grid" else _check_real
+            object.__setattr__(self, name, tuple(float(check(v, label)) for v in grid))
         if not self.lambda_grid:
             raise ValueError("CvConfig 'lambda_grid' must be non-empty")
 
@@ -161,7 +162,7 @@ class ModelTemplate:
         if self.kind not in ("linear", "kernel"):
             raise ValueError(f"template kind must be 'linear' or 'kernel', got {self.kind!r}")
         if self.width is not None:
-            _check_real(self.width, "ModelTemplate 'width'")
+            _check_width(self.width, "ModelTemplate 'width'")
 
 
 LINEAR_TEMPLATE = ModelTemplate(kind="linear")

@@ -18,7 +18,6 @@ from pnu.bounds import (
     VERDICT_NU,
     VERDICT_PU,
     VERDICT_TIE,
-    BoundParams,
     ComparatorInput,
     alpha_nu_pn,
     alpha_nu_pn_from_ratios,
@@ -112,7 +111,6 @@ def test_criterion_01_unbiasedness_oracle():
 def test_criterion_02_comparator_equivalence():
     """alpha ordering agrees with bound-value ordering on 1e4 random inputs."""
     rng = np.random.default_rng(MASTER_SEED)
-    params = BoundParams()
     violations = 0
     for _ in range(10_000):
         comp = ComparatorInput(
@@ -121,7 +119,7 @@ def test_criterion_02_comparator_equivalence():
             n_neg=int(rng.integers(1, 10_000)),
             n_unl=int(rng.integers(1, 10_000)),
         )
-        v_pn, v_pu, v_nu = bound_values(comp, params)
+        v_pn, v_pu, v_nu = bound_values(comp)
         violations += (alpha_pu_pn(comp) < 1.0) != (v_pu < v_pn)
         violations += (alpha_nu_pn(comp) < 1.0) != (v_nu < v_pn)
     _check("2 (comparator equivalence)", violations == 0,
@@ -301,8 +299,7 @@ def test_criterion_09_rademacher_check():
             x = rng.normal(size=(n, d))
             x = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
             x *= rng.uniform(0.0, 1.0, size=(n, 1)) ** 0.5 * c_phi
-            res = rademacher_mc_check(x, c_w=c_w, c_phi=c_phi,
-                                      num_sigma_draws=2000, seed=rng)
+            res = rademacher_mc_check(x, c_w=c_w, c_phi=c_phi, seed=rng)
             checked += 1
             failed += not res.passed
     _check("9 (rademacher bound)", failed == 0,

@@ -16,8 +16,129 @@ from pnu.cli import DESK_NU_VALUES, DESK_PI_VALUES, PAPER_NU_VALUES, PAPER_PI_VA
 from pnu.datasets import gen_gaussian_artificial
 from pnu.training import CvConfig, TrainConfig
 
+# Recorded stdout, byte for byte, of four `pnu advise` calls and of
+# `pnu verify --seed 0 --fast`: a change to bounds or harness that should
+# not move a number must leave these texts as they are.
+_ADVISE_FINITE = """\
+{
+ "pi": 0.5,
+ "n_pos": 45,
+ "n_neg": 5,
+ "n_unl": 100,
+ "alpha_pu_pn": 0.7805469288332914,
+ "alpha_nu_pn": 4.341640786499874,
+ "pu_bound_tighter_than_pn": true,
+ "nu_bound_tighter_than_pn": false,
+ "alpha_star_pu": 0.3333333333333333,
+ "alpha_star_nu": 3.0,
+ "verdict": "pu-promising",
+ "bound_values": {
+  "pn": 1.4789098317568368,
+  "pu": 1.235496353338578,
+  "nu": 2.714406185095415,
+  "delta": 0.05,
+  "lipschitz": 0.5,
+  "complexity_const": 1.0
+ },
+ "recommendation": "PU learning is promising: collect more unlabeled data (limit comparator 0.3333 < 1)."
+}
+"""
+
+_ADVISE_UNBOUNDED = """\
+{
+ "pi": 0.5,
+ "n_pos": 45,
+ "n_neg": 5,
+ "n_unl": null,
+ "alpha_pu_pn": null,
+ "alpha_nu_pn": null,
+ "pu_bound_tighter_than_pn": null,
+ "nu_bound_tighter_than_pn": null,
+ "alpha_star_pu": 0.3333333333333333,
+ "alpha_star_nu": 3.0,
+ "verdict": "pu-promising",
+ "bound_values": {
+  "pn": 1.4789098317568368,
+  "pu": 0.7394549158784184,
+  "nu": 2.218364747635255,
+  "delta": 0.05,
+  "lipschitz": 0.5,
+  "complexity_const": 1.0
+ },
+ "recommendation": "PU learning is promising: collect more unlabeled data (limit comparator 0.3333 < 1)."
+}
+"""
+
+_ADVISE_NU = """\
+{
+ "pi": 0.3,
+ "n_pos": 5,
+ "n_neg": 45,
+ "n_unl": 7,
+ "alpha_pu_pn": 4.9078039488364995,
+ "alpha_nu_pn": 3.5949586268728333,
+ "pu_bound_tighter_than_pn": false,
+ "nu_bound_tighter_than_pn": false,
+ "alpha_star_pu": 1.2857142857142856,
+ "alpha_star_nu": 0.7777777777777778,
+ "verdict": "nu-promising",
+ "bound_values": {
+  "pn": 1.183127865405469,
+  "pu": 3.20587925358484,
+  "nu": 2.910097287233473,
+  "delta": 0.05,
+  "lipschitz": 0.5,
+  "complexity_const": 1.0
+ },
+ "recommendation": "NU learning is promising: collect more unlabeled data (limit comparator 0.7778 < 1)."
+}
+"""
+
+_ADVISE_TIE = """\
+{
+ "pi": 0.5,
+ "n_pos": 64,
+ "n_neg": 64,
+ "n_unl": null,
+ "alpha_pu_pn": null,
+ "alpha_nu_pn": null,
+ "pu_bound_tighter_than_pn": null,
+ "nu_bound_tighter_than_pn": null,
+ "alpha_star_pu": 1.0,
+ "alpha_star_nu": 1.0,
+ "verdict": "degenerate-tie",
+ "bound_values": {
+  "pn": 0.6200517968251995,
+  "pu": 0.6200517968251995,
+  "nu": 0.6200517968251995,
+  "delta": 0.05,
+  "lipschitz": 0.5,
+  "complexity_const": 1.0
+ },
+ "recommendation": "Degenerate tie (n_pos/n_neg equals pi^2/(1-pi)^2): neither unlabeled-data route improves on PN in the limit; PN remains competitive."
+}
+"""
+
+_VERIFY_SEED_0_FAST = """\
+[PASS] calibration: conditional-risk grid 0.05 x 0.01 over [-2, 2]
+[PASS] comparator-equivalence: 2000 random inputs, 0 violations
+[PASS] alpha-star-reciprocity: 2000 random inputs, worst product error 2.22e-16
+[PASS] unbiasedness: PN gap 2.77e-04 vs 5se 1.01e-03; PU gap 4.55e-04 vs 5se 2.00e-03; NU gap 9.98e-05 vs 5se 2.03e-03
+[PASS] rademacher: 20 samples across n in (1, 10, 100, 1000)
+"""
+
 
 class TestAdviseCommand:
+    @pytest.mark.parametrize("args, expected", [
+        (["--pi", "0.5", "--n-pos", "45", "--n-neg", "5", "--n-unl", "100"], _ADVISE_FINITE),
+        (["--pi", "0.5", "--n-pos", "45", "--n-neg", "5", "--n-unl", "inf"], _ADVISE_UNBOUNDED),
+        (["--pi", "0.3", "--n-pos", "5", "--n-neg", "45", "--n-unl", "7"], _ADVISE_NU),
+        (["--pi", "0.5", "--n-pos", "64", "--n-neg", "64"], _ADVISE_TIE),
+    ], ids=["finite", "unbounded", "nu", "tie"])
+    def test_output_matches_recorded_bytes(self, capsys, args, expected):
+        assert main(["advise", *args]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_prints_json(self, capsys):
         code = main(["advise", "--pi", "0.5", "--n-pos", "45", "--n-neg", "5",
                      "--n-unl", "100"])
@@ -184,6 +305,7 @@ class TestSweepCommands:
         ("--train-config", {"inner_max_iter": 300}, "'inner_max_iter'"),
         ("--train-config", {"cccp_max_outer": 30}, "'cccp_max_outer'"),
         ("--train-config", {"lambda": 1e-3, "lam": 0.5}, "'lambda' and 'lam'"),
+        ("--cv-config", {"width_grid": [1e-170], "lambda_grid": [0.1]}, "'width_grid'"),
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, flag, doc, fragment):
         cfg = tmp_path / "config.json"
@@ -319,6 +441,10 @@ class TestSweepCommands:
 
 
 class TestVerifyCommand:
+    def test_seed_0_fast_output_matches_recorded_bytes(self, capsys):
+        assert main(["verify", "--seed", "0", "--fast"]) == 0
+        assert capsys.readouterr().out == _VERIFY_SEED_0_FAST
+
     def test_fast_verify_passes(self, capsys):
         code = main(["verify", "--fast", "--seed", "1"])
         out = capsys.readouterr().out

@@ -9,7 +9,7 @@ import pytest
 
 from pnu.datasets import SampleTriple
 from pnu.models import _BLOCK_ELEMENTS, DecisionModel, EmpiricalKernelMap, kernel_map
-from pnu.training import ModelTemplate, train
+from pnu.training import CvConfig, ModelTemplate, train
 
 
 def _explicit_kernel_map(anchors, width, x):
@@ -96,12 +96,17 @@ class TestKernelMap:
         assert kernel_map(a, 0.9, b)[0, 0] == kernel_map(b, 0.9, a)[0, 0]
 
     def test_rejects_bad_width(self):
-        """A width must be a finite positive real: an infinite one maps every row to all ones."""
+        """A width must be a finite positive real: an infinite one maps every row to all ones.
+
+        2*width^2 must be a finite normal float64 too, or the kernel divides
+        by zero (width 1e-170) or gives inf/inf = NaN (width 1e154).
+        """
         anchors = np.zeros((2, 2))
-        for width in (0.0, math.inf, math.nan, True, "1"):
+        for width in (0.0, math.inf, math.nan, True, "1", 1e-170, 1e154):
             for build in (lambda: kernel_map(anchors, width, np.zeros((1, 2))),
                           lambda: EmpiricalKernelMap(anchors, width),
-                          lambda: ModelTemplate(kind="kernel", width=width)):
+                          lambda: ModelTemplate(kind="kernel", width=width),
+                          lambda: CvConfig(width_grid=(1.0, width), lambda_grid=(0.1,))):
                 with pytest.raises(ValueError, match="width"):
                     build()
 
@@ -174,16 +179,25 @@ class TestKernelModel:
                 score(x)
 
     def test_rows_too_far_for_float64_score_without_a_warning(self):
-        """A squared distance past float64 gives the exact kernel value 0, silently."""
+        """A squared distance past float64, or its quotient by 2*width^2, gives the
+        exact kernel value 0, silently.
+        """
         anchors = np.array([[0.0, 0.0], [1.0, 1.0]])
         model = DecisionModel([1.0, 2.0], 0.5, EmpiricalKernelMap(anchors, 1.0))
         x = np.array([[1e300, 0.0], [-1e300, 0.0], [1.7e308, -1.7e308], [0.0, 0.0]])
+        far = DecisionModel([1.0, 2.0], 0.5, EmpiricalKernelMap([[0.0], [1e60]], 1e-100))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mapped = kernel_map(anchors, 1.0, x)
             scores = model.decision_values(x)
+            divided = [kernel_map([[0.0], [1e10]], 1e-150, [[0.0]]),
+                       kernel_map([[0.0], [1e60]], 1e-100, [[0.0]]),
+                       kernel_map([[0.0], [1.0]], 1.06e-154, [[0.0]])]  # narrowest width
+            far_scores = far.decision_values([[0.0], [1e60]])
         assert mapped[:3].tolist() == [[0.0, 0.0]] * 3 and mapped[3, 0] == 1.0
         assert scores.tolist() == (mapped @ [1.0, 2.0] + 0.5).tolist()
+        assert [m.tolist() for m in divided] == [[[1.0, 0.0]]] * 3
+        assert far_scores.tolist() == [1.5, 2.5]
 
     def test_anchors_without_feature_columns_rejected(self):
         """Zero-column anchors fail as a contract violation naming them, not in the block loop."""
