@@ -13,23 +13,20 @@ returned.  Every sampler is deterministic given its seed.
 The input-contract rules every module checks its arguments with live here,
 once each: ``_check_count`` for integer counts, ``_check_real`` for finite
 reals in (0, high), with ``_check_pi`` the prior's case and ``_check_width``
-the kernel width's, ``_as_matrix`` for matrices of finite feature rows, and
-``_check_labels`` for one +1 or -1 label per row.  Each raises ValueError
-naming the field.
+the kernel width's (about 1.055e-154 to 3.471e152), ``_as_matrix`` for
+matrices of finite feature rows, and ``_check_labels`` for one +1 or -1
+label per row.  Each raises ValueError naming the field.
 """
 
 from __future__ import annotations
 
 import csv
-import logging
 import math
 import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 #: Class-conditional means of the synthetic task: N(+mu, I) vs N(-mu, I)
 #: with mu = (1, 1)/sqrt(2), i.e. unit-norm means at distance 2.
@@ -81,16 +78,19 @@ def _check_pi(pi, arrays: bool = False):
 
 
 def _check_width(width, name: str):
-    """A kernel width: a finite positive real whose 2*width^2 is a finite normal float64.
+    """A kernel width: a finite positive real with 2*width^2 in [float64 min, float64 max / 746].
 
-    Outside about [1.05e-154, 9.48e153] the kernel's divisor 2*width^2 is
-    subnormal, zero or inf, and the kernel would divide by zero or give NaN.
+    Below about 1.055e-154 the kernel's divisor 2*width^2 is subnormal or
+    zero, and the kernel would divide by zero.  Above about 3.471e152 a
+    squared distance that overflows float64 could belong to a kernel value
+    far from 0; up to it, such a distance's true value exp(-x) has
+    x >= 746, which float64 rounds to exactly 0.
     """
     _check_real(width, name)
-    if not sys.float_info.min <= 2.0 * float(width) * float(width) <= sys.float_info.max:
-        low, high = (math.sqrt(x / 2.0) for x in (sys.float_info.min, sys.float_info.max))
+    if not sys.float_info.min <= 2.0 * float(width) * float(width) <= sys.float_info.max / 746:
+        low, high = (math.sqrt(x / 2.0) for x in (sys.float_info.min, sys.float_info.max / 746))
         raise ValueError(f"{name} must lie in [{low:.4g}, {high:.4g}] so that 2*width^2 is a "
-                         f"finite normal float64, got {width!r}")
+                         f"normal float64 and overflowing distances map to 0, got {width!r}")
     return width
 
 
@@ -174,20 +174,6 @@ class LabeledPool:
     @property
     def size(self) -> int:
         return self.features.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def p_ratio(self) -> float:
-        return float(np.mean(self.labels == 1))
-
-    def pos_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == 1)
-
-    def neg_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == -1)
 
 
 def _mixture_draw(rng: np.random.Generator, n: int, pi: float):
@@ -314,11 +300,7 @@ def load_csv(path, label_column) -> LabeledPool:
             f"(largest |value| {np.abs(feats).max():.3g})"
         ) from None
 
-    pool = LabeledPool(features=feats, labels=labels)
-    log.info(
-        "loaded %s: %d rows, %d features, P ratio %.3f", path, pool.size, pool.dim, pool.p_ratio
-    )
-    return pool
+    return LabeledPool(features=feats, labels=labels)
 
 
 def sample_triple_from_pool(pool: LabeledPool, n_pos: int, n_neg: int, n_unl: int,
@@ -336,20 +318,17 @@ def sample_triple_from_pool(pool: LabeledPool, n_pos: int, n_neg: int, n_unl: in
     """
     _check_sizes(pi, n_pos, n_neg, n_unl)
     rng = np.random.default_rng(seed)
-    pos_stream = rng.permutation(pool.pos_indices())
-    neg_stream = rng.permutation(pool.neg_indices())
+    pos_stream = rng.permutation(np.flatnonzero(pool.labels == 1))
+    neg_stream = rng.permutation(np.flatnonzero(pool.labels == -1))
     flips = np.where(rng.random(n_unl) < pi, 1, -1)
 
     need_pos = n_pos + int(np.sum(flips == 1))
     need_neg = n_neg + int(np.sum(flips == -1))
-    if need_pos > pos_stream.size:
-        raise InsufficientDataError(
-            f"positive class exhausted: draw needs {need_pos} rows, pool has {pos_stream.size}"
-        )
-    if need_neg > neg_stream.size:
-        raise InsufficientDataError(
-            f"negative class exhausted: draw needs {need_neg} rows, pool has {neg_stream.size}"
-        )
+    for name, need, stream in (("positive", need_pos, pos_stream),
+                               ("negative", need_neg, neg_stream)):
+        if need > stream.size:
+            raise InsufficientDataError(
+                f"{name} class exhausted: draw needs {need} rows, pool has {stream.size}")
 
     pos_idx = pos_stream[:n_pos]
     neg_idx = neg_stream[:n_neg]

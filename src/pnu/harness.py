@@ -213,19 +213,16 @@ def run_sweep(grid: ExperimentGrid, train_config: Optional[TrainConfig] = None,
                 scored.append(holdout_worker.submit(_holdout_errors, models, holdout))
                 del holdout  # the scoring job now holds the only reference
 
-            errors = {mode: np.empty(grid.trials) for mode in MODES}
+            errors = np.empty((len(MODES), grid.trials))  # one row per mode, in MODES order
             for trial, future in enumerate(scored):
                 try:
-                    trial_errors = future.result()
+                    errors[:, trial] = future.result()
                 except Exception as exc:
                     exc.add_note(f"sweep point {grid.sweep}={value}, trial {trial}")
                     raise
-                for mode, error in zip(MODES, trial_errors):
-                    errors[mode][trial] = error
             comp = bounds.ComparatorInput(pi=pi, n_pos=grid.n_pos, n_neg=grid.n_neg, n_unl=n_unl)
             a_pu, a_nu = bounds.alpha_pu_pn(comp), bounds.alpha_nu_pn(comp)
-            for mode in MODES:
-                vals = errors[mode]
+            for mode, vals in zip(MODES, errors):
                 table.rows.append(
                     SweepRow(
                         sweep_value=float(value),
@@ -236,7 +233,7 @@ def run_sweep(grid: ExperimentGrid, train_config: Optional[TrainConfig] = None,
                         alpha_nu_pn=a_nu,
                     )
                 )
-                table.trial_errors[(float(value), mode)] = vals.copy()
+                table.trial_errors[(float(value), mode)] = vals
     finally:
         # Nothing is queued after a normal return; after an exception the
         # queued holdout work is dropped, and the running job is waited for.
@@ -354,7 +351,7 @@ def _verify_calibration() -> tuple[bool, str]:
     return losses.verify_calibration(), "conditional-risk grid 0.05 x 0.01 over [-2, 2]"
 
 
-def _verify_comparator_equivalence(seed: int, cases: int = 10_000) -> tuple[bool, str]:
+def _verify_comparator_equivalence(seed: int, cases: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     pi = rng.uniform(0.02, 0.98, cases)
     comp = bounds.ComparatorInput(pi, *(rng.integers(1, 10_000, cases) for _ in range(3)))
@@ -364,7 +361,7 @@ def _verify_comparator_equivalence(seed: int, cases: int = 10_000) -> tuple[bool
     return bad == 0, f"{cases} random inputs, {bad} violations"
 
 
-def _verify_reciprocity(seed: int, cases: int = 10_000) -> tuple[bool, str]:
+def _verify_reciprocity(seed: int, cases: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     pi = rng.uniform(0.02, 0.98, cases)
     comp = bounds.ComparatorInput(pi, *(rng.integers(1, 10_000, cases) for _ in range(2)))
@@ -379,7 +376,7 @@ def _verify_reciprocity(seed: int, cases: int = 10_000) -> tuple[bool, str]:
 _RESAMPLE_BLOCK = 500
 
 
-def _verify_unbiasedness(seed: int, resamples: int = 10_000) -> tuple[bool, str]:
+def _verify_unbiasedness(seed: int, resamples: int) -> tuple[bool, str]:
     """Resampled PN, PU and NU ramp risks average to the exact synthetic risk.
 
     The truth is ``risk_true_gaussian``, so the 5-sigma test's only error is
@@ -432,12 +429,11 @@ def _verify_rademacher(seed: int) -> tuple[bool, str]:
 def verify(seed: int = 0, fast: bool = False) -> list[tuple[str, bool, str]]:
     """Run the invariant suites and return (name, passed, detail) triples."""
     _check_count(seed, "verify 'seed'", least=0)
-    resamples = 2_000 if fast else 10_000
-    cases = 2_000 if fast else 10_000
+    size = 2_000 if fast else 10_000
     return [
         ("calibration", *_verify_calibration()),
-        ("comparator-equivalence", *_verify_comparator_equivalence(seed, cases)),
-        ("alpha-star-reciprocity", *_verify_reciprocity(seed, cases)),
-        ("unbiasedness", *_verify_unbiasedness(seed, resamples)),
+        ("comparator-equivalence", *_verify_comparator_equivalence(seed, size)),
+        ("alpha-star-reciprocity", *_verify_reciprocity(seed, size)),
+        ("unbiasedness", *_verify_unbiasedness(seed, size)),
         ("rademacher", *_verify_rademacher(seed)),
     ]

@@ -38,7 +38,8 @@ def _kernel_block(anchors: np.ndarray, width: float, rows: np.ndarray,
     explicit differences, left to right, so a row equal to an anchor maps
     to exactly 1.0 at that coordinate in any dimension.  A distance, or its
     quotient by 2*width^2, too large for float64 becomes inf, and its kernel
-    value exp(-inf) = 0 is exact, so that overflow is not reported.
+    value exp(-inf) = 0 is exact at every accepted width (``_check_width``),
+    so that overflow is not reported.
     """
     with np.errstate(over="ignore"):
         sq = np.square(rows[:, 0, None] - anchors[None, :, 0])

@@ -306,6 +306,7 @@ class TestSweepCommands:
         ("--train-config", {"cccp_max_outer": 30}, "'cccp_max_outer'"),
         ("--train-config", {"lambda": 1e-3, "lam": 0.5}, "'lambda' and 'lam'"),
         ("--cv-config", {"width_grid": [1e-170], "lambda_grid": [0.1]}, "'width_grid'"),
+        ("--cv-config", {"width_grid": [9e153], "lambda_grid": [0.1]}, "'width_grid'"),
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, flag, doc, fragment):
         cfg = tmp_path / "config.json"

@@ -135,9 +135,9 @@ class TestLoadCsv:
         ]
         path = _write_csv(tmp_path / "banana.csv", ("x1", "x2", "label"), rows)
         pool = load_csv(path, "label")
-        assert pool.dim == 2
+        assert pool.features.shape[1] == 2
         assert pool.size == 5300
-        assert 0.4 < pool.p_ratio < 0.5
+        assert 0.4 < np.mean(pool.labels == 1) < 0.5
 
     def test_zero_one_labels_map_to_signs(self, tmp_path):
         path = _write_csv(
@@ -154,7 +154,7 @@ class TestLoadCsv:
     def test_label_column_by_index(self, tmp_path):
         path = _write_csv(tmp_path / "idx.csv", ("y", "a"), [(1, 0.5), (-1, 0.25)])
         pool = load_csv(path, 0)
-        assert pool.dim == 1
+        assert pool.features.shape[1] == 1
         assert set(pool.labels.tolist()) == {-1, 1}
 
     def test_malformed_row_rejected(self, tmp_path):
@@ -267,8 +267,8 @@ class TestPoolSampling:
         pool = _toy_pool(m=300, seed=8)
         triple, _ = sample_triple_from_pool(pool, 10, 10, 80, 0.7, 3)
         rng = np.random.default_rng(3)
-        pos_stream = rng.permutation(pool.pos_indices())
-        neg_stream = rng.permutation(pool.neg_indices())
+        pos_stream = rng.permutation(np.flatnonzero(pool.labels == 1))
+        neg_stream = rng.permutation(np.flatnonzero(pool.labels == -1))
         latent = np.where(rng.random(80) < 0.7, 1, -1)
         ids = triple.x_unl[:, 1].astype(int)
         np.testing.assert_array_equal(pool.labels[ids], latent)
@@ -286,10 +286,13 @@ class TestPoolSampling:
             sample_triple_from_pool(pool, *counts, 0.5, 0)
 
     def test_exhaustion_names_the_class(self):
+        """The full message: the class, the rows the draw needs (flips included), the class size."""
         pool = _toy_pool(m=40, p_ratio=0.2, seed=9)
-        with pytest.raises(InsufficientDataError, match="positive class exhausted"):
+        with pytest.raises(InsufficientDataError,
+                           match="^positive class exhausted: draw needs 33 rows, pool has 8$"):
             sample_triple_from_pool(pool, 30, 1, 5, 0.95, 0)
-        with pytest.raises(InsufficientDataError, match="negative class exhausted"):
+        with pytest.raises(InsufficientDataError,
+                           match="^negative class exhausted: draw needs 37 rows, pool has 32$"):
             sample_triple_from_pool(pool, 1, int(np.sum(pool.labels == -1)), 5, 0.05, 0)
 
     @pytest.mark.parametrize("labels, n_pos, n_neg, message", [

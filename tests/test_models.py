@@ -99,10 +99,12 @@ class TestKernelMap:
         """A width must be a finite positive real: an infinite one maps every row to all ones.
 
         2*width^2 must be a finite normal float64 too, or the kernel divides
-        by zero (width 1e-170) or gives inf/inf = NaN (width 1e154).
+        by zero (width 1e-170) or gives inf/inf = NaN (width 1e154).  At width
+        9e153 a squared distance that overflows could have a kernel value far
+        from 0 (1.4e154 away it is 0.298), so such widths are rejected too.
         """
         anchors = np.zeros((2, 2))
-        for width in (0.0, math.inf, math.nan, True, "1", 1e-170, 1e154):
+        for width in (0.0, math.inf, math.nan, True, "1", 1e-170, 1e154, 9e153):
             for build in (lambda: kernel_map(anchors, width, np.zeros((1, 2))),
                           lambda: EmpiricalKernelMap(anchors, width),
                           lambda: ModelTemplate(kind="kernel", width=width),
@@ -181,6 +183,10 @@ class TestKernelModel:
     def test_rows_too_far_for_float64_score_without_a_warning(self):
         """A squared distance past float64, or its quotient by 2*width^2, gives the
         exact kernel value 0, silently.
+
+        Near the widest accepted width, 3.4e152, a row 1.4e154 from the anchor
+        overflows and maps to 0 (true value exp(-848)), while a row 1e153 away
+        keeps its true value.
         """
         anchors = np.array([[0.0, 0.0], [1.0, 1.0]])
         model = DecisionModel([1.0, 2.0], 0.5, EmpiricalKernelMap(anchors, 1.0))
@@ -194,10 +200,13 @@ class TestKernelModel:
                        kernel_map([[0.0], [1e60]], 1e-100, [[0.0]]),
                        kernel_map([[0.0], [1.0]], 1.06e-154, [[0.0]])]  # narrowest width
             far_scores = far.decision_values([[0.0], [1e60]])
+            widest = kernel_map([[0.0]], 3.4e152, [[1.4e154], [1e153]])
         assert mapped[:3].tolist() == [[0.0, 0.0]] * 3 and mapped[3, 0] == 1.0
         assert scores.tolist() == (mapped @ [1.0, 2.0] + 0.5).tolist()
         assert [m.tolist() for m in divided] == [[[1.0, 0.0]]] * 3
         assert far_scores.tolist() == [1.5, 2.5]
+        assert widest[0, 0] == 0.0
+        assert widest[1, 0] == pytest.approx(math.exp(-(1e153 / 3.4e152) ** 2 / 2), rel=1e-14)
 
     def test_anchors_without_feature_columns_rejected(self):
         """Zero-column anchors fail as a contract violation naming them, not in the block loop."""
