@@ -11,8 +11,11 @@ so results do not depend on execution order.
 Training runs trial by trial on the calling thread.  One background
 thread draws each trial's holdout and scores its three models, so that
 holdout work, a few large numpy calls that release the interpreter lock,
-overlaps the next trial's training.  Every seed and call is the same as
-in a serial loop, so tables are bit-identical to one.
+overlaps the next trial's training.  Kernel scoring on that thread splits
+a long holdout's row blocks over the CPUs the process may use
+(``models._blockwise``); the blocks are the same, so the scores are the
+same bits.  Every seed and call is the same as in a serial loop, so tables
+are bit-identical to one.
 
 Desk-scale defaults (50 trials, 1e5 test points) keep a full sweep in the
 minutes range; the CLI's ``--paper-scale`` restores 100 trials and 1e6

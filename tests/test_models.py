@@ -1,15 +1,26 @@
 """Decision models: linear scores and the Gaussian kernel map."""
 
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from pnu import models
 from pnu.datasets import SampleTriple
-from pnu.models import _BLOCK_ELEMENTS, DecisionModel, EmpiricalKernelMap, kernel_map
-from pnu.training import CvConfig, ModelTemplate, train
+from pnu.harness import ExperimentGrid, run_sweep
+from pnu.models import (
+    _BLOCK_ELEMENTS,
+    _MIN_BLOCKS_PER_WORKER,
+    DecisionModel,
+    EmpiricalKernelMap,
+    _rows_per_block,
+    kernel_map,
+)
+from pnu.training import CvConfig, ModelTemplate, TrainConfig, train
 
 
 def _explicit_kernel_map(anchors, width, x):
@@ -234,3 +245,124 @@ class TestKernelModel:
             tracemalloc.stop()
         assert scores.shape == (200_000,)
         assert peak < 64 * 2**20
+
+
+def _allocating_scores(model, x):
+    """Reference: the same row blocks, each mapped with fresh temporaries and one matvec."""
+    anchors, width = model.feature_map.anchors, model.feature_map.width
+    block = _rows_per_block(anchors.shape[0])
+    mapped = np.empty((min(block, x.shape[0]), anchors.shape[0]))
+    scores = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], block):
+        rows = x[start : start + block]
+        sq = np.square(rows[:, 0, None] - anchors[None, :, 0])
+        for j in range(1, anchors.shape[1]):
+            sq += np.square(rows[:, j, None] - anchors[None, :, j])
+        sq /= -(2.0 * width * width)
+        z = np.exp(sq, out=mapped[: len(rows)])
+        scores[start : start + len(rows)] = z @ model.weights
+    return scores + model.bias
+
+
+def _scoring_threads(monkeypatch):
+    """Patch ``_kernel_block`` to record the id of each thread that scores a block."""
+    threads = []
+    real = models._kernel_block
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(models, "_kernel_block", recording)
+    return threads
+
+
+class TestParallelScoring:
+    """Long inputs are scored on several threads, to the same bits as one."""
+
+    @pytest.mark.parametrize("n_anchors", [40, 145])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_scores_are_the_same_bytes_on_any_number_of_cpus(self, n_anchors, dim, monkeypatch):
+        """Enough blocks for three helper shares at 4 CPUs, plus a partial tail block."""
+        rng = np.random.default_rng(100 * n_anchors + dim)
+        model = DecisionModel(rng.normal(size=n_anchors), -0.2,
+                              EmpiricalKernelMap(rng.normal(size=(n_anchors, dim)), 0.8))
+        blocks = 4 * _MIN_BLOCKS_PER_WORKER + 1
+        x = rng.normal(size=(blocks * _rows_per_block(n_anchors) - 7, dim))
+        want = _allocating_scores(model, x).tobytes()
+        threads = _scoring_threads(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads interleave between numpy calls
+        try:
+            for cpus in (1, 2, 4):
+                monkeypatch.setattr(models, "_usable_cpus", lambda: cpus)
+                threads.clear()
+                assert model.decision_values(x).tobytes() == want, cpus
+                # The caller scores share 0; a helper done early may take a later share.
+                assert len(threads) == blocks and min(cpus, 2) <= len(set(threads)) <= cpus
+                assert threads.count(threading.get_ident()) == math.ceil(blocks / cpus)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_kernel_map_is_the_same_bytes_on_any_number_of_cpus(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        anchors = rng.normal(size=(40, 3))
+        x = rng.normal(size=(2 * _MIN_BLOCKS_PER_WORKER * _rows_per_block(40) + 5, 3))
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 1)
+        want = kernel_map(anchors, 0.7, x).tobytes()
+        threads = _scoring_threads(monkeypatch)
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+        assert kernel_map(anchors, 0.7, x).tobytes() == want
+        assert len(set(threads)) == 2
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_a_block_error_reaches_the_caller_and_no_thread_outlives_the_call(
+            self, failing, monkeypatch):
+        class BlockError(Exception):
+            pass
+
+        caller = threading.get_ident()
+        real = models._kernel_block
+
+        def failing_block(*args):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise BlockError(failing)
+            return real(*args)
+
+        rng = np.random.default_rng(12)
+        model = DecisionModel(rng.normal(size=40), 0.0,
+                              EmpiricalKernelMap(rng.normal(size=(40, 2)), 1.0))
+        x = rng.normal(size=(4 * _MIN_BLOCKS_PER_WORKER * _rows_per_block(40), 2))
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(models, "_kernel_block", failing_block)
+        threads = threading.active_count()
+        with pytest.raises(BlockError, match=failing):
+            model.decision_values(x)
+        assert threading.active_count() == threads
+
+    def test_no_helper_starts_below_the_blocks_per_worker_threshold(self, tmp_path, monkeypatch):
+        """Neither a 2,000-row warm-up holdout nor a 4,000-row pool's leftovers start one.
+
+        Both score at most 4 blocks per model, so even 64 CPUs give one worker.
+        """
+        def no_helpers(max_workers):
+            raise AssertionError(f"{max_workers} helper(s) started")
+
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(models, "ThreadPoolExecutor", no_helpers)
+        threads = _scoring_threads(monkeypatch)
+        warm_up = ExperimentGrid(sweep="nu", values=(25,), n_pos=45, n_neg=5, pi=0.5,
+                                 trials=1, test_size=2000, seed=3)
+        run_sweep(warm_up, template=ModelTemplate(kind="kernel"))
+        rng = np.random.default_rng(13)
+        path = tmp_path / "pool.csv"
+        labels = rng.random(4000) < 0.5
+        feats = rng.normal(size=(4000, 2)) + np.where(labels, 0.8, -0.8)[:, None]
+        np.savetxt(path, np.column_stack([feats, labels]), delimiter=",",
+                   header="x1,x2,label", comments="")
+        pool_grid = ExperimentGrid(sweep="pi", values=(0.3, 0.7), n_pos=12, n_neg=12,
+                                   n_unl=50, trials=1, data_source=str(path),
+                                   label_column="label", seed=3)
+        run_sweep(pool_grid, TrainConfig(restarts=1),
+                  CvConfig(folds=2, width_grid=(0.5, 1.0), lambda_grid=(1e-3, 1e-2)))
+        assert len(threads) > 100  # training maps and holdouts were scored
