@@ -168,12 +168,7 @@ def main(argv=None) -> int:
             return _run_sweep(args, "pi", values)
         if args.command == "advise":
             doc = harness.advise(args.pi, args.n_pos, args.n_neg, args.n_unl)
-            text = json.dumps(doc, indent=1)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text + "\n")
-            else:
-                print(text)
+            harness.write_text(json.dumps(doc, indent=1) + "\n", args.out)
             return 0
         if args.command == "verify":
             results = harness.verify(seed=args.seed, fast=args.fast)

@@ -8,14 +8,17 @@ labeled draw for the synthetic source, the leftover rows for a CSV pool.
 Per-trial seeds are spawned from (master seed, sweep value, trial index),
 so results do not depend on execution order.
 
-Training runs trial by trial on the calling thread.  One background
-thread draws each trial's holdout and scores its three models, so that
-holdout work, a few large numpy calls that release the interpreter lock,
-overlaps the next trial's training.  Kernel scoring on that thread splits
-a long holdout's row blocks over the CPUs the process may use
-(``models._blockwise``); the blocks are the same, so the scores are the
-same bits.  Every seed and call is the same as in a serial loop, so tables
-are bit-identical to one.
+``_run_trial`` runs one cell: it samples the triple and trains the three
+modes on the calling thread, and queues the cell's holdout draw and
+scoring on one background thread, so that holdout work, a few large numpy
+calls that release the interpreter lock, overlaps the next trial's
+training.  Kernel scoring on that thread splits a long holdout's row
+blocks over the CPUs the process may use (``models._blockwise``); the
+blocks are the same, so the scores are the same bits.  ``run_sweep`` runs
+the cells in order, reads each sweep point's errors after the point's last
+trial, and builds the table once the background thread is shut down.
+Every seed and call is the same as in a serial loop, so tables are
+bit-identical to one.
 
 Desk-scale defaults (50 trials, 1e5 test points) keep a full sweep in the
 minutes range; the CLI's ``--paper-scale`` restores 100 trials and 1e6
@@ -30,6 +33,7 @@ import json
 import math
 import sys
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -137,22 +141,14 @@ def _stderr(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1)) / math.sqrt(values.size)
 
 
-def _train_modes(triple, template: ModelTemplate, train_config: TrainConfig,
-                 cv_config: Optional[CvConfig]) -> list:
-    """The PN, PU and NU models of one trial, trained in MODES order on one triple.
-
-    The triple's arrays are read-only copies, so every mode sees the same rows.
-    """
-    models = []
-    for mode in MODES:
-        if cv_config is not None:
-            width, lam, _ = cross_validate(mode, triple, template, cv_config, train_config)
-            mode_template = template if width is None else replace(template, width=width)
-            cfg = replace(train_config, lam=lam)
-        else:
-            mode_template, cfg = template, train_config
-        models.append(train(mode, triple, mode_template, cfg))
-    return models
+@contextmanager
+def _trial_note(grid: ExperimentGrid, value, trial: int):
+    """Add a note naming the sweep point and trial to an exception raised inside."""
+    try:
+        yield
+    except Exception as exc:
+        exc.add_note(f"sweep point {grid.sweep}={value}, trial {trial}")
+        raise
 
 
 def _holdout_errors(models: list, holdout) -> list:
@@ -160,6 +156,38 @@ def _holdout_errors(models: list, holdout) -> list:
     if isinstance(holdout, Future):
         holdout = holdout.result()
     return [risk_true_mc(model, holdout, losses.ZERO_ONE) for model in models]
+
+
+def _run_trial(grid: ExperimentGrid, pool, value, trial: int, template: ModelTemplate,
+               train_config: TrainConfig, cv_config: Optional[CvConfig],
+               holdout_worker: ThreadPoolExecutor) -> Future:
+    """One (sweep value, trial) cell: the future of its PN, PU and NU holdout errors.
+
+    The trial's seeds come from (master seed, sweep value, trial).  A
+    synthetic holdout draw is queued on ``holdout_worker`` before training;
+    a pool's holdout is its leftover rows.  The three modes train in MODES
+    order on the calling thread, each cross-validated when ``cv_config`` is
+    given, on one triple whose arrays are read-only copies, so every mode
+    sees the same rows.  Their scoring is queued after the draw.
+    """
+    pi, n_unl = grid.point(value)
+    triple_seed, eval_seed = _trial_seed(grid.seed, value, trial).spawn(2)
+    if pool is None:
+        triple = gen_gaussian_artificial(grid.n_pos, grid.n_neg, n_unl, pi, triple_seed)
+        holdout = holdout_worker.submit(gen_gaussian_labeled, grid.test_size, pi, eval_seed)
+    else:
+        triple, holdout = sample_triple_from_pool(
+            pool, grid.n_pos, grid.n_neg, n_unl, pi, triple_seed
+        )
+    models = []
+    for mode in MODES:
+        mode_template, cfg = template, train_config
+        if cv_config is not None:
+            width, lam, _ = cross_validate(mode, triple, template, cv_config, train_config)
+            mode_template = template if width is None else replace(template, width=width)
+            cfg = replace(train_config, lam=lam)
+        models.append(train(mode, triple, mode_template, cfg))
+    return holdout_worker.submit(_holdout_errors, models, holdout)
 
 
 def run_sweep(grid: ExperimentGrid, train_config: Optional[TrainConfig] = None,
@@ -186,61 +214,36 @@ def run_sweep(grid: ExperimentGrid, train_config: Optional[TrainConfig] = None,
     if template is None:
         template = ModelTemplate(kind="linear" if pool is None else "kernel")
 
-    table = ResultTable()
+    errors = np.empty((len(grid.values), len(MODES), grid.trials))  # point, mode, trial
     # One worker, so its jobs run in submission order: trial t's scoring
     # job finishes, and drops trial t's holdout, before trial t+1's draw runs.
     holdout_worker = ThreadPoolExecutor(max_workers=1)
     try:
-        for value in grid.values:
-            pi, n_unl = grid.point(value)
+        for point, value in enumerate(grid.values):
             scored = []
             for trial in range(grid.trials):
-                seed = _trial_seed(grid.seed, value, trial)
-                triple_seed, eval_seed = seed.spawn(2)
-                try:
-                    if pool is None:
-                        triple = gen_gaussian_artificial(
-                            grid.n_pos, grid.n_neg, n_unl, pi, triple_seed
-                        )
-                        holdout = holdout_worker.submit(
-                            gen_gaussian_labeled, grid.test_size, pi, eval_seed
-                        )
-                    else:
-                        triple, holdout = sample_triple_from_pool(
-                            pool, grid.n_pos, grid.n_neg, n_unl, pi, triple_seed
-                        )
-                    models = _train_modes(triple, template, train_config, cv_config)
-                except Exception as exc:
-                    exc.add_note(f"sweep point {grid.sweep}={value}, trial {trial}")
-                    raise
-                scored.append(holdout_worker.submit(_holdout_errors, models, holdout))
-                del holdout  # the scoring job now holds the only reference
-
-            errors = np.empty((len(MODES), grid.trials))  # one row per mode, in MODES order
+                with _trial_note(grid, value, trial):
+                    scored.append(_run_trial(grid, pool, value, trial, template, train_config,
+                                             cv_config, holdout_worker))
             for trial, future in enumerate(scored):
-                try:
-                    errors[:, trial] = future.result()
-                except Exception as exc:
-                    exc.add_note(f"sweep point {grid.sweep}={value}, trial {trial}")
-                    raise
-            comp = bounds.ComparatorInput(pi=pi, n_pos=grid.n_pos, n_neg=grid.n_neg, n_unl=n_unl)
-            a_pu, a_nu = bounds.alpha_pu_pn(comp), bounds.alpha_nu_pn(comp)
-            for mode, vals in zip(MODES, errors):
-                table.rows.append(
-                    SweepRow(
-                        sweep_value=float(value),
-                        mode=mode,
-                        mean_error=float(np.mean(vals)),
-                        std_error=_stderr(vals),
-                        alpha_pu_pn=a_pu,
-                        alpha_nu_pn=a_nu,
-                    )
-                )
-                table.trial_errors[(float(value), mode)] = vals
+                with _trial_note(grid, value, trial):
+                    errors[point, :, trial] = future.result()
     finally:
         # Nothing is queued after a normal return; after an exception the
         # queued holdout work is dropped, and the running job is waited for.
         holdout_worker.shutdown(cancel_futures=True)
+
+    table = ResultTable()
+    for value, point_errors in zip(grid.values, errors):
+        pi, n_unl = grid.point(value)
+        comp = bounds.ComparatorInput(pi=pi, n_pos=grid.n_pos, n_neg=grid.n_neg, n_unl=n_unl)
+        a_pu, a_nu = bounds.alpha_pu_pn(comp), bounds.alpha_nu_pn(comp)
+        for mode, vals in zip(MODES, point_errors):
+            table.rows.append(SweepRow(
+                sweep_value=float(value), mode=mode, mean_error=float(np.mean(vals)),
+                std_error=_stderr(vals), alpha_pu_pn=a_pu, alpha_nu_pn=a_nu,
+            ))
+            table.trial_errors[(float(value), mode)] = vals
     return table
 
 
@@ -264,6 +267,14 @@ def emit(table: ResultTable, fmt: str, path) -> None:
         text = json.dumps({"rows": [r.__dict__ for r in table.rows]}, indent=1)
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+    write_text(text, path)
+
+
+def write_text(text: str, path) -> None:
+    """Write ``text`` unchanged to ``path``, or to stdout when ``path`` is None.
+
+    The one writer of command output: sweep tables and ``pnu advise``'s JSON.
+    """
     if path is None:
         sys.stdout.write(text)
     else:

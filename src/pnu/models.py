@@ -155,14 +155,6 @@ class EmpiricalKernelMap:
         object.__setattr__(self, "anchors", _readonly(_as_anchors(self.anchors)))
         _check_width(self.width, "kernel width")
 
-    @property
-    def output_dim(self) -> int:
-        return self.anchors.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.anchors.shape[1]
-
     def __call__(self, x) -> np.ndarray:
         return kernel_map(self.anchors, self.width, x)
 
@@ -183,15 +175,15 @@ class DecisionModel:
         for name in ("weights", "bias"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"DecisionModel {name!r} must be finite, got a NaN or inf")
-        if self.feature_map is not None and w.size != self.feature_map.output_dim:
+        if self.feature_map is not None and w.size != self.feature_map.anchors.shape[0]:
             raise ValueError(
                 f"weight dimension {w.size} does not match kernel map output "
-                f"dimension {self.feature_map.output_dim}"
+                f"dimension {self.feature_map.anchors.shape[0]}"
             )
 
     @property
     def input_dim(self) -> int:
-        return self.feature_map.input_dim if self.feature_map else self.weights.size
+        return self.feature_map.anchors.shape[1] if self.feature_map else self.weights.size
 
     def decision_values(self, x) -> np.ndarray:
         """Scores for a matrix of input rows, one per row.

@@ -436,8 +436,8 @@ def run_stats() -> dict:
 
 def _build_feature_map(template: ModelTemplate, mode: Mode,
                        triple: SampleTriple) -> Optional[EmpiricalKernelMap]:
-    if template.kind == "linear" or mode not in MODE_SETS:
-        return None  # build_objective rejects an unknown mode
+    if template.kind == "linear":
+        return None
     first, second = MODE_SETS[mode]
     anchors = np.vstack([getattr(triple, first), getattr(triple, second)])
     width = template.width if template.width is not None else median_heuristic_width(anchors)
@@ -455,6 +455,7 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
     the solve overflows float64 raise ValueError naming the rows.  Each
     call adds to the ``run_stats`` counters.
     """
+    _require_mode_sets(mode, triple)
     rng = np.random.default_rng(config.seed)
     try:
         # Finite rows too large for float64 overflow in the median kernel

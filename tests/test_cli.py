@@ -161,6 +161,21 @@ class TestAdviseCommand:
         assert code == 0
         assert json.loads(out.read_text(encoding="utf-8"))["verdict"] == "nu-promising"
 
+    def test_file_holds_the_bytes_printed_to_stdout(self, capsys, tmp_path):
+        args = ["advise", "--pi", "0.3", "--n-pos", "5", "--n-neg", "45", "--n-unl", "7"]
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "advice.json"
+        assert main([*args, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode("utf-8")
+
+    def test_empty_out_path_fails_without_printing(self, capsys):
+        code = main(["advise", "--pi", "0.5", "--n-pos", "5", "--n-neg", "5", "--out", ""])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_contract_violation_exits_nonzero(self, capsys):
         code = main(["advise", "--pi", "1.5", "--n-pos", "5", "--n-neg", "5",
                      "--n-unl", "10"])

@@ -281,7 +281,12 @@ class TestHoldoutThread:
             for mode, errors in serial.items():
                 assert table.trial_errors[(float(value), mode)].tolist() == errors
 
-    def test_a_scoring_error_keeps_its_type_and_names_its_trial(self, monkeypatch):
+    @pytest.mark.parametrize("values, trials, failing_cell, note", [
+        ((5,), 4, 2, "sweep point nu=5, trial 2"),
+        ((5, 6), 2, 3, "sweep point nu=6, trial 1"),  # after the first point's two trials
+    ], ids=["nu5", "nu6"])
+    def test_a_scoring_error_keeps_its_type_and_names_its_trial(self, monkeypatch, values,
+                                                                 trials, failing_cell, note):
         class ScoringFailure(Exception):
             pass
 
@@ -289,15 +294,15 @@ class TestHoldoutThread:
 
         def failing(*args):
             calls.append(args)
-            if (len(calls) - 1) // 3 == 2:  # three models per trial
+            if (len(calls) - 1) // 3 == failing_cell:  # three models per trial
                 raise ScoringFailure("holdout scoring failed")
             return risk.risk_true_mc(*args)
 
         monkeypatch.setattr(harness, "risk_true_mc", failing)
         threads = threading.active_count()
         with pytest.raises(ScoringFailure) as info:
-            run_sweep(_tiny_grid(values=(5,), trials=4), FAST_TRAIN)
-        assert info.value.__notes__ == ["sweep point nu=5, trial 2"]
+            run_sweep(_tiny_grid(values=values, trials=trials), FAST_TRAIN)
+        assert info.value.__notes__ == [note]
         assert threading.active_count() == threads
 
     def test_a_failing_fit_drops_the_queued_holdout_work(self, monkeypatch):
