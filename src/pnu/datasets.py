@@ -177,9 +177,22 @@ class LabeledPool:
 
 
 def _mixture_draw(rng: np.random.Generator, n: int, pi: float):
-    """Draw n mixture points; returns (points, latent +-1 labels)."""
-    latent = np.where(rng.random(n) < pi, 1, -1)
-    x = rng.standard_normal((n, 2)) + latent[:, None] * GAUSSIAN_MEAN
+    """Draw n mixture points; returns (points, latent +-1 labels as int64).
+
+    The stream is read as n uniforms, for the pi-coins, then an (n, 2)
+    standard normal block.  The class mean is added into the normals in
+    place, one coordinate at a time, with the uniforms' buffer reused for
+    ``latent * GAUSSIAN_MEAN[j]``: each point is z + (+-m) exactly as if
+    the mean offsets were built as their own (n, 2) array, and the only
+    row-sized arrays made are the uniforms, the coins' bool mask and the
+    two returned.
+    """
+    u = rng.random(n)
+    x = rng.standard_normal((n, 2))
+    latent = np.where(u < pi, 1, -1)
+    for j, m in enumerate(GAUSSIAN_MEAN):
+        np.multiply(latent, m, out=u)
+        x[:, j] += u
     return x, latent
 
 

@@ -51,11 +51,13 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _kernel_block(anchors: np.ndarray, width: float, rows: np.ndarray,
+def _kernel_block(anchors_t: np.ndarray, width: float, rows: np.ndarray,
                   out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Gaussian kernel values of one block of rows, written to ``out``; no input checks.
 
-    ``out`` and ``scratch`` are (rows x anchors) buffers; ``scratch`` ends
+    ``anchors_t`` is the transposed anchor matrix, C-contiguous, so each
+    coordinate's anchor values are one contiguous vector.  ``out`` and
+    ``scratch`` are (rows x anchors) buffers; ``scratch`` ends
     up holding the exponents.  Squared distances are accumulated one
     coordinate at a time from explicit differences, left to right, so a row
     equal to an anchor maps to exactly 1.0 at that coordinate in any
@@ -66,10 +68,10 @@ def _kernel_block(anchors: np.ndarray, width: float, rows: np.ndarray,
     """
     sq, diff = scratch, out  # ``out`` holds each coordinate's terms until the exp
     with np.errstate(over="ignore"):
-        np.subtract(rows[:, 0, None], anchors[None, :, 0], out=sq)
+        np.subtract(rows[:, 0, None], anchors_t[0], out=sq)
         np.square(sq, out=sq)
-        for j in range(1, anchors.shape[1]):
-            np.subtract(rows[:, j, None], anchors[None, :, j], out=diff)
+        for j in range(1, anchors_t.shape[0]):
+            np.subtract(rows[:, j, None], anchors_t[j], out=diff)
             np.square(diff, out=diff)
             np.add(sq, diff, out=sq)
         np.divide(sq, -(2.0 * width * width), out=sq)
@@ -89,6 +91,7 @@ def _blockwise(anchors: np.ndarray, width: float, xm: np.ndarray,
     call returns or raises.
     """
     n_rows, n_anchors = xm.shape[0], anchors.shape[0]
+    anchors_t = np.ascontiguousarray(anchors.T)
     block = _rows_per_block(n_anchors)
     starts = range(0, n_rows, block)
     workers = max(1, min(_usable_cpus(), len(starts) // _MIN_BLOCKS_PER_WORKER))
@@ -103,9 +106,9 @@ def _blockwise(anchors: np.ndarray, width: float, xm: np.ndarray,
             rows = xm[start : start + block]
             n = len(rows)
             if weights is None:
-                _kernel_block(anchors, width, rows, result[start : start + n], scratch[:n])
+                _kernel_block(anchors_t, width, rows, result[start : start + n], scratch[:n])
             else:
-                z = _kernel_block(anchors, width, rows, mapped[:n], scratch[:n])
+                z = _kernel_block(anchors_t, width, rows, mapped[:n], scratch[:n])
                 np.matmul(z, weights, out=result[start : start + n])
 
     if workers == 1:
@@ -198,8 +201,9 @@ class DecisionModel:
                 f"input dimension {xm.shape[1]} does not match model dimension {self.input_dim}"
             )
         if self.feature_map is None:
-            return xm @ self.weights + self.bias
-        fmap = self.feature_map
-        scores = _blockwise(fmap.anchors, fmap.width, xm, self.weights)
+            scores = xm @ self.weights
+        else:
+            fmap = self.feature_map
+            scores = _blockwise(fmap.anchors, fmap.width, xm, self.weights)
         scores += self.bias
         return scores

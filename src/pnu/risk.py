@@ -20,6 +20,9 @@ sum divided by the count.  It is exact for the zero-one loss, whose values
 0, 1/2 and 1 and every partial sum of fewer than 2^52 of them are
 representable, so cross-validation scores do not depend on the summation
 order; ramp-loss means may differ from a compensated sum in their last bits.
+For the same reason ``risk_true_mc`` takes a zero-one mean without the
+per-row losses: (n - sum of sign(g)*y)/2 is that exact sum, found by
+counting signs, and dividing it by n gives the pairwise mean's bits.
 """
 
 from __future__ import annotations
@@ -141,21 +144,35 @@ def risk_true_mc(model: DecisionModel, source, loss: LossDescriptor) -> float:
     zero-one loss this is the misclassification rate, with ties at the
     decision boundary counted as half an error.
 
-    Every row is scored under both labels and the loss of its own label is
-    kept.  The mean is summed pairwise, as in the estimators (see the module
-    docstring).
+    The zero-one mean is (n - sum of sign(g)*y)/2 over n: the rows whose
+    margin y*g is negative plus half of those on the boundary, counted in
+    the one score vector and then divided by n.  The count is an exact
+    integer or half-integer, so the mean is the same bits as the pairwise
+    mean of the per-row losses (see the module docstring), and a NaN score
+    gives NaN.  Any other loss scores every row under both labels, keeps
+    the loss of its own label and takes the pairwise mean.
     """
     if isinstance(source, LabeledPool):
-        feats, positive = source.features, source.labels == 1
+        feats, labels = source.features, source.labels
     else:
         feats, labels = source
         feats = np.asarray(feats, dtype=float)
-        positive = _check_labels(labels, feats.shape[0])
-    if feats.shape[0] == 0:
+        labels = np.asarray(labels)
+        _check_labels(labels, feats.shape[0])
+    n = feats.shape[0]
+    if n == 0:
         raise ValueError("evaluation set is empty")
     scores = model.decision_values(feats)
-    values = np.where(positive, loss.value(scores, +1), loss.value(scores, -1))
-    return float(_fmean(values))
+    if loss is not ZERO_ONE:
+        values = np.where(labels == 1, loss.value(scores, +1), loss.value(scores, -1))
+        return float(_fmean(values))
+    # The checked labels are each +1 or -1, so the margins y*g are exact in
+    # any label dtype; an object array of labels needs the unsafe cast.
+    margins = np.multiply(scores, labels, out=scores, casting="unsafe")
+    lost, tied = np.count_nonzero(margins < 0), np.count_nonzero(margins == 0)
+    if lost + tied + np.count_nonzero(margins > 0) < n:
+        return math.nan  # a NaN margin compares false three times
+    return float((lost + 0.5 * tied) / n)
 
 
 def _pdf(z: float) -> float:

@@ -20,6 +20,13 @@ def _set_bytes(triple):
     """The shape and bytes of each of the triple's three sets."""
     return [(x.shape, x.tobytes()) for x in (triple.x_pos, triple.x_neg, triple.x_unl)]
 
+
+def _reference_mixture(rng, n, pi):
+    """The mixture draw as one broadcast expression: coins, normals, then the offsets."""
+    latent = np.where(rng.random(n) < pi, 1, -1)
+    return rng.standard_normal((n, 2)) + latent[:, None] * GAUSSIAN_MEAN, latent
+
+
 class TestGaussianArtificial:
     def test_shapes(self):
         triple = gen_gaussian_artificial(45, 5, 100, 0.5, 0)
@@ -60,6 +67,20 @@ class TestGaussianArtificial:
     def test_rejects_bad_sizes_by_name(self, draw, field):
         with pytest.raises(ValueError, match=rf"^{field} must be a non-negative integer"):
             draw()
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 100_000])
+    @pytest.mark.parametrize("pi", [0.05, 0.5, 0.95])
+    def test_mixture_draws_match_the_reference_bytes(self, n, pi):
+        for seed in (0, 1, 2**40 + 3):
+            want_x, want_y = _reference_mixture(np.random.default_rng(seed), n, pi)
+            x, y = gen_gaussian_labeled(n, pi, seed)
+            assert y.dtype == np.int64 and y.tobytes() == want_y.tobytes()
+            assert x.shape == (n, 2) and x.tobytes() == want_x.tobytes()
+            rng = np.random.default_rng(seed)
+            rng.standard_normal((3, 2)), rng.standard_normal((4, 2))  # positives, negatives
+            want_unl, _ = _reference_mixture(rng, n, pi)
+            triple = gen_gaussian_artificial(3, 4, n, pi, seed)
+            assert triple.x_unl.shape == (n, 2) and triple.x_unl.tobytes() == want_unl.tobytes()
 
     def test_latent_frequency(self):
         """Over 1e4 one-point draws the latent positive rate concentrates at pi."""

@@ -6,11 +6,12 @@ import re
 import numpy as np
 import pytest
 
-from pnu.datasets import gen_gaussian_artificial, gen_gaussian_labeled
-from pnu.losses import SCALED_RAMP, ZERO_ONE, LossDescriptor
+from pnu.datasets import LabeledPool, gen_gaussian_artificial, gen_gaussian_labeled
+from pnu.losses import SCALED_RAMP, ZERO_ONE, LossDescriptor, zero_one
 from pnu.models import DecisionModel, EmpiricalKernelMap
 from pnu.risk import (
     MODE_TABLE,
+    _fmean,
     risk_nu,
     risk_pn,
     risk_pu,
@@ -150,6 +151,86 @@ class TestRiskTrue:
         model = DecisionModel(weights=[1.0, 0.0], bias=0.0)
         with pytest.raises(ValueError, match=message):
             risk_true_mc(model, (feats, labels), ZERO_ONE)
+
+
+def _two_label_zero_one(scores, labels) -> float:
+    """The zero-one mean as each row's loss under its own label, summed pairwise."""
+    positive = np.asarray(labels) == 1
+    return float(_fmean(np.where(positive, zero_one(scores, +1), zero_one(scores, -1))))
+
+
+class _FixedScores:
+    """A stand-in model that gives every call a fresh copy of fixed scores."""
+
+    def __init__(self, scores):
+        self.scores = np.asarray(scores, dtype=float)
+
+    def decision_values(self, x):
+        return self.scores.copy()
+
+
+class TestZeroOneMean:
+    """The zero-one holdout error is the two-label formula's mean, bit for bit."""
+
+    @staticmethod
+    def _check(model, source):
+        if isinstance(source, LabeledPool):
+            feats, labels = source.features, source.labels
+        else:
+            feats, labels = source
+        kept = [np.array(a, copy=True) for a in (feats, labels)]
+        want = _two_label_zero_one(model.decision_values(feats), labels)
+        got = risk_true_mc(model, source, ZERO_ONE)
+        assert type(got) is float and got.hex() == want.hex(), (got, want)
+        for before, after in zip(kept, (feats, labels)):
+            after = np.asarray(after)
+            assert after.dtype == before.dtype and after.tobytes() == before.tobytes()
+        return got
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 10, 99, 1001, 100_000])
+    def test_linear_models_on_pair_and_pool_sources(self, n):
+        rng = np.random.default_rng(n)
+        feats, labels = gen_gaussian_labeled(n, 0.4, n)
+        labels[:2] = (1, -1)  # a pool needs both classes
+        pool = LabeledPool(feats, labels)
+        for _ in range(20):
+            model = DecisionModel(rng.normal(size=2), float(rng.normal()))
+            for source in ((feats, labels), (feats, labels.astype(float)),
+                           (feats, labels.astype(object)), (feats.tolist(), labels.tolist()),
+                           pool):
+                self._check(model, source)
+
+    def test_rows_on_the_boundary_count_half(self):
+        """Every split of up to 12 rows into hits, errors and ties (scores of exactly 0)."""
+        hit = DecisionModel([1.0, 0.0], 0.0)
+        for n in range(1, 13):
+            labels = np.where(np.arange(n) % 2 == 0, 1, -1)
+            for lost in range(n + 1):
+                for tied in range(n + 1 - lost):
+                    margins = np.repeat([-1.0, 0.0, 1.0], [lost, tied, n - lost - tied])
+                    feats = np.column_stack([labels * margins, np.zeros(n)])
+                    assert self._check(hit, (feats, labels)) == (lost + tied / 2) / n
+        feats, labels = gen_gaussian_labeled(11, 0.3, 2)
+        assert self._check(DecisionModel([0.0, 0.0], 0.0), (feats, labels)) == 0.5
+
+    @pytest.mark.parametrize("label", [1, -1, 1.0, -1.0])
+    def test_one_class_labels(self, label):
+        feats, _ = gen_gaussian_labeled(77, 0.5, 4)
+        labels = np.full(77, label)
+        for model in (DecisionModel([1.0, 1.0], 0.1), DecisionModel([0.0, 0.0], 0.0)):
+            self._check(model, (feats, labels))
+
+    def test_kernel_model(self):
+        rng = np.random.default_rng(5)
+        model = _kernel_model(rng, 30)
+        feats, labels = gen_gaussian_labeled(20_003, 0.3, 6)
+        self._check(model, (feats, labels))
+        self._check(model, LabeledPool(feats, labels))
+
+    def test_a_nan_score_gives_nan(self):
+        feats, labels = np.zeros((3, 2)), np.array([1, -1, 1])
+        for scores in ([0.5, math.nan, -1.0], [math.nan] * 3):
+            assert math.isnan(risk_true_mc(_FixedScores(scores), (feats, labels), ZERO_ONE))
 
 
 class TestExactLinearError:
