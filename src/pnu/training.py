@@ -37,9 +37,14 @@ with w eliminated, refined once against the full KKT residual.
 
 Multiple restarts (zero init plus random Gaussian inits of scale 0.1)
 hedge against bad local minima; the restart with the lowest final
-objective wins.  Hyperparameters for the kernel model are selected by
-k-fold cross-validation scored with the mode's own unbiased estimator
-under the zero-one loss, so PU validation never touches negative data.
+objective wins.  Within one fit the rows, weights and lambda are fixed, so
+a tangent alone determines its subproblem: the restarts share one record
+of the point certified for each tangent, and a restart that comes back to
+a tangent an earlier one solved reuses that point instead of pivoting
+again (``_solve``); from there it follows the earlier restart's path.
+Hyperparameters for the kernel model are selected by k-fold
+cross-validation scored with the mode's own unbiased estimator under the
+zero-one loss, so PU validation never touches negative data.
 """
 
 from __future__ import annotations
@@ -408,20 +413,40 @@ def _solve_active_set(theta0, A, c, s, lam):
     return None
 
 
-def _solve(theta0, A, c, s, lam):
+def _solve(theta0, A, c, s, lam, minimizers=None):
     """One CCCP subproblem, of a linear or a kernel fit: the exact active-set solve.
 
     Returns the certified point when it is strictly lower than the start,
     and the start otherwise: a solve that does not certify within
     _MAX_PIVOTS pivots or meets a singular system keeps its start.
+
+    ``minimizers`` maps the bytes of a tangent ``s`` to the point certified
+    for it earlier in the same fit, where A, c and lam are the same; None
+    stands for an empty record.  A tangent found there skips the active
+    set, and the remembered point is returned under the same rule, when
+    strictly lower than the start.  Each newly certified point is added
+    read-only, unless a row's margin there is within _KINK_BAND of the
+    concave kink at -1: the next tangent would then rest on the rounding
+    of this one solve, and a restart that solves afresh may round to the
+    other side and descend further.  A tangent whose solve does not
+    certify is not added either, so it is solved again from the next
+    start that reaches it.
     """
-    try:
-        solved = _solve_active_set(theta0, A, c, s, lam)
-    except np.linalg.LinAlgError:  # a singular system: no certificate
-        solved = None
-    if solved is None:
-        return theta0
-    theta = solved[0]
+    if minimizers is None:
+        minimizers = {}
+    key = s.tobytes()
+    theta = minimizers.get(key)
+    if theta is None:
+        try:
+            solved = _solve_active_set(theta0, A, c, s, lam)
+        except np.linalg.LinAlgError:  # a singular system: no certificate
+            solved = None
+        if solved is None:
+            return theta0
+        theta = solved[0]
+        if np.abs(A.dot(theta) + 1.0).min() > _KINK_BAND:
+            theta.setflags(write=False)
+            minimizers[key] = theta
     lower = _convex_value(theta, A, c, s, lam) < _convex_value(theta0, A, c, s, lam)
     return theta if lower else theta0
 
@@ -465,7 +490,9 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
             obj = build_objective(mode, triple, fmap, config.lam)
             _RUN_STATS["runs"] += 1
             dim = obj.rows.shape[1]
-            fits = [_cccp(obj, np.zeros(dim) if restart == 0 else rng.normal(0.0, 0.1, size=dim))
+            minimizers: dict = {}  # this fit's certified points, by tangent (see _solve)
+            fits = [_cccp(obj, np.zeros(dim) if restart == 0 else rng.normal(0.0, 0.1, size=dim),
+                          minimizers)
                     for restart in range(config.restarts)]
     except FloatingPointError:
         first, second = MODE_SETS[mode]
@@ -478,8 +505,12 @@ def train(mode: Mode, triple: SampleTriple, template: ModelTemplate = LINEAR_TEM
     return DecisionModel(weights=theta[:-1], bias=theta[-1], feature_map=fmap)
 
 
-def _cccp(obj: RiskObjective, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """One restart of CCCP from theta: its final (objective, theta)."""
+def _cccp(obj: RiskObjective, theta: np.ndarray, minimizers: dict) -> tuple[float, np.ndarray]:
+    """One restart of CCCP from theta: its final (objective, theta).
+
+    ``minimizers`` is the fit's record of certified subproblem points,
+    shared by its restarts (see ``_solve``).
+    """
     current = obj.value(theta)
     solved = None
     for _ in range(_MAX_OUTER):
@@ -488,7 +519,7 @@ def _cccp(obj: RiskObjective, theta: np.ndarray) -> tuple[float, np.ndarray]:
         s = np.where(obj.rows.dot(theta) < -1.0, 0.5, 0.0)
         if solved is not None and np.array_equal(s, solved):
             break  # a fixed point: theta is this subproblem's minimizer already
-        theta_new = _solve(theta, obj.rows, obj.coeffs, s, obj.lam)
+        theta_new = _solve(theta, obj.rows, obj.coeffs, s, obj.lam, minimizers)
         value = obj.value(theta_new)
         _RUN_STATS["outer_steps"] += 1
         if value > current + MONOTONICITY_SLACK:

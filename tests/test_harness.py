@@ -402,7 +402,7 @@ class TestGoldenSweep:
         """The fitted weights themselves, which a holdout error rate can hide."""
         triple = gen_gaussian_artificial(12, 4, 30, 0.5, 5)
         want = {
-            "PN": ([5.122053766552068, 0.8070011246123702], 0.4245937810665256),
+            "PN": ([5.122053766552068, 0.8070011246123702], 0.42459378106652546),
             "PU": ([5.456656903545103, 0.2917063991743203], 1.6974819695309906),
             "NU": ([0.9184058776375759, -0.06193877952546087], 0.7911049864476506),
         }

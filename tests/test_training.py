@@ -61,8 +61,8 @@ def _fit_by_restart(monkeypatch, mode, triple, template, config):
     built, objectives, solves = [], [], []
     real_build, real_solve = training.build_objective, training._solve
 
-    def solve(theta0, A, c, s, lam):
-        result = real_solve(theta0, A, c, s, lam)
+    def solve(theta0, A, c, s, lam, minimizers):
+        result = real_solve(theta0, A, c, s, lam, minimizers)
         if not solves or theta0 is not solves[-1][-1][2]:
             objectives.append([built[-1].value(theta0)])
             solves.append([])
@@ -195,7 +195,7 @@ class TestOuterStep:
         obj = build_objective("PU", triple, model.feature_map, 1e-3)
         rng = np.random.default_rng(25)
         linearized = 0
-        for theta0, A, c, s, lam in calls:
+        for theta0, A, c, s, lam, _ in calls:
             m0 = A @ theta0
             concave0 = -np.maximum(0.0, (-1.0 - m0) * 0.5)
             const = obj.constant + float(c @ (concave0 - s * m0))
@@ -529,6 +529,117 @@ class TestKernelActiveSet:
                         for mode in ("PN", "PU", "NU"):
                             train(mode, triple, ModelTemplate(kind="kernel", width=width),
                                   TrainConfig(lam=lam))
+
+
+def _active_set_tangents(monkeypatch, uncertified=0):
+    """The bytes of the tangent of every active-set solve from now on.
+
+    The first ``uncertified`` solves return None, as an uncertified one does.
+    """
+    real, tangents = training._solve_active_set, []
+
+    def solve(theta0, A, c, s, lam):
+        tangents.append(s.tobytes())
+        return None if len(tangents) <= uncertified else real(theta0, A, c, s, lam)
+
+    monkeypatch.setattr(training, "_solve_active_set", solve)
+    return tangents
+
+
+class TestRestartsReuseMinimizers:
+    """A fit's restarts share the point certified for each tangent (``_solve``)."""
+
+    @pytest.mark.parametrize("kind", ["linear", "kernel"])
+    @pytest.mark.parametrize("mode", ["PN", "PU", "NU"])
+    def test_each_tangent_is_solved_at_most_once(self, mode, kind, monkeypatch):
+        tangents = _active_set_tangents(monkeypatch)
+        triple = gen_gaussian_artificial(20, 8, 30, 0.5, 3)
+        train(mode, triple, ModelTemplate(kind=kind), TrainConfig(seed=3, restarts=4))
+        assert tangents and len(tangents) == len(set(tangents))
+
+    def test_merging_restarts_solve_fewer_times_than_they_step(self, monkeypatch):
+        """Both restarts reach the same tangents, so half the outer steps reuse a point."""
+        tangents = _active_set_tangents(monkeypatch)
+        before = training.run_stats()
+        train("PN", gen_gaussian_artificial(20, 8, 30, 0.5, 0), config=TrainConfig(seed=0))
+        assert 0 < len(tangents) < _stats_since(before)["outer_steps"]
+
+    def test_uncertified_solve_is_solved_again_by_a_later_restart(self, monkeypatch):
+        """The zero start's first tangent does not certify; the random start reaches it again."""
+        tangents = _active_set_tangents(monkeypatch, uncertified=1)
+        triple = gen_gaussian_artificial(20, 8, 30, 0.5, 0)
+        _, _, restarts = _fit_by_restart(monkeypatch, "PN", triple, training.LINEAR_TEMPLATE,
+                                         TrainConfig(seed=0))
+        assert len(restarts) == 2 and len(restarts[0]) == 1  # kept its start: a fixed point
+        assert len(tangents) > 1 and tangents[1] == tangents[0]
+
+    def test_remembered_point_is_returned_only_when_lower(self, monkeypatch):
+        """A remembered point not strictly lower than the start returns the start bit for bit."""
+        triple = gen_gaussian_artificial(45, 5, 50, 0.5, 46)
+        sub = _subproblem(triple, "NU", "random", seed=47)
+        minimizers = {}
+        theta = training._solve(*sub, minimizers)
+        assert list(minimizers) == [sub[3].tobytes()] and minimizers[sub[3].tobytes()] is theta
+        tangents = _active_set_tangents(monkeypatch)
+        assert training._solve(*sub, minimizers) is theta  # lower than the random start
+        # Remembered: the minimizer itself (equal to the start), or a higher point.
+        for remembered in (minimizers, {sub[3].tobytes(): sub[0]}):
+            start = theta.copy()
+            solved = training._solve(start, *sub[1:], remembered)
+            assert solved is start and solved.tobytes() == theta.tobytes()
+        assert not tangents
+
+    def test_point_on_the_concave_kink_is_not_remembered(self):
+        """w = 0, b = -1 puts the positive rows on margin -1, so that point is not remembered."""
+        triple = gen_gaussian_artificial(45, 5, 5, 0.3, 5000)
+        sub = _subproblem(triple, "PU", "zero")
+        minimizers = {}
+        theta = training._solve(*sub, minimizers)
+        assert np.abs(sub[1] @ theta + 1.0).min() <= training._KINK_BAND
+        assert not minimizers
+
+    @pytest.mark.parametrize("mode, n_unl, pi, seed, restarts", [
+        ("PU", 5, 0.3, 0, 2),  # restart 0 stalls on the concave kink, restart 1 does not
+        ("NU", 10, 0.7, 11, 4),  # restarts 1 and 2 leave the kink that 0 and 3 stall on
+        ("PU", 10, 0.7, 41, 4),
+        ("NU", 200, 0.7, 44, 4),
+        ("PU", 200, 0.7, 149, 4),
+    ])
+    def test_reuse_keeps_the_final_objective(self, mode, n_unl, pi, seed, restarts, monkeypatch):
+        """Training with and without reuse reaches the same objective, to 1e-12."""
+        triple = gen_gaussian_artificial(45, 5, n_unl, pi, 5000 + seed)
+        config = TrainConfig(seed=seed, restarts=restarts)
+        obj = build_objective(mode, triple, None, config.lam)
+        reused = obj.value(_theta(train(mode, triple, config=config)))
+        real = training._solve
+        monkeypatch.setattr(training, "_solve", lambda *args: real(*args[:5]))
+        afresh = obj.value(_theta(train(mode, triple, config=config)))
+        assert reused == pytest.approx(afresh, abs=1e-12)
+
+    def test_remembered_points_are_read_only(self, monkeypatch):
+        records, real = [], training._solve
+        monkeypatch.setattr(training, "_solve",
+                            lambda *args: records.append(args[-1]) or real(*args))
+        train("NU", gen_gaussian_artificial(20, 8, 30, 0.5, 1), config=TrainConfig(seed=1))
+        minimizers = records[0]
+        assert minimizers and all(record is minimizers for record in records)
+        for theta in minimizers.values():
+            assert not theta.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                theta += 1.0
+
+    @pytest.mark.parametrize("kind", ["linear", "kernel"])
+    def test_nothing_carries_over_between_fits(self, kind, monkeypatch):
+        """A second fit on the same data solves every tangent again and returns the same bits."""
+        tangents = _active_set_tangents(monkeypatch)
+        triple = gen_gaussian_artificial(20, 8, 30, 0.5, 2)
+        models = []
+        for _ in range(2):
+            models.append(train("PU", triple, ModelTemplate(kind=kind), TrainConfig(seed=2)))
+        half = len(tangents) // 2
+        assert half and tangents[:half] == tangents[half:]
+        assert models[0].weights.tobytes() == models[1].weights.tobytes()
+        assert models[0].bias == models[1].bias
 
 
 class TestReducedCellStep:
