@@ -53,13 +53,13 @@ def _plain(x):
 class ComparatorInput:
     """Sample-size configuration feeding the bound comparators.
 
-    Counts must be positive integers and are stored as given, so the
-    comparators and the bound values read the same numbers.  ``pi`` and the
-    counts may instead be equal-shape numpy arrays, one case per element;
-    the comparators then return arrays.  ``n_unl=None``
-    denotes an unbounded unlabeled sample (used only by the asymptotic
-    comparator and by limiting bound values); it is kept symbolic rather
-    than as a floating-point infinity.
+    Counts must be positive integers no larger than float64's largest value,
+    and are stored as given, so the comparators and the bound values read
+    the same numbers, each as float64.  ``pi`` and the counts may instead be
+    equal-shape numpy arrays, one case per element; the comparators then
+    return arrays.  ``n_unl=None`` denotes an unbounded unlabeled sample
+    (used only by the asymptotic comparator and by limiting bound values);
+    it is kept symbolic rather than as a floating-point infinity.
     """
 
     pi: float
@@ -83,6 +83,11 @@ COMPLEXITY_CONST = 1.0
 F_DELTA = 4.0 * LIPSCHITZ * COMPLEXITY_CONST + math.sqrt(2.0 * math.log(4.0 / DELTA))
 
 
+def _root(n):
+    """The square root of a count, in float64; a Python int past int64 converts first."""
+    return np.sqrt(n if isinstance(n, np.ndarray) else float(n))
+
+
 def bound_values(inp: ComparatorInput):
     """Estimation error bound values (V_pn, V_pu, V_nu); limits for ``n_unl=None``.
 
@@ -90,8 +95,8 @@ def bound_values(inp: ComparatorInput):
     set's estimator weight over sqrt(n); an unbounded unlabeled set
     contributes weight/inf = 0.
     """
-    roots = {"x_pos": np.sqrt(inp.n_pos), "x_neg": np.sqrt(inp.n_neg),
-             "x_unl": math.inf if inp.n_unl is None else np.sqrt(inp.n_unl)}
+    roots = {"x_pos": _root(inp.n_pos), "x_neg": _root(inp.n_neg),
+             "x_unl": math.inf if inp.n_unl is None else _root(inp.n_unl)}
     values = []
     for spec in MODE_TABLE.values():
         (first, second), (w_first, w_second) = spec.sets, spec.weights(inp.pi)
@@ -102,7 +107,7 @@ def bound_values(inp: ComparatorInput):
 def _unl_root(inp: ComparatorInput):
     if inp.n_unl is None:
         raise ValueError("n_unl must be a positive integer count, got None")
-    return np.sqrt(inp.n_unl)
+    return _root(inp.n_unl)
 
 
 def alpha_pu_pn(inp: ComparatorInput) -> float:
@@ -110,15 +115,15 @@ def alpha_pu_pn(inp: ComparatorInput) -> float:
 
     Below one iff the PU bound is the tighter of the two.
     """
-    return _plain((inp.pi / np.sqrt(inp.n_pos) + 1.0 / _unl_root(inp)) / (
-        (1.0 - inp.pi) / np.sqrt(inp.n_neg)
+    return _plain((inp.pi / _root(inp.n_pos) + 1.0 / _unl_root(inp)) / (
+        (1.0 - inp.pi) / _root(inp.n_neg)
     ))
 
 
 def alpha_nu_pn(inp: ComparatorInput) -> float:
     """Finite-sample comparator of the NU bound against the PN bound."""
-    return _plain(((1.0 - inp.pi) / np.sqrt(inp.n_neg) + 1.0 / _unl_root(inp)) / (
-        inp.pi / np.sqrt(inp.n_pos)
+    return _plain(((1.0 - inp.pi) / _root(inp.n_neg) + 1.0 / _unl_root(inp)) / (
+        inp.pi / _root(inp.n_pos)
     ))
 
 
@@ -200,8 +205,8 @@ def alpha_star(inp: ComparatorInput) -> AlphaStarResult:
     n_pos/n_neg = pi^2/(1-pi)^2 where both equal one.
     """
     pi = inp.pi
-    a_pu = pi * np.sqrt(inp.n_neg) / ((1.0 - pi) * np.sqrt(inp.n_pos))
-    a_nu = (1.0 - pi) * np.sqrt(inp.n_pos) / (pi * np.sqrt(inp.n_neg))
+    a_pu = pi * _root(inp.n_neg) / ((1.0 - pi) * _root(inp.n_pos))
+    a_nu = (1.0 - pi) * _root(inp.n_pos) / (pi * _root(inp.n_neg))
     verdict = np.where(a_pu < 1.0, VERDICT_PU, np.where(a_pu > 1.0, VERDICT_NU, VERDICT_TIE))
     return AlphaStarResult(alpha_star_pu=_plain(a_pu), alpha_star_nu=_plain(a_nu),
                            verdict=_plain(verdict))

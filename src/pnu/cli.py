@@ -123,7 +123,7 @@ def _run_sweep(args, sweep: str, values) -> int:
 def _fail(exc: Exception, code: int) -> int:
     """Print the exception and its notes as one ``error:`` line on stderr."""
     context = "".join(f"{note}: " for note in getattr(exc, "__notes__", ()))
-    print(f"error: {context}{exc}", file=sys.stderr)
+    print(f"error: {context}{str(exc) or type(exc).__name__}", file=sys.stderr)
     return code
 
 
@@ -177,7 +177,7 @@ def main(argv=None) -> int:
                 print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
                 all_ok &= ok
             return 0 if all_ok else 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         return _fail(exc, 2)
     except CccpMonotonicityError as exc:
         return _fail(exc, 3)

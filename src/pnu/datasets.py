@@ -42,6 +42,7 @@ class InsufficientDataError(ValueError):
 def _check_count(n, name: str, least: int = 1, like=None):
     """n itself if it is an integer of at least ``least`` (numpy integers pass, bools do not).
 
+    A scalar must also be at most float64's largest value, so that it converts to a float.
     With an array ``like``, n must be an integer array of its shape, every entry >= least.
     """
     if isinstance(like, np.ndarray):
@@ -49,6 +50,9 @@ def _check_count(n, name: str, least: int = 1, like=None):
         ok = ok and n.min() >= least
     else:
         ok = isinstance(n, numbers.Integral) and not isinstance(n, bool)
+        if ok and n > sys.float_info.max:
+            raise ValueError(f"{name} must be at most {sys.float_info.max:.4g}, the largest "
+                             f"float64, got a {int(n).bit_length()}-bit integer")
         ok = ok and n >= least
     if not ok:
         want = {0: "a non-negative integer", 1: "a positive integer count"}.get(

@@ -184,7 +184,7 @@ def _run_trial(grid: ExperimentGrid, pool, value, trial: int, template: ModelTem
         mode_template, cfg = template, train_config
         if cv_config is not None:
             width, lam, _ = cross_validate(mode, triple, template, cv_config, train_config)
-            mode_template = template if width is None else replace(template, width=width)
+            mode_template = replace(template, width=width)
             cfg = replace(train_config, lam=lam)
         models.append(train(mode, triple, mode_template, cfg))
     return holdout_worker.submit(_holdout_errors, models, holdout)

@@ -413,7 +413,7 @@ def _solve_active_set(theta0, A, c, s, lam):
     return None
 
 
-def _solve(theta0, A, c, s, lam, minimizers=None):
+def _solve(theta0, A, c, s, lam, minimizers):
     """One CCCP subproblem, of a linear or a kernel fit: the exact active-set solve.
 
     Returns the certified point when it is strictly lower than the start,
@@ -421,19 +421,16 @@ def _solve(theta0, A, c, s, lam, minimizers=None):
     _MAX_PIVOTS pivots or meets a singular system keeps its start.
 
     ``minimizers`` maps the bytes of a tangent ``s`` to the point certified
-    for it earlier in the same fit, where A, c and lam are the same; None
-    stands for an empty record.  A tangent found there skips the active
-    set, and the remembered point is returned under the same rule, when
-    strictly lower than the start.  Each newly certified point is added
-    read-only, unless a row's margin there is within _KINK_BAND of the
-    concave kink at -1: the next tangent would then rest on the rounding
-    of this one solve, and a restart that solves afresh may round to the
-    other side and descend further.  A tangent whose solve does not
-    certify is not added either, so it is solved again from the next
-    start that reaches it.
+    for it earlier in the same fit, where A, c and lam are the same.  A
+    tangent found there skips the active set, and the remembered point is
+    returned under the same rule, when strictly lower than the start.  Each
+    newly certified point is added read-only, unless a row's margin there
+    is within _KINK_BAND of the concave kink at -1: the next tangent would
+    then rest on the rounding of this one solve, and a restart that solves
+    afresh may round to the other side and descend further.  A tangent
+    whose solve does not certify is not added either, so it is solved
+    again from the next start that reaches it.
     """
-    if minimizers is None:
-        minimizers = {}
     key = s.tobytes()
     theta = minimizers.get(key)
     if theta is None:
@@ -545,20 +542,10 @@ def median_heuristic_width(x) -> float:
     return med if med > 0 else 1.0
 
 
-def _select_best(table: list) -> tuple:
-    """Argmin over (width, lambda, cv_risk) rows.
-
-    Ties break toward the larger width, then the larger lambda; None widths
-    (linear templates) sort as equal.
-    """
-    return min(table, key=lambda row: (row[2], -(row[0] or 0.0), -row[1]))
-
-
-def _validation_risk(mode: Mode, model: DecisionModel, val_sets: dict, pi: float) -> float:
-    """The mode's own unbiased zero-one estimate, by whichever ``training.risk_*`` is bound now."""
-    first, second = MODE_SETS[mode]
+def _validation_risk(mode: Mode, model: DecisionModel, val: tuple, pi: float) -> float:
+    """The mode's zero-one estimate on ``val``, by whichever ``training.risk_*`` is bound now."""
     estimator = {"PN": risk_pn, "PU": risk_pu, "NU": risk_nu}[mode]
-    return estimator(model, val_sets[first], val_sets[second], pi, ZERO_ONE)
+    return estimator(model, *val, pi, ZERO_ONE)
 
 
 def cross_validate(mode: Mode, triple: SampleTriple, template: ModelTemplate,
@@ -567,8 +554,9 @@ def cross_validate(mode: Mode, triple: SampleTriple, template: ModelTemplate,
 
     Each sample set the mode uses is split into folds independently; every
     grid cell is scored by the mean over folds of the unbiased estimator
-    under the zero-one loss on the held-out folds.  Ties break toward the
-    larger width, then the larger lambda.  Returns
+    under the zero-one loss on the held-out folds.  Ties follow the grid
+    order: the grid runs from the largest width, then the largest lambda,
+    down, and the first cell of least risk wins.  Returns
     (best_width, best_lambda, table) where the table rows are
     (width, lambda, cv_risk) and width is None for linear templates.
     """
@@ -583,17 +571,16 @@ def cross_validate(mode: Mode, triple: SampleTriple, template: ModelTemplate,
                 f"{name} has only {n} rows; {cv_config.folds}-fold CV would empty a fold"
             )
         folds[name] = np.array_split(rng.permutation(n), cv_config.folds)
-    # One (training sub-triple, validation sets) pair per fold; the sets the
-    # mode does not use are zero-row slices in the sub-triple.
+    # One (training triple, held-out (plus, minus) sets) pair per fold; the
+    # training triple keeps the sets the mode does not use, which train never reads.
     splits = []
     for f in range(cv_config.folds):
-        train_sets = {name: getattr(triple, name)[:0] for name in ("x_pos", "x_neg", "x_unl")}
-        val_sets = {}
+        kept, held = {}, []
         for name in used:
             full, parts = getattr(triple, name), folds[name]
-            train_sets[name] = full[np.concatenate(parts[:f] + parts[f + 1:])]
-            val_sets[name] = full[parts[f]]
-        splits.append((SampleTriple(**train_sets, pi=triple.pi), val_sets))
+            kept[name] = full[np.concatenate(parts[:f] + parts[f + 1:])]
+            held.append(full[parts[f]])
+        splits.append((replace(triple, **kept), tuple(held)))
 
     if template.kind == "kernel":
         if not cv_config.width_grid:
@@ -605,14 +592,14 @@ def cross_validate(mode: Mode, triple: SampleTriple, template: ModelTemplate,
 
     table = []
     for width in widths:
-        cell_template = template if width is None else replace(template, width=width)
+        cell_template = replace(template, width=width)
         for lam in lambdas:
             cfg = replace(train_config, lam=lam)
             scores = [
-                _validation_risk(mode, train(mode, sub_triple, cell_template, cfg), val_sets,
-                                 triple.pi)
-                for sub_triple, val_sets in splits
+                _validation_risk(mode, train(mode, sub_triple, cell_template, cfg), val, triple.pi)
+                for sub_triple, val in splits
             ]
             table.append((width, lam, float(np.mean(scores))))
-    best = _select_best(table)
-    return best[0], best[1], table
+    # min keeps the first of equal risks, so the descending walk is the tie rule.
+    width, lam, _ = min(table, key=lambda row: row[2])
+    return width, lam, table

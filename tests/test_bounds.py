@@ -113,6 +113,20 @@ class TestCounts:
             assert (alpha_pu_pn(inp) < 1.0) == (v_pu < v_pn)
             assert (alpha_nu_pn(inp) < 1.0) == (v_nu < v_pn)
 
+    def test_counts_past_int64_convert_and_past_float64_fail(self):
+        """2**64 and up are counts the comparators read as floats; past float64 they fail."""
+        big = ComparatorInput(pi=0.3, n_pos=2 ** 64, n_neg=2 ** 70, n_unl=2 ** 80)
+        root = [math.sqrt(2.0 ** k) for k in (64, 70, 80)]
+        assert alpha_pu_pn(big) == (0.3 / root[0] + 1.0 / root[2]) / (0.7 / root[1])
+        assert alpha_nu_pn(big) == (0.7 / root[1] + 1.0 / root[2]) / (0.3 / root[0])
+        assert bound_values(big)[0] == F_DELTA * (0.3 / root[0] + 0.7 / root[1])
+        assert alpha_star(big).alpha_star_pu == 0.3 * root[1] / (0.7 * root[0])
+        for field in ("n_pos", "n_neg", "n_unl"):
+            counts = dict(n_pos=45, n_neg=5, n_unl=100)
+            counts[field] = 10 ** 400
+            with pytest.raises(ValueError, match=f"^{field} must be at most 1.798e"):
+                ComparatorInput(pi=0.5, **counts)
+
 
 class TestArrayInputs:
     """Array fields: one case per element, checked once, equal to scalar calls bit for bit."""

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import os
 import pathlib
 import re
@@ -189,6 +190,27 @@ class TestAdviseCommand:
         assert exc.value.code == 2
         last = capsys.readouterr().err.strip().splitlines()[-1]
         assert "--n-unl" in last and repr(n_unl) in last
+
+    def test_count_past_int64_prints_comparator_values(self, capsys):
+        """2**64 positives is a float64 count: the comparators read it as one."""
+        n_pos = 2 ** 64
+        assert main(["advise", "--pi", "0.5", "--n-pos", str(n_pos), "--n-neg", "5",
+                     "--n-unl", "100"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["n_pos"] == n_pos
+        root = math.sqrt(float(n_pos))
+        assert doc["alpha_star_pu"] == 0.5 * math.sqrt(5) / (0.5 * root)
+        assert doc["alpha_pu_pn"] == (0.5 / root + 1.0 / 10.0) / (0.5 / math.sqrt(5))
+
+    @pytest.mark.parametrize("flag", ["--n-pos", "--n-neg", "--n-unl"])
+    def test_count_past_float64_exits_2_naming_it(self, capsys, flag):
+        counts = {"--n-pos": "45", "--n-neg": "5", "--n-unl": "100", flag: str(10 ** 400)}
+        code = main(["advise", "--pi", "0.5", *(x for pair in counts.items() for x in pair)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith(f"error: {flag[2:].replace('-', '_')} must be at most 1.798e+308")
 
 
 class TestSweepCommands:
@@ -454,6 +476,28 @@ class TestSweepCommands:
         self._assert_one_line_error(
             capsys.readouterr().err, "sweep point nu=5, trial 0: non-finite objective: "
             "training on the x_pos and x_neg rows overflowed float64")
+
+    def test_count_past_float64_exits_2_before_the_sweep(self, monkeypatch, capsys):
+        self._forbid_sweep(monkeypatch)
+        code = main(["sweep-nu", "--n-unl", str(10 ** 400), "--trials", "1", "--test-size", "10"])
+        assert code == 2
+        self._assert_one_line_error(capsys.readouterr().err,
+                                    "unlabeled size must be at most 1.798e+308")
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 44.7 GiB for an array with shape "
+                                         "(3000000000, 2) and data type float64", ""])
+    def test_refused_allocation_exits_2_naming_the_sweep_point(self, monkeypatch, capsys,
+                                                                message):
+        """A MemoryError inside a trial is one error line; nothing is allocated for real."""
+        def refuse(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(harness, "gen_gaussian_artificial", refuse)
+        code = main(["sweep-nu", "--n-unl", "5", "--n-neg", "3000000000", "--trials", "1",
+                     "--test-size", "10"])
+        assert code == 2
+        self._assert_one_line_error(capsys.readouterr().err, "sweep point nu=5, trial 0: ",
+                                    message or "MemoryError")
 
 
 class TestVerifyCommand:

@@ -473,10 +473,10 @@ class TestLinearActiveSet:
         """A solve cut off by a cap of one pivot returns its start bit for bit."""
         triple = gen_gaussian_artificial(45, 5, 50, 0.5, 46)
         sub = _subproblem(triple, "PU", "random", seed=47)
-        assert training._solve(*sub).tobytes() != sub[0].tobytes()
+        assert training._solve(*sub, {}).tobytes() != sub[0].tobytes()
         monkeypatch.setattr(training, "_MAX_PIVOTS", 1)
         assert training._solve_active_set(*sub) is None
-        assert training._solve(*sub).tobytes() == sub[0].tobytes()
+        assert training._solve(*sub, {}).tobytes() == sub[0].tobytes()
 
     def test_singular_system_keeps_its_start(self, monkeypatch):
         """A solve that meets a singular system returns its start bit for bit."""
@@ -489,7 +489,7 @@ class TestLinearActiveSet:
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(training.np.linalg, "solve", singular)
-        assert training._solve(*sub).tobytes() == sub[0].tobytes()
+        assert training._solve(*sub, {}).tobytes() == sub[0].tobytes()
         assert calls  # the solve reached a KKT system
 
 
@@ -612,7 +612,7 @@ class TestRestartsReuseMinimizers:
         obj = build_objective(mode, triple, None, config.lam)
         reused = obj.value(_theta(train(mode, triple, config=config)))
         real = training._solve
-        monkeypatch.setattr(training, "_solve", lambda *args: real(*args[:5]))
+        monkeypatch.setattr(training, "_solve", lambda *args: real(*args[:5], {}))
         afresh = obj.value(_theta(train(mode, triple, config=config)))
         assert reused == pytest.approx(afresh, abs=1e-12)
 
@@ -762,16 +762,28 @@ class TestCrossValidation:
         chosen = [row for row in table if row[0] == width and row[1] == lam]
         assert chosen[0][2] == best_risk
 
-    def test_tie_breaks_toward_larger_width_then_lambda(self):
-        table = [
-            (0.5, 1e-4, 0.3), (0.5, 1e-2, 0.3),
-            (2.0, 1e-4, 0.3), (2.0, 1e-2, 0.3),
-        ]
-        assert training._select_best(table) == (2.0, 1e-2, 0.3)
-        table[0] = (0.5, 1e-4, 0.25)  # a strict winner beats any tie-break
-        assert training._select_best(table) == (0.5, 1e-4, 0.25)
-        linear = [(None, 1e-4, 0.4), (None, 1e-2, 0.4)]
-        assert training._select_best(linear) == (None, 1e-2, 0.4)
+    def test_tie_breaks_toward_larger_width_then_lambda(self, monkeypatch):
+        """Equal CV risks go to the first cell of the grid's walk from the largest width and
+        lambda down; a strictly lower cell wins wherever it sits in the walk.
+        """
+        triple = gen_gaussian_artificial(6, 6, 6, 0.5, 27)
+        cv = CvConfig(folds=2, width_grid=(0.5, 2.0, 1.0), lambda_grid=(1e-4, 1e-2))
+        config = TrainConfig(restarts=1, seed=28)
+        kernel = ModelTemplate(kind="kernel")
+        monkeypatch.setattr(training, "risk_pu", lambda *args: 0.3)
+        assert cross_validate("PU", triple, kernel, cv, config)[:2] == (2.0, 1e-2)
+        linear = ModelTemplate(kind="linear")
+        assert cross_validate("PU", triple, linear, cv, config)[:2] == (None, 1e-2)
+
+        calls = []
+
+        def last_cell_lower(*args):
+            calls.append(args)
+            return 0.25 if len(calls) > 5 * 2 else 0.3  # the last of 6 cells x 2 folds
+
+        monkeypatch.setattr(training, "risk_pu", last_cell_lower)
+        width, lam, table = cross_validate("PU", triple, kernel, cv, config)
+        assert (width, lam) == (0.5, 1e-4) and table[-1] == (0.5, 1e-4, 0.25)
 
     def test_fold_emptying_rejected(self):
         triple = gen_gaussian_artificial(4, 10, 10, 0.5, 24)
