@@ -62,6 +62,14 @@ PAPER_TEST_SIZE = 1_000_000
 CSV_HEADER = ("sweep_value", "mode", "mean_error", "std_error", "alpha_pu_pn", "alpha_nu_pn")
 
 
+def _check_array_size(n: int, name: str, what: str, per_unit: int) -> None:
+    """n must keep ``what``, float64 with ``per_unit`` entries per unit of n, within numpy's reach."""
+    limit = np.iinfo(np.intp).max // (8 * per_unit)
+    if n > limit:
+        raise ValueError(f"{name} must be at most {limit}, so that its {what} fit numpy's "
+                         f"index range, got {n:.4g}")
+
+
 @dataclass(frozen=True)
 class ExperimentGrid:
     """A sweep specification over the unlabeled size or the class prior."""
@@ -95,6 +103,14 @@ class ExperimentGrid:
         for name in ("n_pos", "n_neg", "trials", "test_size"):
             _check_count(getattr(self, name), name)
         _check_count(self.seed, "ExperimentGrid 'seed'", least=0)
+        # Each size must give numpy an array it can index: a drawn set's
+        # (n, 2) float64 rows, and run_sweep's (point, mode, trial) errors.
+        unl = ("unlabeled size", values[-1]) if self.sweep == "nu" else ("n_unl", self.n_unl)
+        for name, n in (("n_pos", self.n_pos), ("n_neg", self.n_neg), unl,
+                        ("test_size", self.test_size)):
+            _check_array_size(n, name, "(n, 2) float64 rows", 2)
+        _check_array_size(self.trials, "trials", "(points, 3, trials) float64 errors",
+                          len(values) * len(MODES))
 
     def point(self, value) -> tuple[float, int]:
         """Resolve a sweep value into the (pi, n_unl) pair for that point."""

@@ -1,6 +1,7 @@
 """Bound values, the finite-sample and asymptotic comparators, monotonicity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -421,6 +422,33 @@ class TestRademacherCheck:
         res = rademacher_mc_check(np.eye(n), c_w=1.0, c_phi=1.0, seed=1)
         assert res.estimate == pytest.approx(res.bound, rel=1e-12)
         assert res.passed
+
+    @pytest.mark.parametrize("n", [7, 9, 16, 1000])
+    def test_identical_rows_give_the_walks_mean_distance(self, n):
+        """n equal unit rows: the norm is |S_n|, the distance of an n-step +-1 walk.
+
+        E|S_n| = n * C(n-1, floor((n-1)/2)) / 2^(n-1), 2.1875 at n = 7 and 2.4609
+        at n = 9, and E S_n^2 = n.  Padding bits read as signs, unfair bytes or
+        bytes reused across blocks move the estimate or its standard error.
+        """
+        mean_walk = n * math.comb(n - 1, (n - 1) // 2) / 2 ** (n - 1)
+        res = rademacher_mc_check(np.tile([0.6, 0.8], (n, 1)), c_w=1.5, c_phi=1.0, seed=n)
+        assert abs(res.estimate - 1.5 * mean_walk / n) <= 4.0 * res.std_error
+        want_se = 1.5 / n * math.sqrt((n - mean_walk**2) / 2_000)
+        assert res.std_error == pytest.approx(want_se, rel=0.15)
+
+    def test_working_set_stays_below_the_sign_matrix(self):
+        """n = 20,000: signs are held packed, 5 MB, not as a 40 MB matrix of int8."""
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(20_000, 2))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            rademacher_mc_check(x, c_w=1.0, c_phi=1.0, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
     def test_random_samples_pass(self):
         rng = np.random.default_rng(2)

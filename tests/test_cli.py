@@ -1,6 +1,7 @@
 """End-to-end CLI coverage over the documented subcommands and flags."""
 
 import ast
+import hashlib
 import json
 import math
 import os
@@ -127,6 +128,9 @@ _VERIFY_SEED_0_FAST = """\
 [PASS] unbiasedness: PN gap 2.77e-04 vs 5se 1.01e-03; PU gap 4.55e-04 vs 5se 2.00e-03; NU gap 9.98e-05 vs 5se 2.03e-03
 [PASS] rademacher: 20 samples across n in (1, 10, 100, 1000)
 """
+
+# sha256 of `pnu verify --seed 0` stdout at full size.
+_VERIFY_SEED_0_SHA256 = "e17d516bc6dd66955727b83721fc37516461b2abc590619e16de8d1a29275436"
 
 
 class TestAdviseCommand:
@@ -484,6 +488,21 @@ class TestSweepCommands:
         self._assert_one_line_error(capsys.readouterr().err,
                                     "unlabeled size must be at most 1.798e+308")
 
+    @pytest.mark.parametrize("count", [10 ** 300, 2 ** 63], ids=["10**300", "2**63"])
+    @pytest.mark.parametrize("command, flag, field", [
+        ("sweep-nu", "--n-pos", "n_pos"), ("sweep-nu", "--n-neg", "n_neg"),
+        ("sweep-nu", "--test-size", "test_size"), ("sweep-nu", "--trials", "trials"),
+        ("sweep-nu", "--n-unl", "unlabeled size"), ("sweep-pi", "--n-unl", "n_unl"),
+    ])
+    def test_size_past_numpy_arrays_exits_2_naming_it(self, monkeypatch, capsys, command, flag,
+                                                      field, count):
+        """Each size is refused before the sweep, where numpy would name no field."""
+        self._forbid_sweep(monkeypatch)
+        args = {"--trials": "1", "--test-size": "10", flag: str(count)}
+        code = main([command, *(x for pair in args.items() for x in pair)])
+        assert code == 2
+        self._assert_one_line_error(capsys.readouterr().err, f"error: {field} must be at most ")
+
     @pytest.mark.parametrize("message", ["Unable to allocate 44.7 GiB for an array with shape "
                                          "(3000000000, 2) and data type float64", ""])
     def test_refused_allocation_exits_2_naming_the_sweep_point(self, monkeypatch, capsys,
@@ -504,6 +523,11 @@ class TestVerifyCommand:
     def test_seed_0_fast_output_matches_recorded_bytes(self, capsys):
         assert main(["verify", "--seed", "0", "--fast"]) == 0
         assert capsys.readouterr().out == _VERIFY_SEED_0_FAST
+
+    def test_seed_0_full_output_matches_recorded_digest(self, capsys):
+        assert main(["verify", "--seed", "0"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == _VERIFY_SEED_0_SHA256
 
     def test_fast_verify_passes(self, capsys):
         code = main(["verify", "--fast", "--seed", "1"])

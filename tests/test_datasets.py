@@ -82,6 +82,17 @@ class TestGaussianArtificial:
             triple = gen_gaussian_artificial(3, 4, n, pi, seed)
             assert triple.x_unl.shape == (n, 2) and triple.x_unl.tobytes() == want_unl.tobytes()
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 25_000])
+    def test_class_draws_match_the_reference_bytes(self, n):
+        """Positives, then negatives, are standard normals plus, then minus, the mean."""
+        for seed in (0, 1, 2**40 + 3):
+            rng = np.random.default_rng(seed)
+            want_pos = rng.standard_normal((n, 2)) + GAUSSIAN_MEAN
+            want_neg = rng.standard_normal((n, 2)) - GAUSSIAN_MEAN
+            triple = gen_gaussian_artificial(n, n, 3, 0.5, seed)
+            assert triple.x_pos.shape == (n, 2) and triple.x_pos.tobytes() == want_pos.tobytes()
+            assert triple.x_neg.shape == (n, 2) and triple.x_neg.tobytes() == want_neg.tobytes()
+
     def test_latent_frequency(self):
         """Over 1e4 one-point draws the latent positive rate concentrates at pi."""
         pi = 0.3
@@ -347,6 +358,17 @@ class TestLabeledPoolType:
             LabeledPool(features=np.zeros((2, 1)), labels=np.array([1, 2]))
         with pytest.raises(ValueError, match="one entry per feature row"):
             LabeledPool(features=np.zeros((3, 1)), labels=np.array([1, -1]))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.float64])
+    def test_labels_match_the_where_form_bytes(self, dtype):
+        """Pool and holdout labels are np.where(labels == 1, 1, -1): its int64 bytes."""
+        raw = np.where(np.random.default_rng(12).random(500) < 0.4, 1, -1)
+        pool = LabeledPool(features=np.arange(500.0)[:, None], labels=raw.astype(dtype))
+        want = np.where(raw == 1, 1, -1)
+        assert pool.labels.dtype == want.dtype and pool.labels.tobytes() == want.tobytes()
+        _, holdout = sample_triple_from_pool(pool, 20, 20, 60, 0.4, 5)
+        held = want[holdout.features[:, 0].astype(int)]
+        assert holdout.labels.dtype == held.dtype and holdout.labels.tobytes() == held.tobytes()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_features(self, value):

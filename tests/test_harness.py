@@ -101,6 +101,21 @@ class TestGridValidation:
         grid = _tiny_grid(values=(np.int64(5), np.int64(20)), n_pos=np.int32(10))
         assert grid.values == (5, 20) and all(type(v) is int for v in grid.values)
 
+    def test_sizes_stop_at_the_largest_array_numpy_makes(self):
+        """A set's (n, 2) float64 rows and the (points, 3, trials) errors must fit np.intp."""
+        rows = np.iinfo(np.intp).max // 16
+        trials = np.iinfo(np.intp).max // (8 * 3 * 2)
+        _tiny_grid(values=(5, rows), n_pos=rows, n_neg=rows, test_size=rows, trials=trials)
+        ExperimentGrid(sweep="pi", values=(0.2, 0.8), n_pos=5, n_neg=5, n_unl=rows)
+        for field, over in [("n_pos", {"n_pos": rows + 1}), ("n_neg", {"n_neg": rows + 1}),
+                            ("test_size", {"test_size": rows + 1}),
+                            ("unlabeled size", {"values": (5, rows + 1)}),
+                            ("trials", {"trials": trials + 1})]:
+            with pytest.raises(ValueError, match=f"^{field} must be at most "):
+                _tiny_grid(**over)
+        with pytest.raises(ValueError, match=f"^n_unl must be at most {rows}, "):
+            ExperimentGrid(sweep="pi", values=(0.2, 0.8), n_pos=5, n_neg=5, n_unl=rows + 1)
+
 
 class TestRunSweep:
     def test_shape_and_mode_coverage(self):
