@@ -263,11 +263,11 @@ def rademacher_mc_check(sample, c_w: float, c_phi: float, seed) -> RademacherChe
     for start in range(0, _SIGMA_DRAWS, step):
         # Bits b become signs 2b - 1 in int8, in the unpacked buffer, and
         # then floats: the same +-1.0 as b * 2.0 - 1.0, in half the passes.
+        # The floats are a temporary, freed before the next block is made.
         signs = np.unpackbits(packed[start : start + step], axis=1, count=n).view(np.int8)
         signs *= 2
         signs -= 1
-        sigma = signs.astype(float)
-        norms[start : start + len(sigma)] = np.linalg.norm(sigma @ x, axis=1)
+        norms[start : start + len(signs)] = np.linalg.norm(signs.astype(float) @ x, axis=1)
     estimate = (c_w / n) * float(np.mean(norms))
     std_error = (c_w / n) * float(np.std(norms, ddof=1)) / math.sqrt(_SIGMA_DRAWS)
     bound = c_w * c_phi / math.sqrt(n)

@@ -63,7 +63,7 @@ CSV_HEADER = ("sweep_value", "mode", "mean_error", "std_error", "alpha_pu_pn", "
 
 
 def _check_array_size(n: int, name: str, what: str, per_unit: int) -> None:
-    """n must keep ``what``, float64 with ``per_unit`` entries per unit of n, within numpy's reach."""
+    """Raise unless ``what``, float64 with ``per_unit`` entries per unit of n, has bytes in np.intp."""
     limit = np.iinfo(np.intp).max // (8 * per_unit)
     if n > limit:
         raise ValueError(f"{name} must be at most {limit}, so that its {what} fit numpy's "

@@ -428,8 +428,8 @@ class TestRademacherCheck:
         """n equal unit rows: the norm is |S_n|, the distance of an n-step +-1 walk.
 
         E|S_n| = n * C(n-1, floor((n-1)/2)) / 2^(n-1), 2.1875 at n = 7 and 2.4609
-        at n = 9, and E S_n^2 = n.  Padding bits read as signs, unfair bytes or
-        bytes reused across blocks move the estimate or its standard error.
+        at n = 9, and E S_n^2 = n.  Bytes with a stuck bit, or the first block's
+        bytes reused for every block, move the estimate or its standard error.
         """
         mean_walk = n * math.comb(n - 1, (n - 1) // 2) / 2 ** (n - 1)
         res = rademacher_mc_check(np.tile([0.6, 0.8], (n, 1)), c_w=1.5, c_phi=1.0, seed=n)
