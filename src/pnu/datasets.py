@@ -21,6 +21,7 @@ label per row.  Each raises ValueError naming the field.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import numbers
 import sys
@@ -266,6 +267,9 @@ def _map_label_values(values: list[str]):
 def load_csv(path, label_column) -> LabeledPool:
     """Load a labeled pool from a headered, comma-separated UTF-8 file.
 
+    A leading byte-order mark is dropped; bytes that are not UTF-8 raise
+    ValueError naming ``path``.
+
     ``label_column`` selects the label field by header name or by integer
     index.  Every feature cell must be a finite number, small enough that
     its column's variance is finite in float64.  Features are
@@ -273,8 +277,12 @@ def load_csv(path, label_column) -> LabeledPool:
     pool (constant columns are left centered), so downstream kernel-width
     grids are dataset-independent.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        reader = csv.reader(io.StringIO(text, newline=""))
         try:
             header = next(reader)
         except StopIteration:

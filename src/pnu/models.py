@@ -8,7 +8,12 @@ value objects; prediction is pure.
 The kernel path works on row blocks: squared distances are accumulated one
 coordinate at a time into caller-owned (rows x anchors) buffers, and a
 kernel model scores its inputs block by block, so memory stays bounded by
-two blocks per CPU used however many rows are scored.  A long input's
+two blocks and one (rows x 2) operand per CPU used however many rows are
+scored.  A coordinate's differences x - a are one matrix product
+``[x, 1] @ [[1, ..., 1], [-a]]``, faster than a broadcast subtract: each
+entry is x*1 + 1*(-a), two exact products and one rounded addition, so it
+is the float x - a under any BLAS kernel, FMA use or summation order (up
+to the sign of an exact zero, which squaring removes).  A long input's
 blocks are dealt over the CPUs this process may use, the calling thread
 scoring one share; the blocks and each block's arithmetic are the same
 however many CPUs there are, so the results are the same bits.
@@ -51,29 +56,34 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _kernel_block(anchors_t: np.ndarray, width: float, rows: np.ndarray,
+def _kernel_block(pairs: np.ndarray, width: float, rows: np.ndarray, lhs: np.ndarray,
                   out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Gaussian kernel values of one block of rows, written to ``out``; no input checks.
 
-    ``anchors_t`` is the transposed anchor matrix, C-contiguous, so each
-    coordinate's anchor values are one contiguous vector.  ``out`` and
-    ``scratch`` are (rows x anchors) buffers; ``scratch`` ends
-    up holding the exponents.  Squared distances are accumulated one
-    coordinate at a time from explicit differences, left to right, so a row
+    ``pairs[j]`` is the (2 x anchors) matrix whose first row is all ones and
+    whose second row is the anchors' coordinate j negated; ``lhs`` is a
+    (rows x 2) buffer whose second column is 1.  ``out`` and ``scratch`` are
+    (rows x anchors) buffers; ``scratch`` ends up holding the exponents.
+    Coordinate j's differences are ``lhs @ pairs[j]`` with ``lhs``'s first
+    column set to the rows' coordinate j: x*1 + 1*(-a), whose two products
+    are exact and whose one addition rounds once, so each is the float
+    x - a bit for bit in any BLAS.  Squared distances are accumulated one
+    coordinate at a time from these differences, left to right, so a row
     equal to an anchor maps to exactly 1.0 at that coordinate in any
-    dimension.  A distance, or its quotient by 2*width^2, too large for
-    float64 becomes inf, and its kernel value exp(-inf) = 0 is exact at
-    every accepted width (``_check_width``), so that overflow is not
-    reported.
+    dimension.  A difference, a distance, or its quotient by 2*width^2, too
+    large for float64 becomes inf, and its kernel value exp(-inf) = 0 is
+    exact at every accepted width (``_check_width``), so that overflow is
+    not reported.
     """
     sq, diff = scratch, out  # ``out`` holds each coordinate's terms until the exp
     with np.errstate(over="ignore"):
-        np.subtract(rows[:, 0, None], anchors_t[0], out=sq)
-        np.square(sq, out=sq)
-        for j in range(1, anchors_t.shape[0]):
-            np.subtract(rows[:, j, None], anchors_t[j], out=diff)
-            np.square(diff, out=diff)
-            np.add(sq, diff, out=sq)
+        for j, pair in enumerate(pairs):
+            term = diff if j else sq
+            lhs[:, 0] = rows[:, j]
+            np.matmul(lhs, pair, out=term)
+            np.square(term, out=term)
+            if j:
+                np.add(sq, diff, out=sq)
         np.divide(sq, -(2.0 * width * width), out=sq)
     return np.exp(sq, out=out)
 
@@ -83,32 +93,38 @@ def _blockwise(anchors: np.ndarray, width: float, xm: np.ndarray,
     """Kernel map of ``xm``'s rows, or with ``weights`` its scores without a bias.
 
     The rows go in blocks of ``_rows_per_block`` through ``_kernel_block``,
-    and a block's scores are one matvec of its mapped rows.  The blocks are
-    dealt in turn over up to one worker per usable CPU, at least
+    and a block's scores are one matvec of its mapped rows.  The difference
+    operands (``_kernel_block``'s ``pairs``) are built once per call.  The
+    blocks are dealt in turn over up to one worker per usable CPU, at least
     ``_MIN_BLOCKS_PER_WORKER`` blocks each.  The calling thread scores share
     0 and allocates every worker's buffers; helpers run as futures, so a
     helper's exception reaches the caller, and all are joined before the
     call returns or raises.
     """
-    n_rows, n_anchors = xm.shape[0], anchors.shape[0]
-    anchors_t = np.ascontiguousarray(anchors.T)
+    n_rows, (n_anchors, dim) = xm.shape[0], anchors.shape
+    pairs = np.empty((dim, 2, n_anchors))
+    pairs[:, 0] = 1.0
+    np.negative(anchors.T, out=pairs[:, 1])
     block = _rows_per_block(n_anchors)
     starts = range(0, n_rows, block)
     workers = max(1, min(_usable_cpus(), len(starts) // _MIN_BLOCKS_PER_WORKER))
     result = np.empty((n_rows, n_anchors) if weights is None else n_rows)
-    shape = (min(block, n_rows), n_anchors)
-    buffers = [(np.empty(shape), None if weights is None else np.empty(shape))
+    rows_max = min(block, n_rows)
+    shape = (rows_max, n_anchors)
+    buffers = [(np.ones((rows_max, 2)), np.empty(shape),
+                None if weights is None else np.empty(shape))
                for _ in range(workers)]
 
     def run_share(share: int) -> None:
-        scratch, mapped = buffers[share]
+        lhs, scratch, mapped = buffers[share]
         for start in starts[share::workers]:
             rows = xm[start : start + block]
             n = len(rows)
             if weights is None:
-                _kernel_block(anchors_t, width, rows, result[start : start + n], scratch[:n])
+                _kernel_block(pairs, width, rows, lhs[:n], result[start : start + n],
+                              scratch[:n])
             else:
-                z = _kernel_block(anchors_t, width, rows, mapped[:n], scratch[:n])
+                z = _kernel_block(pairs, width, rows, lhs[:n], mapped[:n], scratch[:n])
                 np.matmul(z, weights, out=result[start : start + n])
 
     if workers == 1:

@@ -103,8 +103,17 @@ class _JsonConfig:
 
     @classmethod
     def from_json(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """The config a UTF-8 JSON file gives (a leading byte-order mark is dropped).
+
+        Bytes that are not UTF-8 or text that is not JSON raise ValueError
+        naming ``path``.
+        """
+        try:
+            with open(path, "r", encoding="utf-8-sig") as fh:
+                doc = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        return cls.from_dict(doc)
 
 
 @dataclass(frozen=True)

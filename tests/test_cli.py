@@ -467,6 +467,36 @@ class TestSweepCommands:
         self._assert_one_line_error(capsys.readouterr().err,
                                     "pool.csv: feature values too large to standardize")
 
+    def test_files_starting_with_a_byte_order_mark_are_read(self, tmp_path, capsys):
+        """A spreadsheet's UTF-8 export starts with U+FEFF; it is not part of the first cell."""
+        data, cfg = tmp_path / "bom.csv", tmp_path / "train.json"
+        data.write_text("\ufefflabel,x1\n" + "".join(f"{i % 2},{i}.5\n" for i in range(40)),
+                        encoding="utf-8")
+        cfg.write_text("\ufeff" + json.dumps({"restarts": 1}), encoding="utf-8")
+        code = main(["sweep-pi", "--pi", "0.5", "--n-unl", "4", "--n-pos", "3", "--n-neg", "3",
+                     "--trials", "1", "--data", str(data), "--label-col", "label",
+                     "--train-config", str(cfg)])
+        assert code == 0
+        assert capsys.readouterr().out.strip()
+
+    @pytest.mark.parametrize("flag, content, fragment", [
+        ("--train-config", b'{"lam": 0.1, bad}', "Expecting property name"),
+        ("--cv-config", b'{"lambda_grid": [0.1]', "Expecting ',' delimiter"),
+        ("--train-config", b'{"lam": 0.1\xff}', "'utf-8' codec can't decode byte 0xff"),
+        ("--data", b"f1,y\n1.0,1\n\xff2.0,-1\n", "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["train-json", "cv-json", "train-bytes", "data-bytes"])
+    def test_unreadable_file_exits_2_naming_it(self, tmp_path, monkeypatch, capsys, flag,
+                                               content, fragment):
+        """Text that is not JSON, or bytes that are not UTF-8, fail naming the file."""
+        path = tmp_path / "input.txt"
+        path.write_bytes(content)
+        if flag != "--data":
+            self._forbid_sweep(monkeypatch)
+        code = main(["sweep-nu", "--n-unl", "5", "--trials", "1", flag, str(path),
+                     *(["--label-col", "y"] if flag == "--data" else ["--test-size", "10"])])
+        assert code == 2
+        self._assert_one_line_error(capsys.readouterr().err, f"error: {path}: ", fragment)
+
     def test_rows_too_large_to_train_on_exit_2(self, monkeypatch, capsys):
         """Finite rows of 1e300 overflow the solve: a one-line contract error, not a warning."""
         def huge(*args):

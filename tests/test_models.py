@@ -83,7 +83,7 @@ class TestPredict:
 class TestKernelMap:
     def test_anchor_maps_to_exactly_one(self):
         rng = np.random.default_rng(1)
-        for dim in (4, 13):
+        for dim in (1, 2, 4, 13):
             anchors = rng.normal(size=(6, dim))
             mapped = kernel_map(anchors, 0.8, anchors[3:4])
             assert mapped[0, 3] == 1.0
@@ -150,6 +150,45 @@ class TestKernelMap:
         np.testing.assert_allclose(
             kernel_map(anchors, width, x), _explicit_kernel_map(anchors, width, x), rtol=1e-15
         )
+
+
+def _subtracted_kernel_map(anchors, width, x):
+    """Reference: the map's steps, each coordinate's differences from ``np.subtract``."""
+    sq = np.zeros((x.shape[0], anchors.shape[0]))
+    with np.errstate(over="ignore"):
+        for j in range(x.shape[1]):
+            sq += np.square(np.subtract(x[:, j, None], anchors[None, :, j]))
+        sq /= -(2.0 * width * width)
+    return np.exp(sq)
+
+
+class TestDifferencesAsProducts:
+    """Each difference x - a is formed as the two-term product x*1 + 1*(-a)."""
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-200, 1.0, 1e150, 1e300])
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_same_bits_as_subtracting(self, dim, scale):
+        """Random rows, rows on the anchors, on their negatives and at +-0.0, over two
+        blocks, plus rows and anchors at +-1.7e308 whose differences overflow.
+
+        The width follows the scale within the accepted range, so at scales 1 and
+        1e150 the exponents are O(1) and a difference one rounding off moves kernel
+        values; below, every value is 1, and at 1e300 all but exact matches are 0.
+        """
+        rng = np.random.default_rng(dim)
+        huge = np.array([[1.7e308] * dim, [-1.7e308] * dim])
+        anchors = np.vstack([scale * rng.normal(size=(40, dim)), huge, np.zeros((1, dim))])
+        zeros = rng.choice([0.0, -0.0], size=(6, dim))
+        x = np.vstack([scale * rng.normal(size=(_rows_per_block(len(anchors)), dim)),
+                       anchors, -anchors, zeros, -zeros])
+        width = min(max(scale, 1e-150), 3.4e152)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernel_map(anchors, width, x)
+            want = _subtracted_kernel_map(anchors, width, x)
+        assert got.tobytes() == want.tobytes()
+        on_anchor = got[-2 * len(anchors) - 12 : -len(anchors) - 12]
+        assert (np.diag(on_anchor) == 1.0).all()
 
 
 class TestKernelModel:
