@@ -1,5 +1,7 @@
 """CCCP trainer: its objective, descent, stationarity, restarts, CV, and contract errors."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -698,6 +700,64 @@ class TestReducedCellStep:
         reduced = objectives()
         monkeypatch.setattr(training, "_REDUCED_MIN_DIM", 10**9)
         np.testing.assert_allclose(reduced, objectives(), rtol=0.0, atol=1e-12)
+
+
+class TestDenseCellStep:
+    """Cells below _REDUCED_MIN_DIM unknowns take the dense (dim + k)^2 KKT solve."""
+
+    @pytest.mark.parametrize("dim, k", [(dim, k) for dim in (3, 32, training._REDUCED_MIN_DIM - 1)
+                                        for k in sorted({0, 1, 2, dim // 2, dim - 1, dim})])
+    def test_is_the_explicit_kkt_solve(self, dim, k):
+        """(p, mult) are np.linalg.solve's on [[H, K.T], [K, 0]] @ (p, mult) = (-grad, 0), bit for bit.
+
+        H = diag(lam, ..., lam, 0).  With no working rows (k = 0) that system
+        is singular along the bias, so the step is the Newton step -g_w/lam
+        in w when the bias slope vanishes, and the unit ray against it when not.
+        """
+        lam = 1e-3
+        rng = np.random.default_rng(100 * dim + k)
+        grad = rng.normal(0.0, 0.1, dim)
+        kinked = np.column_stack([rng.random((k, dim - 1)), rng.choice([-1.0, 1.0], k)])
+        p, mult = training._cell_step(grad, kinked, lam)
+        if k:
+            hessian = np.diag(np.append(np.full(dim - 1, lam), 0.0))
+            kkt = np.block([[hessian, kinked.T], [kinked, np.zeros((k, k))]])
+            want = np.linalg.solve(kkt, np.append(-grad, np.zeros(k)))
+            assert p.tobytes() == want[:dim].tobytes() and mult.tobytes() == want[dim:].tobytes()
+            return
+        assert mult.size == 0
+        assert p.tobytes() == np.append(np.zeros(dim - 1), -np.sign(grad[-1])).tobytes()
+        grad[-1] = 0.0
+        p, _ = training._cell_step(grad, kinked, lam)
+        assert p.tobytes() == np.append(-grad[:-1] / lam, 0.0).tobytes()
+
+
+# Fits of every kind and mode on the acceptance design, their data drawn
+# from seed 5000 + seed: (kind, mode, n_unl, pi, seed).
+_BIT_CORPUS = [(kind, mode, n_unl, pi, seed)
+               for kind in ("linear", "kernel") for mode in ("PN", "PU", "NU")
+               for n_unl, pi, seed in ((5, 0.3, 0), (10, 0.7, 1), (25, 0.5, 2), (50, 0.3, 3),
+                                       (70, 0.7, 4), (100, 0.5, 5), (200, 0.5, 6))]
+_BIT_CORPUS_SHA256 = "e30a03df687241d3f3cc77e36f237d3b7ca6ea5f304d1fddca8e85c2a81536a1"
+
+
+def test_fitted_bits_of_a_corpus_are_pinned(monkeypatch):
+    """sha256 of every fit's (weights, bias) bytes over _BIT_CORPUS.
+
+    A refactor of the solver that should not change results keeps this
+    digest; a change that moves a fit says so and records the new one.
+    Every solve certifies, so no fit rests on the pivot cap.  Kernel fits
+    of _REDUCED_MIN_DIM unknowns or more take the reduced cell step, the
+    others the dense one.
+    """
+    _never_uncertified(monkeypatch)
+    digest = hashlib.sha256()
+    for kind, mode, n_unl, pi, seed in _BIT_CORPUS:
+        triple = gen_gaussian_artificial(45, 5, n_unl, pi, 5000 + seed)
+        model = train(mode, triple, ModelTemplate(kind=kind), TrainConfig(seed=seed))
+        digest.update(model.weights.tobytes())
+        digest.update(np.float64(model.bias).tobytes())
+    assert digest.hexdigest() == _BIT_CORPUS_SHA256
 
 
 class TestKernelTraining:
