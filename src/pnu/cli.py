@@ -70,6 +70,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_grid(args, sweep: str, values) -> harness.ExperimentGrid:
+    if args.data is None and args.label_col is not None:
+        raise ValueError(f"--label-col {args.label_col} applies only with --data: "
+                         "a sweep without --data draws synthetic Gaussians")
     if args.data is not None and args.label_col is None:
         raise ValueError(f"--data {args.data} needs --label-col, the label column's name or index")
     if args.data is not None and args.test_size is not None:

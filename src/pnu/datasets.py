@@ -245,8 +245,8 @@ def gen_gaussian_labeled(n: int, pi: float, seed):
     return _mixture_draw(rng, n, pi)
 
 
-def _map_label_values(values: list[str]):
-    """Map the two distinct raw label strings to -1/+1.
+def _map_label_values(path, values: list[str]):
+    """Map the two distinct raw label strings of the file at ``path`` to -1/+1.
 
     Numeric labels map by order (smaller -> -1), so {0,1} becomes {-1,+1}
     with 0 -> -1; non-numeric labels map lexicographically.
@@ -254,14 +254,64 @@ def _map_label_values(values: list[str]):
     distinct = sorted(set(values))
     if len(distinct) != 2:
         raise ValueError(
-            f"label column must contain exactly two distinct values, got {len(distinct)}: "
-            f"{distinct[:5]}"
+            f"{path}: label column must contain exactly two distinct values, "
+            f"got {len(distinct)}: {distinct[:5]}"
         )
     try:
         ordered = sorted(distinct, key=float)
     except ValueError:
         ordered = distinct
     return {ordered[0]: -1, ordered[1]: 1}
+
+
+def _parse_columns(rows: list, width: int, label_idx: int):
+    """(labels, features) of CSV rows, parsed a column at a time; None if any row is bad.
+
+    A row is bad when ``_parse_lines`` would reject it; the floats are the ones
+    it parses.
+    """
+    if any(len(row) != width for row in rows):
+        return None
+    columns = list(zip(*rows))
+    labels = [cell.strip() for cell in columns.pop(label_idx)]
+    try:
+        feats = np.array([list(map(float, column)) for column in columns]).T
+    except ValueError:
+        return None
+    if not all(labels) or not np.isfinite(feats).all():
+        return None
+    # C order, as row-wise parsing gives: the column sums of standardization
+    # run in another order over a transposed array.
+    return labels, np.ascontiguousarray(feats)
+
+
+def _parse_lines(path, records: list, width: int, label_idx: int):
+    """(labels, features) of CSV records, parsed line by line.
+
+    Blank records are skipped.  The first bad line raises ValueError naming
+    ``path`` and its line: a wrong field count, an empty label, a feature
+    that is not a number or is not finite.
+    """
+    rows, labels = [], []
+    for lineno, row in enumerate(records, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        label = row[label_idx].strip()
+        if not label:
+            raise ValueError(f"{path}:{lineno}: empty label")
+        labels.append(label)
+        feats = row[:label_idx] + row[label_idx + 1 :]
+        try:
+            values = [float(v) for v in feats]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: non-numeric feature value ({exc})") from None
+        if not all(map(math.isfinite, values)):
+            bad = next(v for v, f in zip(feats, values) if not math.isfinite(f))
+            raise ValueError(f"{path}:{lineno}: non-finite feature value {bad.strip()!r}")
+        rows.append(values)
+    return labels, np.asarray(rows, dtype=float)
 
 
 def load_csv(path, label_column) -> LabeledPool:
@@ -271,11 +321,13 @@ def load_csv(path, label_column) -> LabeledPool:
     ValueError naming ``path``.
 
     ``label_column`` selects the label field by header name or by integer
-    index.  Every feature cell must be a finite number, small enough that
-    its column's variance is finite in float64.  Features are
-    standardized per column to zero mean and unit variance over the full
-    pool (constant columns are left centered), so downstream kernel-width
-    grids are dataset-independent.
+    index.  Every label cell must be non-blank and the label column must
+    hold exactly two distinct values.  Every feature cell must be a finite
+    number, small enough that its column's variance is finite in float64.
+    The first bad line raises ValueError naming ``path`` and the line.
+    Features are standardized per column to zero mean and unit variance
+    over the full pool (constant columns are left centered), so downstream
+    kernel-width grids are dataset-independent.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
@@ -302,30 +354,14 @@ def load_csv(path, label_column) -> LabeledPool:
         if len(header) < 2:
             raise ValueError(f"{path}: no feature column besides the label")
 
-        rows, raw_labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            raw_labels.append(row[label_idx].strip())
-            feats = row[:label_idx] + row[label_idx + 1 :]
-            try:
-                values = [float(v) for v in feats]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric feature value ({exc})") from None
-            if not all(map(math.isfinite, values)):
-                bad = next(v for v, f in zip(feats, values) if not math.isfinite(f))
-                raise ValueError(f"{path}:{lineno}: non-finite feature value {bad.strip()!r}")
-            rows.append(values)
-
+        records = list(reader)
+    rows = [row for row in records if row]
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    mapping = _map_label_values(raw_labels)
+    raw_labels, feats = (_parse_columns(rows, len(header), label_idx)
+                         or _parse_lines(path, records, len(header), label_idx))
+    mapping = _map_label_values(path, raw_labels)
     labels = np.array([mapping[v] for v in raw_labels], dtype=int)
-    feats = np.asarray(rows, dtype=float)
 
     try:
         with np.errstate(over="raise"):

@@ -317,11 +317,14 @@ def _cell_step(grad, kinked, lam: float):
         dp, dmult = solve(res, -kinked.dot(p))
         return p + dp, mult + dmult
     if k:
-        kkt = np.zeros((dim + k, dim + k))
-        kkt[np.arange(dim - 1), np.arange(dim - 1)] = lam
+        n = dim + k
+        kkt = np.zeros((n, n))
+        kkt.ravel()[:(dim - 1) * (n + 1):n + 1] = lam  # H's diagonal but its last entry
         kkt[:dim, dim:] = kinked.T
         kkt[dim:, :dim] = kinked
-        sol = np.linalg.solve(kkt, np.concatenate((-grad, np.zeros(k))))
+        rhs = np.zeros(n)
+        np.negative(grad, out=rhs[:dim])
+        sol = np.linalg.solve(kkt, rhs)
         return sol[:dim], sol[dim:]
     if abs(grad[-1]) > _ZERO:
         p = np.zeros(dim)
@@ -359,31 +362,44 @@ def _solve_active_set(theta0, A, c, s, lam):
     kink = 1.0 + _KINK_OFFSET * np.arange(1, n + 1) / n
     theta = np.array(theta0, dtype=float)
     m = A.dot(theta)
-    right = m > kink
-    free = np.ones(n, dtype=bool)
+    # side[i] is 1 while row i is on or below its kink, -1 above it and 0
+    # while it works; lo_free and hi_free are lo and hi, zero on working rows.
+    side = np.where(m > kink, -1.0, 1.0)
+    lo_free, hi_free = lo.copy(), hi.copy()
     work: list[int] = []
     for _ in range(_MAX_PIVOTS):
-        beta = np.where(right, hi, lo)
-        beta[work] = 0.0
+        beta = np.where(side < 0.0, hi_free, lo_free)
         grad = A.T.dot(beta)
         grad[:-1] += lam * theta[:-1]
         p, mult = _cell_step(grad, A[work], lam)
         slope = float(grad.dot(p))
         if slope < 0.0:
             # Exact line search on theta + tau*p.  Free rows moving toward
-            # their kink cross it at tau_i; each crossing raises the slope in
-            # tau by c_i/2*|d_i|, and between crossings it grows by curv.
+            # their kink, at more than `moving`, cross it at tau_i; each
+            # crossing raises the slope in tau by c_i/2*|d_i|, and between
+            # crossings it grows by curv.
             d = A.dot(p)
-            curv = lam * float(p[:-1].dot(p[:-1]))
+            p_w = p[:-1]
+            curv = lam * float(p_w.dot(p_w))
             moving = _ZERO * a_max * float(np.abs(p).sum())
-            rows = np.flatnonzero(free & np.where(right, d < -moving, d > moving))
-            tau = np.maximum((kink[rows] - m[rows]) / d[rows], 0.0)
-            order = np.argsort(tau, kind="stable")
+            toward = side * d  # |d_i| for the rows moving toward their kink
+            rows = (toward > moving).nonzero()[0]
+            tau = kink[rows]
+            tau -= m[rows]
+            tau /= d[rows]
+            np.maximum(tau, 0.0, out=tau)
+            order = tau.argsort(kind="stable")
             rows, tau = rows[order], tau[order]
-            jumps = 0.5 * c[rows] * np.abs(d[rows])
-            after = slope + np.cumsum(jumps)  # slope just past each kink, less curv*tau
-            turn = np.flatnonzero(after + curv * tau >= 0.0)
-            j = int(turn[0]) if turn.size else rows.size  # the first kink past which f rises
+            jumps = 0.5 * c[rows]
+            jumps *= toward[rows]
+            after = jumps.cumsum()
+            after += slope  # slope just past each kink, less curv*tau
+            past = curv * tau
+            past += after  # slope just past each kink
+            rises = past >= 0.0
+            j = int(rises.argmax()) if rows.size else 0  # the first kink past which f rises,
+            if j < rows.size and not rises[j]:  # or past them all when none does
+                j = rows.size
             block = None
             if curv > 0.0:
                 # A Newton step that meets no kink is taken whole: its slope
@@ -400,20 +416,22 @@ def _solve_active_set(theta0, A, c, s, lam):
                 return None
             theta += step * p
             m = A.dot(theta)
-            right[rows[:j]] ^= True
+            if j:
+                crossed = rows[:j]
+                side[crossed] = -side[crossed]
             if block is not None:
                 work.append(block)
-                free[block] = False
+                side[block] = lo_free[block] = hi_free[block] = 0.0
             if j or block is not None:
                 continue
         # At the cell's minimum, where mult are the working rows' slopes.
         if work:
             excess = np.maximum(lo[work] - mult, mult - hi[work])
-            worst = int(np.argmax(excess))
+            worst = int(excess.argmax())
             if excess[worst] > _ZERO:
                 released = work.pop(worst)
-                right[released] = mult[worst] > hi[released]
-                free[released] = True
+                side[released] = -1.0 if mult[worst] > hi[released] else 1.0
+                lo_free[released], hi_free[released] = lo[released], hi[released]
                 continue
             beta[work] = mult
             kinked = A[work]

@@ -316,6 +316,14 @@ class TestSweepCommands:
         assert code == 2
         self._assert_one_line_error(capsys.readouterr().err, "x.csv", "needs --label-col")
 
+    @pytest.mark.parametrize("command", [["sweep-nu", "--n-unl", "5"], ["sweep-pi", "--pi", "0.5"]])
+    def test_label_col_without_data_exits_2_naming_both(self, monkeypatch, capsys, command):
+        """A synthetic sweep has no label column, so --label-col alone would be ignored."""
+        self._forbid_sweep(monkeypatch)
+        code = main([*command, "--trials", "1", "--test-size", "10", "--label-col", "y"])
+        assert code == 2
+        self._assert_one_line_error(capsys.readouterr().err, "--label-col", "--data")
+
     @pytest.mark.parametrize("extra", [[], ["--paper-scale"]], ids=["desk", "paper-scale"])
     def test_test_size_with_data_exits_2_naming_both(self, tmp_path, monkeypatch, capsys, extra):
         """A CSV sweep's holdout is the pool's leftover rows, so --test-size would be ignored.

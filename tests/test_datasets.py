@@ -1,8 +1,11 @@
 """Synthetic generation, CSV pools, and the triple resampling protocol."""
 
+import csv
+
 import numpy as np
 import pytest
 
+from pnu import datasets
 from pnu.datasets import (
     GAUSSIAN_MEAN,
     InsufficientDataError,
@@ -213,12 +216,36 @@ class TestLoadCsv:
         ("a,y\n1,1\n2,-1\n", "label", "label column 'label' not found in header"),
         ("a,y\n1,1\n2,-1\n", 2, "label column index 2 out of range"),
         ("a,y\n1,1\n2,-1\n", -3, "label column index -3 out of range"),
+        ("a,y\n1,1\n2,1\n", "y", r"label column must contain exactly two distinct values, got 1"),
     ])
     def test_unusable_file_rejected(self, tmp_path, text, label, message):
         path = tmp_path / "bad.csv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=rf"bad\.csv: {message}"):
             load_csv(path, label)
+
+    @pytest.mark.parametrize("cell", ["", "  "])
+    def test_empty_label_rejected(self, tmp_path, cell):
+        """A blank label cell fails with its line, not as a second class."""
+        path = tmp_path / "el.csv"
+        path.write_text(f"a,y\n0.1,1\n0.2,{cell}\n0.3,1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"el\.csv:3: empty label"):
+            load_csv(path, "y")
+
+    def test_column_parse_matches_the_line_parse(self, tmp_path):
+        """The column-wise parse gives the line-by-line parse's labels and C-ordered floats."""
+        rng = np.random.default_rng(7)
+        rows = [(repr(a), label, repr(b), repr(c))
+                for (a, b, c), label in zip(rng.normal(0.0, 1e3, (500, 3)).tolist(),
+                                            rng.choice(["pos", " neg"], 500).tolist())]
+        path = _write_csv(tmp_path / "cols.csv", ("a", "y", "b", "c"), rows)
+        with open(path, newline="") as fh:
+            records = list(csv.reader(fh))[1:]
+        labels, feats = datasets._parse_columns(records, 4, 1)
+        want_labels, want_feats = datasets._parse_lines(path, records, 4, 1)
+        assert labels == want_labels and set(labels) == {"pos", "neg"}
+        assert feats.flags.c_contiguous and feats.shape == (500, 3)
+        assert feats.tobytes() == want_feats.tobytes()
 
     def test_blank_lines_skipped_and_text_labels_sorted(self, tmp_path):
         """Non-numeric labels map lexicographically: the earlier string is -1."""
